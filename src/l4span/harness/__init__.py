@@ -1,4 +1,3 @@
-from .baselines import dualpi2_step_mark
 from .metrics import MetricsCollector, PacketRecord, write_run
 from .scenario import (
     BUILTIN_SCENARIOS,
@@ -20,6 +19,6 @@ from .scenario import (
 __all__ = [
     "AqmSpec", "BUILTIN_SCENARIOS", "ChannelSpec", "ConfigError", "DrbSpec",
     "FlowSpec", "MetricsCollector", "PacketRecord", "PathDelays", "Scenario",
-    "UeSpec", "dualpi2_step_mark", "load_scenario", "resolve_scenario",
-    "save_scenario", "scenario_from_dict", "scenario_to_dict", "write_run",
+    "UeSpec", "load_scenario", "resolve_scenario", "save_scenario",
+    "scenario_from_dict", "scenario_to_dict", "write_run",
 ]

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..core import DrbConfig
-from ..marking import MarkParams
+from ..core import DrbConfig, FlowClass, Packet
+from ..marking import DrbMarkState, MarkDecision, MarkParams, map_mark_outcome
 from ..profile import DEFAULT_WINDOW_SECS, ProfileTable
 from .metrics import dumps_intervals, dumps_packets
 from .scenario import BUILTIN_SCENARIOS, Scenario
@@ -53,16 +53,6 @@ def _static_zero_error() -> Scenario:
     scn = BUILTIN_SCENARIOS["static-1ue"]()
     scn.name = "static-1ue-e0"
     scn.aqm.force_zero_error = True
-    return scn
-
-def _static_dualpi2() -> Scenario:
-    # the reduction twin: the step baseline fed by the predicted sojourn,
-    # which is exactly what the adaptive marker degenerates to at zero
-    # error width
-    scn = BUILTIN_SCENARIOS["static-1ue"]()
-    scn.name = "static-1ue-dualpi2"
-    scn.aqm.kind = "dualpi2step"
-    scn.aqm.step_source = "predicted"
     return scn
 
 def _static_noaqm() -> Scenario:
@@ -122,7 +112,7 @@ def _ablation_on() -> Scenario:
 VARIANTS: dict[str, Callable[[], Scenario]] = {
     "static-1ue": _static_l4span,
     "static-1ue-e0": _static_zero_error,
-    "static-1ue-dualpi2": _static_dualpi2,
+    "static-1ue-step": _static_zero_error,
     "static-1ue-noaqm": _static_noaqm,
     "static-1ue-cubic": _static_cubic,
     "static-1ue-cubic-noaqm": _static_cubic_noaqm,
@@ -138,6 +128,27 @@ VARIANTS: dict[str, Callable[[], Scenario]] = {
 }
 
 
+def reference_step_mark(
+    state: DrbMarkState,
+    params: MarkParams,
+    pkt: Packet,
+    flow_class: FlowClass,
+    rng: random.Random,
+    now: float,
+) -> MarkDecision:
+    """Stand-in for ``decide_mark``: the step AQM of RFC 9332's L-queue
+    applied to the predicted sojourn, written without the marking
+    probabilities so C2 compares the zero-error marker to an independent rule.
+
+    Marks a scalable packet iff the fresh estimate's queued bytes / r_hat
+    reach the threshold; everything else passes.
+    """
+    est = state.last_estimate
+    if est is None or now - est.at > params.freshness_secs or flow_class is not FlowClass.L4S:
+        return MarkDecision.PASS
+    return map_mark_outcome(est.sojourn_hat >= params.tau_thr, pkt, flow_class, params)
+
+
 class AcceptanceRunner:
     def __init__(self, save_dir: Optional[str] = None, verbose: bool = False):
         self._cache: dict[str, object] = {}
@@ -146,13 +157,20 @@ class AcceptanceRunner:
 
     def result(self, key: str):
         if key not in self._cache:
+            from ..ransim import layer
             from ..ransim.sim import run as sim_run
 
             scn = VARIANTS[key]()
             if self.verbose:
                 print(f"... running {key} ({scn.horizon_secs:.0f} s horizon)", flush=True)
             t0 = time.time()
-            res = sim_run(scn)
+            original = layer.decide_mark
+            if key == "static-1ue-step":  # C2's twin: the reference rule decides
+                layer.decide_mark = reference_step_mark
+            try:
+                res = sim_run(scn)
+            finally:
+                layer.decide_mark = original
             if self.verbose:
                 print(f"    done in {time.time() - t0:.1f} s ({res.events} events)", flush=True)
             if self.save_dir:
@@ -234,14 +252,14 @@ class AcceptanceRunner:
                                passed, f"worst relative error {worst:.3e}")
 
     def c2_step_reduction(self) -> CriterionResult:
-        """Zero error width makes the run event-identical to the step baseline."""
+        """Zero error width makes the run event-identical to the reference step marker."""
         a = self.result("static-1ue-e0")
-        b = self.result("static-1ue-dualpi2")
+        b = self.result("static-1ue-step")
         pk_a, pk_b = dumps_packets(a.collector.packets), dumps_packets(b.collector.packets)
         iv_a, iv_b = dumps_intervals(a.collector.intervals), dumps_intervals(b.collector.intervals)
         passed = pk_a == pk_b and iv_a == iv_b
         return CriterionResult(
-            2, "zero-error reduction is event-identical to the step baseline", passed,
+            2, "zero-error reduction is event-identical to the reference step marker", passed,
             f"packet streams {'identical' if pk_a == pk_b else 'differ'} "
             f"({len(a.collector.packets)} records), "
             f"interval streams {'identical' if iv_a == iv_b else 'differ'}",

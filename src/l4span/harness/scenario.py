@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -122,11 +123,6 @@ class AqmSpec:
     drop_fallback: bool = False
     shared_policy: str = "coupled"
     force_zero_error: bool = False
-    # dualpi2step sojourn source: "realized" subtracts the queue head/tail
-    # ingress timestamps (the wired AQM's backward-looking proxy);
-    # "predicted" uses the egress-rate prediction, i.e. the exact
-    # zero-error-width degenerate form of the adaptive marker
-    step_source: str = "realized"
 
 
 @dataclass
@@ -165,14 +161,14 @@ class Scenario:
             raise ConfigError("slot_secs must be positive")
         if self.coherence_secs <= 0:
             raise ConfigError("coherence_secs must be positive")
+        if self.warmup_secs >= self.horizon_secs:
+            raise ConfigError("warmup_secs must be shorter than horizon_secs")
         if self.scheduler not in ("round_robin", "proportional_fair"):
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
         if self.aqm.kind not in AQM_KINDS:
             raise ConfigError(f"unknown aqm.kind {self.aqm.kind!r}")
         if self.aqm.shared_policy not in SHARED_POLICIES:
             raise ConfigError(f"unknown aqm.shared_policy {self.aqm.shared_policy!r}")
-        if self.aqm.step_source not in ("realized", "predicted"):
-            raise ConfigError(f"unknown aqm.step_source {self.aqm.step_source!r}")
         if not 0 < self.aqm.beta < 1:
             raise ConfigError("aqm.beta must be in (0, 1)")
         if self.aqm.tau_thr <= 0:
@@ -181,11 +177,14 @@ class Scenario:
             raise ConfigError("scenario needs at least one UE")
         seen_ue = set()
         seen_names = set()
-        for ue in self.ues:
+        for i, ue in enumerate(self.ues):
             if ue.ue_id in seen_ue:
                 raise ConfigError(f"duplicate ue_id {ue.ue_id}")
             seen_ue.add(ue.ue_id)
-            ue.channel.build(self.horizon_secs)  # validates parameters
+            try:
+                ue.channel.build(self.horizon_secs)  # validates parameters
+            except (ConfigError, ValueError, OSError) as exc:
+                raise ConfigError(f"ues[{i}].channel: {exc}") from None
             if not ue.drbs:
                 raise ConfigError(f"ue {ue.ue_id} has no DRBs")
             seen_drb = set()
@@ -229,6 +228,18 @@ class Scenario:
 # -- (de)serialization -------------------------------------------------------
 
 
+def _as_float(value: Any, where: str) -> float:
+    """A float field's value: ints, floats and numeric strings (YAML reads
+    ``40e6`` as a string) become floats; anything else is rejected."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if isinstance(value, bool) or not math.isfinite(out):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return out
+
+
 def _from_dict(cls, data: Any, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
@@ -252,6 +263,9 @@ def _from_dict(cls, data: Any, where: str):
             kwargs[key] = [
                 _from_dict(nested[key], item, f"{where}.{key}[{i}]") for i, item in enumerate(value)
             ]
+        # annotations are strings under postponed evaluation
+        elif f.type == "float" or (f.type == "Optional[float]" and value is not None):
+            kwargs[key] = _as_float(value, f"{where}.{key}")
         else:
             kwargs[key] = value
     try:

@@ -12,6 +12,10 @@ Three regimes, selected by the mix of flow classes observed on the bearer:
 * shared bearer: keep the classic probability and mark low-latency packets
   with the coupled probability (2/K) * sqrt(p_classic), which equalizes the
   two throughput models at equal RTT.
+
+The wired fixed-step baseline (``dualpi2_step_mark``) needs no estimator: it
+estimates sojourn by subtracting the ingress timestamps of the queue head
+and tail packets and marks everything while that exceeds a threshold.
 """
 
 from __future__ import annotations
@@ -48,6 +52,17 @@ def p_l4s(n_queue: float, r_hat: float, e_hat: float, tau_thr: float) -> float:
     if e_hat <= 0.0:
         return 1.0 if x >= 0.0 else 0.0
     return 0.5 * math.erfc(-x / (e_hat * _SQRT2))
+
+
+def dualpi2_step_mark(head_ingress: float, tail_ingress: float, threshold_secs: float) -> bool:
+    """Step-mark predicate on the realized head/tail ingress spread.
+
+    True marks every packet while the oldest queued packet is more than
+    ``threshold_secs`` older than the newest.
+    """
+    if tail_ingress < head_ingress:
+        raise ValueError("tail packet cannot predate the head packet")
+    return (tail_ingress - head_ingress) > threshold_secs
 
 
 def p_classic(mss: float, k: float, rtt_hat: float, r_hat: float) -> float:

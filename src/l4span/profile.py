@@ -64,22 +64,19 @@ class ProfileTable:
         self.window_secs = window_secs
         self.entries: deque[ProfileEntry] = deque()
         self.highest_tx_sn: Optional[int] = None
-        self._by_sn: dict[int, ProfileEntry] = {}
         self._last_sn: Optional[int] = None
         self._pending: deque[ProfileEntry] = deque()       # no transmit timestamp yet
         self._undelivered: deque[ProfileEntry] = deque()   # AM: transmitted, not delivered
         self._pending_bytes = 0
-        # transmitted entries inside the current byte window: (t_transmit, size)
-        self._win: deque[tuple[float, int]] = deque()
+        # transmitted entries inside the current window, one per packet:
+        # (t_transmit, size, instantaneous rate at that packet); the running
+        # byte sum and rate moments are recomputed exactly every
+        # _SUM_REFRESH_PERIOD pushes to bound float drift
+        self._win: deque[tuple[float, int, float]] = deque()
         self._win_sum = 0
-        self._win_ops = 0
-        # one instantaneous-rate sample per transmitted entry: (t_transmit, rate),
-        # with running first/second moments re-anchored by exact summation
-        # periodically to bound float drift
-        self._samples: deque[tuple[float, float]] = deque()
         self._sum_r = 0.0
         self._sum_r2 = 0.0
-        self._sample_ops = 0
+        self._win_ops = 0
 
     # -- ingest -----------------------------------------------------------
 
@@ -91,7 +88,6 @@ class ProfileTable:
         entry = ProfileEntry(pdcp_sn=sn, size_bytes=size_bytes, t_ingress=now)
         self.entries.append(entry)
         self._pending.append(entry)
-        self._by_sn[sn] = entry
         self._last_sn = sn
         self._pending_bytes += size_bytes
 
@@ -137,34 +133,35 @@ class ProfileTable:
 
     def _push_sample(self, entry: ProfileEntry) -> None:
         t = entry.t_transmit
-        self._win.append((t, entry.size_bytes))
-        self._win_sum += entry.size_bytes
         low = t - self.window_secs
-        while self._win and self._win[0][0] <= low:
-            self._win_sum -= self._win.popleft()[1]
+        win = self._win
+        expired = []
+        while win and win[0][0] <= low:
+            _, size, old = win.popleft()
+            self._win_sum -= size
+            expired.append(old)
+        self._win_sum += entry.size_bytes
         rate = self._win_sum / self.window_secs
-        self._samples.append((t, rate))
+        # add the new rate before removing the expired ones: the float
+        # moments depend on the order of operations
         self._sum_r += rate
         self._sum_r2 += rate * rate
-        while self._samples and self._samples[0][0] <= low:
-            old = self._samples.popleft()[1]
+        for old in expired:
             self._sum_r -= old
             self._sum_r2 -= old * old
+        win.append((t, entry.size_bytes, rate))
         self._win_ops += 1
-        self._sample_ops += 1
         if self._win_ops >= _SUM_REFRESH_PERIOD:
-            self._win_sum = sum(s for _, s in self._win)
+            self._win_sum = sum(s for _, s, _ in win)
+            self._sum_r = math.fsum(r for _, _, r in win)
+            self._sum_r2 = math.fsum(r * r for _, _, r in win)
             self._win_ops = 0
-        if self._sample_ops >= _SUM_REFRESH_PERIOD:
-            self._sum_r = math.fsum(r for _, r in self._samples)
-            self._sum_r2 = math.fsum(r * r for _, r in self._samples)
-            self._sample_ops = 0
 
     # -- estimates --------------------------------------------------------
 
     def egress_rate_instant(self, at_sn: int) -> float:
         """Instantaneous egress rate anchored at the transmit time of ``at_sn``."""
-        entry = self._by_sn.get(at_sn)
+        entry = next((e for e in self.entries if e.pdcp_sn == at_sn), None)
         if entry is None:
             raise KeyError(f"unknown pdcp_sn {at_sn}")
         if entry.t_transmit is None:
@@ -178,12 +175,12 @@ class ProfileTable:
         return total / self.window_secs
 
     def egress_rate_smoothed(self) -> EgressEstimate:
-        # the sample deque is trimmed to the window on every push, so the
-        # running moments cover exactly the entries the window selects
-        if not self._samples:
+        # the window is trimmed on every push, so the running moments cover
+        # exactly the entries it selects
+        if not self._win:
             raise EstimateUnavailable("no transmitted entries")
-        t_k = self._samples[-1][0]
-        n = len(self._samples)
+        t_k = self._win[-1][0]
+        n = len(self._win)
         r_hat = self._sum_r / n
         if n >= 2:
             var = self._sum_r2 / n - r_hat * r_hat
@@ -229,6 +226,5 @@ class ProfileTable:
             if done_at is None or done_at >= cutoff:
                 break
             self.entries.popleft()
-            del self._by_sn[head.pdcp_sn]
             removed += 1
         return removed

@@ -1,12 +1,12 @@
 from .channel import ChannelTrace
 from .events import EventKind, EventLoop, SimEvent
 from .layer import DrbLayer
-from .rlc import DelayBreakdown, EnqueueResult, RlcQueue, enqueue_rlc
+from .rlc import EnqueueResult, RlcQueue
 from .scheduler import SchedulerPolicy, UeContext, scheduler_slot
 from .sim import SimResult, Simulator, run
 
 __all__ = [
-    "ChannelTrace", "DelayBreakdown", "DrbLayer", "EnqueueResult", "EventKind",
-    "EventLoop", "RlcQueue", "SchedulerPolicy", "SimEvent", "SimResult",
-    "Simulator", "UeContext", "enqueue_rlc", "run", "scheduler_slot",
+    "ChannelTrace", "DrbLayer", "EnqueueResult", "EventKind", "EventLoop",
+    "RlcQueue", "SchedulerPolicy", "SimEvent", "SimResult", "Simulator",
+    "UeContext", "run", "scheduler_slot",
 ]

@@ -21,12 +21,12 @@ from ..core import (
     classify_flow,
     reverse_tuple,
 )
-from ..harness.baselines import dualpi2_step_mark
 from ..marking import (
     DrbMarkState,
     MarkDecision,
     MarkParams,
     decide_mark,
+    dualpi2_step_mark,
     map_mark_outcome,
     refresh_probabilities,
 )

@@ -16,38 +16,16 @@ class EnqueueResult(enum.Enum):
 
 
 @dataclass
-class DelayBreakdown:
-    propagation_secs: float
-    queuing_secs: float
-    scheduling_secs: float
-    retransmission_secs: float
+class Sdu:
+    """One queued SDU; ``head_at`` is set when it reaches the head of the
+    queue and ``done_at`` when its last byte is transmitted."""
 
-    @property
-    def one_way_secs(self) -> float:
-        return (
-            self.propagation_secs
-            + self.queuing_secs
-            + self.scheduling_secs
-            + self.retransmission_secs
-        )
-
-
-@dataclass
-class _Sdu:
     pkt: Packet
     sn: int
     enq_at: float
     head_at: Optional[float] = None
+    done_at: Optional[float] = None
     sent_bytes: int = 0
-
-
-@dataclass
-class CompletedSdu:
-    pkt: Packet
-    sn: int
-    enq_at: float
-    head_at: float
-    done_at: float
 
 
 class RlcQueue:
@@ -55,7 +33,7 @@ class RlcQueue:
 
     def __init__(self, drb: DrbConfig):
         self.drb = drb
-        self.sdus: deque[_Sdu] = deque()
+        self.sdus: deque[Sdu] = deque()
         self.highest_tx_sn: Optional[int] = None
         self.highest_dlv_sn: Optional[int] = None
         # byte conservation: admitted = transmitted(used) + standing + (drops tracked separately)
@@ -82,7 +60,7 @@ class RlcQueue:
             self.dropped_bytes += pkt.size_bytes
             self.dropped_sdus += 1
             return EnqueueResult.DROPPED_TAIL
-        sdu = _Sdu(pkt=pkt, sn=sn, enq_at=now)
+        sdu = Sdu(pkt=pkt, sn=sn, enq_at=now)
         if not self.sdus:
             sdu.head_at = now
         self.sdus.append(sdu)
@@ -90,11 +68,11 @@ class RlcQueue:
         self._standing += pkt.size_bytes
         return EnqueueResult.QUEUED
 
-    def transmit(self, budget_bytes: float, now: float) -> tuple[list[CompletedSdu], int]:
+    def transmit(self, budget_bytes: float, now: float) -> tuple[list[Sdu], int]:
         """Serve up to budget_bytes; one SDU may be sent partially and
         completes in a later slot.  Returns completed SDUs and bytes used."""
         used = 0
-        completed: list[CompletedSdu] = []
+        completed: list[Sdu] = []
         budget = int(budget_bytes)
         while budget > 0 and self.sdus:
             head = self.sdus[0]
@@ -106,15 +84,8 @@ class RlcQueue:
             self._standing -= take
             if head.sent_bytes == head.pkt.size_bytes:
                 self.sdus.popleft()
-                completed.append(
-                    CompletedSdu(
-                        pkt=head.pkt,
-                        sn=head.sn,
-                        enq_at=head.enq_at,
-                        head_at=head.head_at if head.head_at is not None else head.enq_at,
-                        done_at=now,
-                    )
-                )
+                head.done_at = now
+                completed.append(head)
                 self.highest_tx_sn = head.sn
                 if self.sdus:
                     self.sdus[0].head_at = now
@@ -129,7 +100,3 @@ class RlcQueue:
             self.highest_dlv_sn = self._dlv_expected
             self._dlv_expected += 1
 
-
-def enqueue_rlc(q: RlcQueue, pkt: Packet, sn: int, now: float) -> EnqueueResult:
-    """Append the SDU or drop at the tail when the queue is at capacity."""
-    return q.enqueue(pkt, sn, now)

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .channel import ChannelTrace
-from .rlc import CompletedSdu, RlcQueue
+from .rlc import RlcQueue, Sdu
 
 PF_EWMA_HORIZON_SECS = 0.1
 _PF_RATE_FLOOR = 1000.0  # B/s, keeps weights finite for freshly active UEs
@@ -40,7 +40,7 @@ class SlotTransmissions:
     """What one DRB transmitted during a slot."""
 
     queue: RlcQueue
-    completed: list[CompletedSdu]
+    completed: list[Sdu]
     used_bytes: int
 
 

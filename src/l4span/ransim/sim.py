@@ -45,7 +45,7 @@ from ..senders import (
 from ..shortcircuit import FeedbackMode
 from .events import EventKind, EventLoop
 from .layer import DrbLayer
-from .rlc import DelayBreakdown, RlcQueue
+from .rlc import RlcQueue
 from .scheduler import UeContext, scheduler_slot
 
 MIN_RTO_SECS = 0.2
@@ -412,7 +412,7 @@ class Simulator:
                 self.layers[key] = DrbLayer(
                     cfg, params, scenario.window_secs,
                     enabled=aqm.kind != "none",
-                    realized_step=aqm.kind == "dualpi2step" and aqm.step_source == "realized",
+                    realized_step=aqm.kind == "dualpi2step",
                 )
                 self.loss_rng[key] = random.Random(seed + 7777777)
                 for i, fspec in enumerate(drb.flows):
@@ -499,19 +499,19 @@ class Simulator:
             key = rep.queue.drb.key
             drb = self.drb_spec[key]
             am = drb.rlc_mode == "am"
-            for comp in rep.completed:
-                flow = self.flow_by_tuple.get(comp.pkt.five_tuple)
+            for sdu in rep.completed:
+                flow = self.flow_by_tuple.get(sdu.pkt.five_tuple)
                 if flow is None:
                     continue
                 if am:
                     delay = drb.delivery_delay_secs
                     if drb.loss_p > 0 and self.loss_rng[key].random() < drb.loss_p:
                         delay += drb.arq_delay_secs
-                    self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, (flow, comp))
+                    self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, (flow, sdu))
                 else:
                     if drb.loss_p > 0 and self.loss_rng[key].random() < drb.loss_p:
                         continue  # UM: lost in the air, transport recovers
-                    self.loop.schedule(now, EventKind.DELIVER_TO_UE, (flow, comp))
+                    self.loop.schedule(now, EventKind.DELIVER_TO_UE, (flow, sdu))
             self.loop.schedule(now, EventKind.F1U_FEEDBACK, key)
         if n > 0 and n % self._slots_per_interval == 0:
             self._collect_gauges()
@@ -534,27 +534,21 @@ class Simulator:
         layer.on_ran_feedback(q.highest_tx_sn, dlv, ev.at)
 
     def _h_deliver(self, ev) -> None:
-        flow, comp = ev.data
+        flow, sdu = ev.data
         now = ev.at
-        pkt = comp.pkt
+        pkt = sdu.pkt
         q = self.queues[flow.drb_key]
         drb = self.drb_spec[flow.drb_key]
         if drb.rlc_mode == "am":
-            q.mark_delivered(comp.sn)
-        bd = DelayBreakdown(
-            propagation_secs=self.scn.delays.dl_prop_secs,
-            queuing_secs=comp.head_at - comp.enq_at,
-            scheduling_secs=comp.done_at - comp.head_at,
-            retransmission_secs=now - comp.done_at,
-        )
+            q.mark_delivered(sdu.sn)
         rec = PacketRecord(
             t=now,
             flow=flow.spec.name,
             one_way=now - pkt.created_at,
-            propagation=bd.propagation_secs,
-            queuing=bd.queuing_secs,
-            scheduling=bd.scheduling_secs,
-            retransmission=bd.retransmission_secs,
+            propagation=self.scn.delays.dl_prop_secs,
+            queuing=sdu.head_at - sdu.enq_at,
+            scheduling=sdu.done_at - sdu.head_at,
+            retransmission=now - sdu.done_at,
             predicted_sojourn=pkt.pred_sojourn,
             size_bytes=pkt.size_bytes,
         )

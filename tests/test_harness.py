@@ -1,6 +1,7 @@
+from pathlib import Path
+
 import pytest
 
-from l4span.harness.baselines import dualpi2_step_mark
 from l4span.harness.cli import main as cli_main
 from l4span.harness.scenario import (
     BUILTIN_SCENARIOS,
@@ -15,6 +16,7 @@ from l4span.ransim.sim import run
 MINIMAL_YAML = """
 name: mini
 horizon_secs: 4.0
+warmup_secs: 1.0
 seed: 3
 ues:
   - ue_id: 1
@@ -38,6 +40,59 @@ def test_load_minimal_scenario_fills_defaults(tmp_path):
     assert drb.max_queue_sdus == 16384
     assert drb.mss_bytes == 1500
     assert scn.ues[0].channel.capacity_bps == 40e6
+
+
+def _readme_yaml() -> str:
+    """The minimal scenario example from the README, verbatim."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Minimal example:", 1)[1]
+    return block.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def _validate_yaml(tmp_path, capsys, text: str) -> tuple[int, str]:
+    p = tmp_path / "scn.yaml"
+    p.write_text(text)
+    rc = cli_main(["validate", str(p)])
+    return rc, capsys.readouterr().err
+
+
+def test_readme_example_loads_and_runs(tmp_path, capsys):
+    rc, err = _validate_yaml(tmp_path, capsys, _readme_yaml())
+    assert rc == 0, err
+    scn = load_scenario(tmp_path / "scn.yaml")
+    assert scn.ues[0].channel.capacity_bps == 40e6  # YAML reads 40e6 as a string
+    scn.horizon_secs, scn.warmup_secs = 2.0, 0.5
+    assert run(scn).summary["ues"][1]["utilization"] > 0
+
+
+def test_non_numeric_float_field_is_named(tmp_path, capsys):
+    text = _readme_yaml().replace("capacity_bps: 40e6", "capacity_bps: fast")
+    rc, err = _validate_yaml(tmp_path, capsys, text)
+    assert rc == 1
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "ues[0].channel.capacity_bps" in err
+
+
+# the next two use integer rates, which every version parses, so each test
+# isolates its own defect
+
+
+def test_channel_builder_error_is_named(tmp_path, capsys):
+    text = _readme_yaml().replace(
+        "{kind: static, capacity_bps: 40e6}",
+        "{kind: sinusoid, mean_bps: 10000000, amplitude_bps: 20000000}")
+    rc, err = _validate_yaml(tmp_path, capsys, text)
+    assert rc == 1
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "ues[0].channel" in err and "amplitude" in err
+
+
+def test_warmup_not_shorter_than_horizon_rejected(tmp_path, capsys):
+    text = _readme_yaml().replace("40e6", "40000000") + "warmup_secs: 30.0\n"
+    rc, err = _validate_yaml(tmp_path, capsys, text)
+    assert rc == 1
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "warmup_secs" in err
 
 
 def test_unknown_key_is_named():
@@ -101,45 +156,6 @@ def test_scenario_roundtrip(tmp_path):
 def test_resolve_scenario_unknown():
     with pytest.raises(ConfigError, match="no such scenario"):
         resolve_scenario("does-not-exist")
-
-
-# -- step baseline op -----------------------------------------------------------
-
-
-def test_dualpi2_step_mark_examples():
-    assert dualpi2_step_mark(1.0, 1.0, 0.001) is False  # head == tail
-    assert dualpi2_step_mark(1.0, 1.002, 0.001) is True  # 2 ms spread over 1 ms
-    assert dualpi2_step_mark(1.0, 1.002, 0.010) is False  # 10 ms variant
-    with pytest.raises(ValueError):
-        dualpi2_step_mark(2.0, 1.0, 0.001)
-
-
-def test_step_proxy_agrees_with_predicted_sojourn_on_constant_drain():
-    # on a constant-rate drain the head/tail ingress spread and the
-    # predicted sojourn (queued/rate) select the same marking state
-    rate = 5e6
-    threshold = 0.010
-    arrivals = []  # (t_ingress, bytes)
-    t = 0.0
-    agree = 0
-    total = 0
-    queue = []
-    for i in range(4000):
-        t += 1500 / (rate * 1.2)  # 20% overload builds the queue
-        queue.append((t, 1500))
-        # drain
-        drained = rate * (1500 / (rate * 1.2))
-        while queue and drained >= queue[0][1]:
-            drained -= queue.pop(0)[1]
-        if not queue:
-            continue
-        n_queue = sum(b for _, b in queue)
-        proxy = dualpi2_step_mark(queue[0][0], queue[-1][0], threshold)
-        predicted = n_queue / rate >= threshold
-        total += 1
-        agree += proxy == predicted
-    assert total > 1000
-    assert agree / total >= 0.95
 
 
 # -- metrics recompute property ---------------------------------------------------

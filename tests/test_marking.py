@@ -19,6 +19,7 @@ from l4span.marking import (
     MarkParams,
     coupled_probabilities,
     decide_mark,
+    dualpi2_step_mark,
     error_cost_bounds,
     k_constant,
     p_classic,
@@ -82,6 +83,41 @@ def test_p_l4s_degenerate_step_grid():
     for n in range(0, 200_000, 5_000):
         expect = 1.0 if n / tau >= r else 0.0
         assert p_l4s(n, r, 0.0, tau) == expect
+
+
+def test_dualpi2_step_mark_examples():
+    assert dualpi2_step_mark(1.0, 1.0, 0.001) is False  # head == tail
+    assert dualpi2_step_mark(1.0, 1.002, 0.001) is True  # 2 ms spread over 1 ms
+    assert dualpi2_step_mark(1.0, 1.002, 0.010) is False  # 10 ms variant
+    with pytest.raises(ValueError):
+        dualpi2_step_mark(2.0, 1.0, 0.001)
+
+
+def test_step_proxy_agrees_with_predicted_sojourn_on_constant_drain():
+    # on a constant-rate drain the head/tail ingress spread and the
+    # predicted sojourn (queued/rate) select the same marking state
+    rate = 5e6
+    threshold = 0.010
+    t = 0.0
+    agree = 0
+    total = 0
+    queue = []
+    for i in range(4000):
+        t += 1500 / (rate * 1.2)  # 20% overload builds the queue
+        queue.append((t, 1500))
+        # drain
+        drained = rate * (1500 / (rate * 1.2))
+        while queue and drained >= queue[0][1]:
+            drained -= queue.pop(0)[1]
+        if not queue:
+            continue
+        n_queue = sum(b for _, b in queue)
+        proxy = dualpi2_step_mark(queue[0][0], queue[-1][0], threshold)
+        predicted = n_queue / rate >= threshold
+        total += 1
+        agree += proxy == predicted
+    assert total > 1000
+    assert agree / total >= 0.95
 
 
 def test_p_classic_value():

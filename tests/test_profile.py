@@ -1,7 +1,10 @@
 import math
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l4span.core import DrbConfig, EstimateUnavailable, ProtocolError, RlcMode
 from l4span.profile import DEFAULT_WINDOW_SECS, ProfileTable
@@ -304,3 +307,71 @@ def test_um_gc_uses_transmit_time():
     t.record_ingress(1, 1500, 0.0)
     t.on_f1u_feedback(1, None, 0.001)
     assert t.gc_delivered(0.5, 2.0) == 1
+
+
+# slot and window are powers of two, so transmit times and window edges are
+# exact and packets land right on the (t - W, t] boundary
+SLOT = 2.0 ** -11
+GRID_W = 16 * SLOT
+
+
+def _naive_smoothed(sent, window):
+    """Naive recomputation over [(size, t_tx)] in SN order: each packet's
+    instantaneous rate counts the bytes of packets up to and including it
+    transmitted in (t_k - W, t_k]; the estimate is the mean and population
+    std of those rates over the window ending at the newest transmit."""
+    rates = []
+    for k, (_, t_k) in enumerate(sent):
+        low = t_k - window
+        total = 0
+        j = k
+        while j >= 0 and sent[j][1] > low:
+            total += sent[j][0]
+            j -= 1
+        rates.append((t_k, total / window))
+    low = sent[-1][1] - window
+    in_window = [r for t, r in rates if t > low]
+    mean = sum(in_window) / len(in_window)
+    return mean, math.sqrt(sum((r - mean) ** 2 for r in in_window) / len(in_window))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 8),                     # arrivals in this slot
+            st.sampled_from([40, 700, 1500]),      # their size
+            st.integers(0, 8),                     # packets the slot transmits
+            st.integers(0, 24),                    # slots to the next one
+        ),
+        min_size=1, max_size=100,
+    ),
+    st.integers(1, 20),  # repeats of the pattern: long runs cross the moment refresh
+)
+def test_smoothed_matches_naive_oracle(slots, repeats):
+    t = _table(window=GRID_W)
+    pending = deque()
+    sent = []
+    sn = tx_sn = slot = 0
+    for arrivals, size, n_tx, gap in slots * repeats:
+        now = slot * SLOT
+        for _ in range(arrivals):
+            sn += 1
+            t.record_ingress(sn, size, now)
+            pending.append(size)
+        for _ in range(min(n_tx, len(pending))):
+            tx_sn += 1
+            sent.append((pending.popleft(), now))
+        if sent:
+            t.on_f1u_feedback(tx_sn, None, now)
+        slot += gap
+    if not sent:
+        with pytest.raises(EstimateUnavailable):
+            t.egress_rate_smoothed()
+        return
+    est = t.egress_rate_smoothed()
+    mean, std = _naive_smoothed(sent, GRID_W)
+    assert est.r_hat == pytest.approx(mean, rel=1e-9)
+    # the running moments lose ~sqrt(eps) * r_hat to cancellation
+    assert est.e_hat == pytest.approx(std, rel=1e-6, abs=1e-5 * mean)
+    assert est.n_queue == sum(pending)

@@ -12,7 +12,7 @@ from l4span.core import (
 from l4span.harness.scenario import BUILTIN_SCENARIOS, FlowSpec
 from l4span.ransim.channel import ChannelTrace
 from l4span.ransim.events import EventKind, EventLoop
-from l4span.ransim.rlc import EnqueueResult, RlcQueue, enqueue_rlc
+from l4span.ransim.rlc import EnqueueResult, RlcQueue
 from l4span.ransim.scheduler import SchedulerPolicy, UeContext, scheduler_slot
 from l4span.ransim.sim import Simulator, run
 
@@ -82,7 +82,7 @@ def _pkt(i, size=1500):
 
 def test_enqueue_and_drop_tail():
     q = RlcQueue(DrbConfig(ue_id=1, drb_id=1, max_queue_sdus=256))
-    assert enqueue_rlc(q, _pkt(1), 1, 0.0) is EnqueueResult.QUEUED
+    assert q.enqueue(_pkt(1), 1, 0.0) is EnqueueResult.QUEUED
     for i in range(2, 257):
         assert q.enqueue(_pkt(i), i, 0.0) is EnqueueResult.QUEUED
     assert q.enqueue(_pkt(257), 257, 0.0) is EnqueueResult.DROPPED_TAIL
