@@ -135,29 +135,24 @@ class MetricsCollector:
     def _steady(self, pairs: list[tuple[float, float]]) -> np.ndarray:
         return np.array([v for t, v in pairs if t >= self.warmup_secs], dtype=float)
 
-    def flow_delays_steady(self, flow: str) -> np.ndarray:
-        return np.array(
-            [r.one_way for r in self.packets if r.flow == flow and r.t >= self.warmup_secs],
-            dtype=float,
-        )
-
-    def flow_queuing_steady(self, flow: str) -> np.ndarray:
-        return np.array(
-            [r.queuing for r in self.packets if r.flow == flow and r.t >= self.warmup_secs],
-            dtype=float,
-        )
-
     def summarize(
         self,
         horizon: float,
         utilization: dict[int, dict],
         flow_starts: dict[str, float],
     ) -> dict:
+        # steady-state delays and queuing by flow, in delivery order, in one pass
+        delays_of: dict[str, list[float]] = {f: [] for f in self.flow_names}
+        queuing_of: dict[str, list[float]] = {f: [] for f in self.flow_names}
+        for r in self.packets:
+            if r.t >= self.warmup_secs:
+                delays_of[r.flow].append(r.one_way)
+                queuing_of[r.flow].append(r.queuing)
         flows = {}
         span = max(horizon - self.warmup_secs, 1e-9)
         for flow in self.flow_names:
-            delays = self.flow_delays_steady(flow)
-            queuing = self.flow_queuing_steady(flow)
+            delays = np.array(delays_of[flow], dtype=float)
+            queuing = np.array(queuing_of[flow], dtype=float)
             rtts = self._steady(self.rtt_samples[flow])
             lats = self._steady(self.feedback_latency[flow])
             completion = self.completion.get(flow)

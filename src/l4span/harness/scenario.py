@@ -198,6 +198,8 @@ class Scenario:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: max_queue_sdus must be positive")
                 if not 0 <= drb.loss_p < 1:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: loss_p must be in [0, 1)")
+                if drb.delivery_delay_secs < 0 or drb.arq_delay_secs < 0:
+                    raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: delays must be >= 0")
                 for flow in drb.flows:
                     loc = f"flow {flow.name!r} (ue {ue.ue_id}, drb {drb.drb_id})"
                     if flow.name in seen_names:

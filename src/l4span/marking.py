@@ -147,6 +147,8 @@ class MarkParams:
     force_zero_error: bool = False
     # shared-bearer strategy: coupled | l4s | classic | original
     shared_policy: str = "coupled"
+    # throughput-model constant K, derived from beta at construction
+    k: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.tau_thr <= 0:
@@ -155,6 +157,7 @@ class MarkParams:
             raise ValueError("beta must be in (0, 1)")
         if self.shared_policy not in ("coupled", "l4s", "classic", "original"):
             raise ValueError(f"unknown shared_policy {self.shared_policy!r}")
+        self.k = k_constant(self.beta)
 
 
 @dataclass
@@ -236,8 +239,8 @@ class DrbMarkState:
 def refresh_probabilities(state: DrbMarkState, params: MarkParams, estimate: EgressEstimate) -> None:
     """Recompute the bearer's marking probabilities from a fresh estimate.
 
-    Called on every RAN feedback event; per-packet decisions then draw
-    against the stored values.
+    Called on RAN feedback whenever the estimate's inputs changed;
+    per-packet decisions then draw against the stored values.
     """
     state.last_estimate = estimate
     e_hat = 0.0 if params.force_zero_error else estimate.e_hat
@@ -250,9 +253,8 @@ def refresh_probabilities(state: DrbMarkState, params: MarkParams, estimate: Egr
         if estimate.sojourn_hat < MIN_FALLBACK_SOJOURN_SECS:
             raise EstimateUnavailable("no standing queue to balance against")
         rtt_hat = rtt_estimate(state.weighted_rtt_star(), estimate.sojourn_hat)
-        k = k_constant(params.beta)
-        state.p_classic = p_classic(params.mss_bytes, k, rtt_hat, estimate.r_hat)
-        state.p_l4s_shared, _ = coupled_probabilities(state.p_classic, k)
+        state.p_classic = p_classic(params.mss_bytes, params.k, rtt_hat, estimate.r_hat)
+        state.p_l4s_shared, _ = coupled_probabilities(state.p_classic, params.k)
     except EstimateUnavailable:
         state.p_classic = None
         state.p_l4s_shared = 0.0

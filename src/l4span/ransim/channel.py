@@ -11,7 +11,8 @@ class ChannelTrace:
     """Piecewise-constant capacity (bytes/s) over strictly increasing breakpoints.
 
     The last segment extends to infinity, so evaluation is defined for any
-    t >= 0.
+    t >= 0.  Lookups keep a cursor on the last segment they hit, so the
+    simulator's monotone slot-by-slot queries skip the binary search.
     """
 
     def __init__(self, breakpoints: list[tuple[float, float]]):
@@ -29,12 +30,17 @@ class ChannelTrace:
         self.breakpoints = breakpoints
         self._times = [t for t, _ in breakpoints]
         self._caps = [c for _, c in breakpoints]
+        # segment i covers [_times[i], _ends[i])
+        self._ends = self._times[1:] + [math.inf]
+        self._cursor = 0
 
     def rate_at(self, t: float) -> float:
         if t < 0:
             raise ValueError("t must be >= 0")
-        idx = bisect_right(self._times, t) - 1
-        return self._caps[idx]
+        i = self._cursor
+        if not self._times[i] <= t < self._ends[i]:
+            i = self._cursor = bisect_right(self._times, t) - 1
+        return self._caps[i]
 
     def integral(self, t0: float, t1: float) -> float:
         """Bytes the channel could carry over [t0, t1]."""

@@ -2,6 +2,12 @@
 
 Events execute in (time, insertion-order) order; a handler may only
 schedule events at or after the current time.
+
+The simulator schedules one ``F1U_FEEDBACK`` event per slot with
+transmissions, at the slot's own time.  It carries the slot's zero-delay
+work in transmit order: the deliveries that take no time (UM, and AM
+with zero delivery delay) and the transmit/delivery feedback of each DRB
+that transmitted.  ``DELIVER_TO_UE`` events are the delayed AM deliveries.
 """
 
 from __future__ import annotations

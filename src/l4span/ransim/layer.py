@@ -76,12 +76,16 @@ class DrbLayer:
         self._syn_seen: dict[FiveTuple, float] = {}
         self._next_sn = 1
         self._feedbacks = 0
+        # a downlink packet since the last refresh may have changed the
+        # pending bytes, the flow mix or the handshake RTTs
+        self._dl_since_refresh = True
 
     # -- downlink ----------------------------------------------------------
 
     def on_dl_pkt(
         self, pkt: Packet, has_room: bool, now: float, head_ingress: Optional[float] = None
     ) -> DownlinkOutcome:
+        self._dl_since_refresh = True
         ft = pkt.five_tuple
         flow_class = classify_flow(pkt.ecn)
         self.mark_state.observe_flow(ft, flow_class, pkt.size_bytes, now)
@@ -140,10 +144,16 @@ class DrbLayer:
     def on_ran_feedback(
         self, highest_tx_sn: int, highest_dlv_sn: Optional[int], now: float
     ) -> Optional[EgressEstimate]:
-        self.profile.on_f1u_feedback(highest_tx_sn, highest_dlv_sn, now)
+        """Apply a status message; refresh the estimate and probabilities
+        only when their inputs changed (a newly transmitted SN, or a downlink
+        packet since the last refresh), otherwise keep the last ones."""
+        newly = self.profile.on_f1u_feedback(highest_tx_sn, highest_dlv_sn, now)
         self._feedbacks += 1
         if self._feedbacks % GC_FEEDBACK_PERIOD == 0:
             self.profile.gc_delivered(GC_KEEP_HORIZON_SECS, now)
+        if not newly and not self._dl_since_refresh:
+            return self.mark_state.last_estimate
+        self._dl_since_refresh = False
         try:
             est = self.profile.egress_rate_smoothed()
         except EstimateUnavailable:

@@ -72,6 +72,16 @@ def _water_fill(needs: list[float], weights: list[float], total: float) -> list[
     return alloc
 
 
+def _queue_shares(needs: list[float], budget: float) -> list[float]:
+    """Split a UE's budget equally over its backlogged queues.  One queue
+    gets min(budget, need), which is what ``_water_fill`` returns for it
+    whenever the budget is above its 1e-12 floor (budgets here are >= 1)."""
+    if len(needs) == 1:
+        need = needs[0]
+        return [budget if budget < need else need]
+    return _water_fill(needs, [1.0] * len(needs), budget)
+
+
 def scheduler_slot(
     ues: list[UeContext],
     policy: SchedulerPolicy,
@@ -79,31 +89,34 @@ def scheduler_slot(
     now: float,
 ) -> list[SlotTransmissions]:
     """Serve one slot; returns per-DRB transmissions (feedback is emitted per
-    DRB per slot with transmissions by the caller)."""
-    caps = [ue.trace.rate_at(now) for ue in ues]
-    backlogged = [i for i, ue in enumerate(ues) if ue.standing_bytes() > 0 and caps[i] > 0]
+    DRB per slot with transmissions by the caller).  Only UEs with standing
+    bytes have their channel rate looked up."""
+    backlogged = []  # (index, capacity, standing bytes)
+    for i, ue in enumerate(ues):
+        standing = ue.standing_bytes()
+        if standing > 0:
+            cap = ue.trace.rate_at(now)
+            if cap > 0:
+                backlogged.append((i, cap, standing))
     reports: list[SlotTransmissions] = []
     served = [0] * len(ues)
     if backlogged:
         # needs and allocation in slot-fraction units
         needs = []
         weights = []
-        for i in backlogged:
-            full = caps[i] * slot_len_secs
-            needs.append(min(1.0, ues[i].standing_bytes() / full))
+        for i, cap, standing in backlogged:
+            needs.append(min(1.0, standing / (cap * slot_len_secs)))
             if policy is SchedulerPolicy.PROPORTIONAL_FAIR:
-                weights.append(caps[i] / max(ues[i].ewma_rate, _PF_RATE_FLOOR))
+                weights.append(cap / max(ues[i].ewma_rate, _PF_RATE_FLOOR))
             else:
                 weights.append(1.0)
         fractions = _water_fill(needs, weights, 1.0)
-        for pos, i in enumerate(backlogged):
-            budget = fractions[pos] * caps[i] * slot_len_secs
+        for (i, cap, _), fraction in zip(backlogged, fractions):
+            budget = fraction * cap * slot_len_secs
             if budget < 1:
                 continue
-            ue = ues[i]
-            queues = [q for q in ue.queues if q.standing_bytes > 0]
-            q_needs = [float(q.standing_bytes) for q in queues]
-            q_alloc = _water_fill(q_needs, [1.0] * len(queues), budget)
+            queues = [q for q in ues[i].queues if q.standing_bytes > 0]
+            q_alloc = _queue_shares([float(q.standing_bytes) for q in queues], budget)
             for q, share in zip(queues, q_alloc):
                 if share < 1:
                     continue

@@ -5,7 +5,10 @@ marking layer ingress -> RLC queue -> slot scheduler transmits -> delivery
 to the UE (AM adds the configured delivery delay) -> receiver ACK ->
 (UE->CU uplink leg) -> marking layer rewrites feedback -> (CU->server
 propagation) -> sender reacts.  RAN transmit/delivery status reaches the
-marking layer as one feedback event per DRB per slot with transmissions.
+marking layer once per DRB per slot with transmissions.  A slot's
+zero-delay work (the deliveries that take no time and those per-DRB
+feedbacks) runs as one post-slot event at the slot's time, in transmit
+order, after every same-time event queued before it.
 
 Deterministic for a fixed scenario seed: per-DRB RNGs, FIFO event
 tie-breaking, and no iteration over unordered containers.
@@ -448,12 +451,13 @@ class Simulator:
             drb_of_flow={f.spec.name: f.drb_key for f in self.flows},
             warmup_secs=scenario.warmup_secs,
         )
+        self._policy = scenario.scheduler_policy()
         self._slots_per_interval = max(1, round(INTERVAL_SECS / scenario.slot_secs))
         self._ue_served_at_warmup: dict[int, int] = {}
         self._handlers = {
             EventKind.ARRIVE_DOWNLINK: self._h_arrive_downlink,
             EventKind.SLOT_TICK: self._h_slot_tick,
-            EventKind.F1U_FEEDBACK: self._h_f1u_feedback,
+            EventKind.F1U_FEEDBACK: self._h_post_slot,
             EventKind.DELIVER_TO_UE: self._h_deliver,
             EventKind.ARRIVE_UPLINK: self._h_arrive_uplink,
             EventKind.SENDER_TIMER: self._h_sender_timer,
@@ -494,7 +498,10 @@ class Simulator:
     def _h_slot_tick(self, ev) -> None:
         n = ev.data
         now = ev.at
-        reports = scheduler_slot(self.ue_ctx, self.scn.scheduler_policy(), self.scn.slot_secs, now)
+        reports = scheduler_slot(self.ue_ctx, self._policy, self.scn.slot_secs, now)
+        # the slot's zero-delay work in transmit order: (flow, sdu) deliveries
+        # and (None, key) feedbacks, run by one post-slot event
+        post = []
         for rep in reports:
             key = rep.queue.drb.key
             drb = self.drb_spec[key]
@@ -507,12 +514,15 @@ class Simulator:
                     delay = drb.delivery_delay_secs
                     if drb.loss_p > 0 and self.loss_rng[key].random() < drb.loss_p:
                         delay += drb.arq_delay_secs
-                    self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, (flow, sdu))
-                else:
-                    if drb.loss_p > 0 and self.loss_rng[key].random() < drb.loss_p:
-                        continue  # UM: lost in the air, transport recovers
-                    self.loop.schedule(now, EventKind.DELIVER_TO_UE, (flow, sdu))
-            self.loop.schedule(now, EventKind.F1U_FEEDBACK, key)
+                    if delay > 0:
+                        self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, (flow, sdu))
+                        continue
+                elif drb.loss_p > 0 and self.loss_rng[key].random() < drb.loss_p:
+                    continue  # UM: lost in the air, transport recovers
+                post.append((flow, sdu))
+            post.append((None, key))
+        if post:
+            self.loop.schedule(now, EventKind.F1U_FEEDBACK, post)
         if n > 0 and n % self._slots_per_interval == 0:
             self._collect_gauges()
             self.metrics.close_interval(now)
@@ -523,19 +533,28 @@ class Simulator:
         if nxt <= self.scn.horizon_secs:
             self.loop.schedule(nxt, EventKind.SLOT_TICK, n + 1)
 
-    def _h_f1u_feedback(self, ev) -> None:
-        key = ev.data
+    def _h_post_slot(self, ev) -> None:
+        now = ev.at
+        for flow, item in ev.data:
+            if flow is None:
+                self._feedback(item, now)
+            else:
+                self._deliver(flow, item, now)
+
+    def _feedback(self, key: tuple, now: float) -> None:
         q = self.queues[key]
         if q.highest_tx_sn is None:
             return
         layer = self.layers[key]
         drb = self.drb_spec[key]
         dlv = q.highest_dlv_sn if drb.rlc_mode == "am" else None
-        layer.on_ran_feedback(q.highest_tx_sn, dlv, ev.at)
+        layer.on_ran_feedback(q.highest_tx_sn, dlv, now)
 
     def _h_deliver(self, ev) -> None:
         flow, sdu = ev.data
-        now = ev.at
+        self._deliver(flow, sdu, ev.at)
+
+    def _deliver(self, flow: _FlowRuntime, sdu, now: float) -> None:
         pkt = sdu.pkt
         q = self.queues[flow.drb_key]
         drb = self.drb_spec[flow.drb_key]

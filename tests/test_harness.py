@@ -119,6 +119,15 @@ def test_flow_window_validated():
         })
 
 
+def test_negative_delivery_delay_rejected():
+    with pytest.raises(ConfigError, match="drb 1: delays must be >= 0"):
+        scenario_from_dict({
+            "name": "x",
+            "ues": [{"ue_id": 1, "drbs": [{"delivery_delay_secs": -0.001,
+                                           "flows": [{"name": "f1"}]}]}],
+        })
+
+
 def test_duplicate_ue_rejected():
     with pytest.raises(ConfigError, match="duplicate ue_id"):
         scenario_from_dict({

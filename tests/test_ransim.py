@@ -1,4 +1,9 @@
+import math
+from bisect import bisect_right
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from l4span.core import (
     Direction,
@@ -10,10 +15,20 @@ from l4span.core import (
     RlcMode,
 )
 from l4span.harness.scenario import BUILTIN_SCENARIOS, FlowSpec
+from l4span.marking import MarkParams, p_l4s
+from l4span.profile import DEFAULT_WINDOW_SECS
+from l4span.ransim import layer as layer_mod
 from l4span.ransim.channel import ChannelTrace
 from l4span.ransim.events import EventKind, EventLoop
+from l4span.ransim.layer import DrbLayer
 from l4span.ransim.rlc import EnqueueResult, RlcQueue
-from l4span.ransim.scheduler import SchedulerPolicy, UeContext, scheduler_slot
+from l4span.ransim.scheduler import (
+    SchedulerPolicy,
+    UeContext,
+    _queue_shares,
+    _water_fill,
+    scheduler_slot,
+)
 from l4span.ransim.sim import Simulator, run
 
 
@@ -24,6 +39,32 @@ def test_trace_static_eval():
     tr = ChannelTrace.static(5e6)
     assert tr.rate_at(0.0) == 5e6
     assert tr.rate_at(1e9) == 5e6  # last segment extends
+
+
+@given(
+    gaps=st.lists(st.floats(1e-3, 10.0), max_size=12),
+    caps=st.lists(st.floats(0.0, 1e8), min_size=13, max_size=13),
+    picks=st.lists(
+        st.one_of(
+            st.integers(0, 12),                    # exactly on a breakpoint
+            st.floats(0.0, 200.0),                 # anywhere, past the last one too
+            st.floats(-5.0, -1e-9),                # before zero: must raise
+        ),
+        max_size=40,
+    ),
+)
+def test_trace_cursor_matches_bisect_oracle(gaps, caps, picks):
+    times = [0.0]
+    for g in gaps:
+        times.append(times[-1] + g)
+    tr = ChannelTrace(list(zip(times, caps)))
+    for pick in picks:
+        t = times[pick % len(times)] if isinstance(pick, int) else pick
+        if t < 0:
+            with pytest.raises(ValueError):
+                tr.rate_at(t)
+        else:
+            assert tr.rate_at(t) == caps[bisect_right(times, t) - 1]
 
 
 def test_trace_validation():
@@ -170,6 +211,23 @@ def test_proportional_fair_serves_all_backlogged():
     assert served[1] > 0 and served[2] > 0
     # equal channels and full backlog: long-run shares converge
     assert abs(served[1] - served[2]) / (served[1] + served[2]) < 0.1
+
+
+@given(data=st.data(), needs=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8),
+       total=st.floats(0.0, 2e6))
+def test_water_fill_conserves_total_and_respects_caps(data, needs, total):
+    weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(needs),
+                                 max_size=len(needs)))
+    alloc = _water_fill(needs, weights, total)
+    tol = 1e-9 * max(total, sum(needs), 1.0)
+    assert all(0.0 <= a <= n + tol for a, n in zip(alloc, needs))
+    # everything is handed out, unless every queue is already capped
+    assert math.isclose(sum(alloc), min(total, sum(needs)), rel_tol=1e-9, abs_tol=tol)
+
+
+@given(need=st.floats(1e-3, 1e7), budget=st.floats(1.0, 1e7))
+def test_one_queue_share_equals_water_fill(need, budget):
+    assert _queue_shares([need], budget) == _water_fill([need], [1.0], budget)
 
 
 # -- event loop ---------------------------------------------------------------
@@ -320,3 +378,49 @@ def test_am_delivery_delay_applied():
     recs = [r for r in res.collector.packets if r.t >= 2.0]
     assert recs
     assert all(abs(r.retransmission - 0.008) < 1e-9 for r in recs)
+
+
+# -- marking layer --------------------------------------------------------------
+
+
+def test_feedback_refreshes_only_on_new_input(monkeypatch):
+    calls = []
+    real_refresh = layer_mod.refresh_probabilities
+
+    def counting_refresh(state, params, est):
+        calls.append(est)
+        real_refresh(state, params, est)
+
+    monkeypatch.setattr(layer_mod, "refresh_probabilities", counting_refresh)
+    layer = DrbLayer(DrbConfig(ue_id=1, drb_id=1), MarkParams(tau_thr=0.005, rng_seed=1),
+                     DEFAULT_WINDOW_SECS)
+    now = 0.0
+    # one packet in and one out per 0.5 ms, ten behind, with uneven sizes: the
+    # estimate has a finite error width and the standing queue sits near the
+    # threshold, so p_l4s is strictly between 0 and 1
+    for i in range(1, 81):
+        now += 0.0005
+        layer.on_dl_pkt(_pkt(i, 600 + 300 * (i % 4)), True, now)
+        if i > 10:
+            layer.on_ran_feedback(i - 10, None, now)
+    sn = 70
+    state = layer.mark_state
+    assert len(calls) == 70 and 0.0 < state.p_l4s < 1.0
+    before = (state.p_l4s, state.last_estimate)
+
+    # a repeat status with no new SN and no downlink packet: no refresh
+    assert layer.on_ran_feedback(sn, None, now + 0.0001) is before[1]
+    assert len(calls) == 70 and (state.p_l4s, state.last_estimate) == before
+
+    # a tail-dropped packet still counts as new input
+    layer.on_dl_pkt(_pkt(100), False, now + 0.0002)
+    layer.on_ran_feedback(sn, None, now + 0.0003)
+    assert len(calls) == 71 and state.p_l4s == before[0]
+
+    # an admitted packet: the next status refreshes and p_l4s follows the queue
+    layer.on_dl_pkt(_pkt(101, 100), True, now + 0.0004)
+    est = layer.on_ran_feedback(sn, None, now + 0.0005)
+    assert len(calls) == 72
+    assert est.n_queue == before[1].n_queue + 100 == layer.profile.queued_bytes
+    assert state.p_l4s == p_l4s(est.n_queue, est.r_hat, est.e_hat, 0.005)
+    assert before[0] < state.p_l4s < 1.0
