@@ -182,15 +182,16 @@ class MetricsCollector:
 def _dist_stats(values: np.ndarray, p999: bool = False) -> dict:
     if values.size == 0:
         return {"count": 0}
+    pct = np.percentile(values, [50, 90, 99, 99.9] if p999 else [50, 90, 99])
     out = {
         "count": int(values.size),
         "mean": float(np.mean(values)),
-        "p50": float(np.percentile(values, 50)),
-        "p90": float(np.percentile(values, 90)),
-        "p99": float(np.percentile(values, 99)),
+        "p50": float(pct[0]),
+        "p90": float(pct[1]),
+        "p99": float(pct[2]),
     }
     if p999:
-        out["p999"] = float(np.percentile(values, 99.9))
+        out["p999"] = float(pct[3])
     return out
 
 

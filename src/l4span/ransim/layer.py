@@ -79,6 +79,9 @@ class DrbLayer:
         # a downlink packet since the last refresh may have changed the
         # pending bytes, the flow mix or the handshake RTTs
         self._dl_since_refresh = True
+        # the last status message applied to the profile, (tx SN, dlv SN)
+        self._applied_tx_sn: Optional[int] = None
+        self._applied_dlv_sn: Optional[int] = None
 
     # -- downlink ----------------------------------------------------------
 
@@ -146,8 +149,14 @@ class DrbLayer:
     ) -> Optional[EgressEstimate]:
         """Apply a status message; refresh the estimate and probabilities
         only when their inputs changed (a newly transmitted SN, or a downlink
-        packet since the last refresh), otherwise keep the last ones."""
-        newly = self.profile.on_f1u_feedback(highest_tx_sn, highest_dlv_sn, now)
+        packet since the last refresh), otherwise keep the last ones.  A
+        message that repeats the last applied SNs stamps nothing, so the
+        profile does not see it; it still counts toward the GC cadence."""
+        newly = None
+        if highest_tx_sn != self._applied_tx_sn or highest_dlv_sn != self._applied_dlv_sn:
+            newly = self.profile.on_f1u_feedback(highest_tx_sn, highest_dlv_sn, now)
+            self._applied_tx_sn = highest_tx_sn
+            self._applied_dlv_sn = highest_dlv_sn
         self._feedbacks += 1
         if self._feedbacks % GC_FEEDBACK_PERIOD == 0:
             self.profile.gc_delivered(GC_KEEP_HORIZON_SECS, now)

@@ -5,12 +5,21 @@ slot; a UE given fraction f transmits f * capacity(t) * slot_len bytes.
 Round-robin gives equal fractions with unused share redistributed;
 proportional-fair weights the division by instantaneous capacity over an
 EWMA of the served rate.
+
+Slots fall at multiples of the slot length, and a caller passes each slot
+only the UEs that may have data: a UE not passed is idle that slot.  An
+idle slot's PF update is ``(1 - alpha) * ewma + alpha * 0.0``, which equals
+``(1 - alpha) * ewma`` exactly, so the average decays lazily: a UE applies
+the decays of the slots it missed, one multiplication per slot, when it is
+next backlogged.  The result is bit-identical to updating every UE every
+slot.  Round robin never reads the average and leaves it alone.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .channel import ChannelTrace
 from .rlc import RlcQueue, Sdu
@@ -30,13 +39,14 @@ class UeContext:
     trace: ChannelTrace
     queues: list[RlcQueue] = field(default_factory=list)
     ewma_rate: float = _PF_RATE_FLOOR
+    # the time of the first slot whose PF update ``ewma_rate`` lacks
+    ewma_at: float = 0.0
 
     def standing_bytes(self) -> int:
         return sum(q.standing_bytes for q in self.queues)
 
 
-@dataclass
-class SlotTransmissions:
+class SlotTransmissions(NamedTuple):
     """What one DRB transmitted during a slot."""
 
     queue: RlcQueue
@@ -82,6 +92,18 @@ def _queue_shares(needs: list[float], budget: float) -> list[float]:
     return _water_fill(needs, [1.0] * len(needs), budget)
 
 
+def pf_catch_up(ue: UeContext, now: float, slot_len_secs: float) -> None:
+    """Apply the idle decays of the slots before ``now`` that ``ue`` missed.
+
+    One multiplication per slot: ``keep ** k`` rounds differently."""
+    keep = 1.0 - slot_len_secs / PF_EWMA_HORIZON_SECS
+    rate = ue.ewma_rate
+    for _ in range(round((now - ue.ewma_at) / slot_len_secs)):
+        rate = keep * rate
+    ue.ewma_rate = rate
+    ue.ewma_at = now
+
+
 def scheduler_slot(
     ues: list[UeContext],
     policy: SchedulerPolicy,
@@ -89,42 +111,58 @@ def scheduler_slot(
     now: float,
 ) -> list[SlotTransmissions]:
     """Serve one slot; returns per-DRB transmissions (feedback is emitted per
-    DRB per slot with transmissions by the caller).  Only UEs with standing
-    bytes have their channel rate looked up."""
-    backlogged = []  # (index, capacity, standing bytes)
-    for i, ue in enumerate(ues):
-        standing = ue.standing_bytes()
+    DRB per slot with transmissions by the caller).  UEs not passed are idle
+    this slot.  Of those passed, only UEs with standing bytes have their
+    channel rate looked up, and only those with capacity have their PF
+    average brought up to date."""
+    pf = policy is SchedulerPolicy.PROPORTIONAL_FAIR
+    backlogged = []  # (ue, capacity, standing bytes)
+    for ue in ues:
+        standing = 0
+        for q in ue.queues:
+            standing += q.standing_bytes
         if standing > 0:
             cap = ue.trace.rate_at(now)
             if cap > 0:
-                backlogged.append((i, cap, standing))
+                backlogged.append((ue, cap, standing))
     reports: list[SlotTransmissions] = []
-    served = [0] * len(ues)
-    if backlogged:
-        # needs and allocation in slot-fraction units
-        needs = []
-        weights = []
-        for i, cap, standing in backlogged:
-            needs.append(min(1.0, standing / (cap * slot_len_secs)))
-            if policy is SchedulerPolicy.PROPORTIONAL_FAIR:
-                weights.append(cap / max(ues[i].ewma_rate, _PF_RATE_FLOOR))
-            else:
-                weights.append(1.0)
-        fractions = _water_fill(needs, weights, 1.0)
-        for (i, cap, _), fraction in zip(backlogged, fractions):
-            budget = fraction * cap * slot_len_secs
-            if budget < 1:
-                continue
-            queues = [q for q in ues[i].queues if q.standing_bytes > 0]
-            q_alloc = _queue_shares([float(q.standing_bytes) for q in queues], budget)
-            for q, share in zip(queues, q_alloc):
-                if share < 1:
-                    continue
-                completed, used = q.transmit(share, now)
-                served[i] += used
-                if used > 0:
-                    reports.append(SlotTransmissions(queue=q, completed=completed, used_bytes=used))
+    if not backlogged:
+        return reports
+    # needs and allocation in slot-fraction units
+    needs = []
+    weights = []
+    half_slot = slot_len_secs / 2
+    for ue, cap, standing in backlogged:
+        needs.append(min(1.0, standing / (cap * slot_len_secs)))
+        if pf:
+            if now - ue.ewma_at > half_slot:  # idle for at least one slot
+                pf_catch_up(ue, now, slot_len_secs)
+            weights.append(cap / max(ue.ewma_rate, _PF_RATE_FLOOR))
+        else:
+            weights.append(1.0)
+    # one UE: _water_fill hands it min(1, need), and needs are at most 1
+    fractions = needs if len(needs) == 1 else _water_fill(needs, weights, 1.0)
     alpha = slot_len_secs / PF_EWMA_HORIZON_SECS
-    for i, ue in enumerate(ues):
-        ue.ewma_rate = (1.0 - alpha) * ue.ewma_rate + alpha * (served[i] / slot_len_secs)
+    for (ue, cap, standing), fraction in zip(backlogged, fractions):
+        budget = fraction * cap * slot_len_secs
+        if budget < 1:
+            continue
+        queues = ue.queues
+        if len(queues) == 1:  # what _queue_shares gives its one queue
+            shares = ((queues[0], budget if budget < standing else standing),)
+        else:
+            queues = [q for q in queues if q.standing_bytes > 0]
+            shares = zip(queues, _queue_shares([float(q.standing_bytes) for q in queues], budget))
+        served = 0
+        for q, share in shares:
+            if share < 1:
+                continue
+            completed, used = q.transmit(share, now)
+            if used > 0:
+                served += used
+                reports.append(SlotTransmissions(q, completed, used))
+        if pf and served:
+            # an unserved UE's update is an exact decay, applied lazily
+            ue.ewma_rate = (1.0 - alpha) * ue.ewma_rate + alpha * (served / slot_len_secs)
+            ue.ewma_at = now + slot_len_secs
     return reports

@@ -8,7 +8,9 @@ propagation) -> sender reacts.  RAN transmit/delivery status reaches the
 marking layer once per DRB per slot with transmissions.  A slot's
 zero-delay work (the deliveries that take no time and those per-DRB
 feedbacks) runs as one post-slot event at the slot's time, in transmit
-order, after every same-time event queued before it.
+order, after every same-time event queued before it.  The scheduler sees
+only the UEs with queued data: an admitted packet adds its UE to the
+active set, and a UE whose queues drained in a slot leaves it.
 
 Deterministic for a fixed scenario seed: per-DRB RNGs, FIFO event
 tie-breaking, and no iteration over unordered containers.
@@ -25,6 +27,7 @@ from typing import Optional
 from ..core import (
     AccEcnFields,
     Direction,
+    DrbConfig,
     EcnCodepoint,
     FiveTuple,
     Packet,
@@ -33,7 +36,7 @@ from ..core import (
     TcpFlags,
 )
 from ..harness.metrics import INTERVAL_SECS, MetricsCollector, PacketRecord
-from ..harness.scenario import FlowSpec, Scenario
+from ..harness.scenario import DrbSpec, FlowSpec, Scenario
 from ..marking import MarkDecision, MarkParams
 from ..senders import (
     CubicState,
@@ -349,12 +352,28 @@ class UdpEndpoint:
         pass
 
 
+class _Bearer(RlcQueue):
+    """A bearer's RLC queue, linked at build time to what the slot path
+    needs of it: its marking layer, its spec, its loss RNG and its UE's
+    index in ``Simulator.ue_ctx``."""
+
+    def __init__(self, cfg: DrbConfig, spec: DrbSpec, layer: DrbLayer, loss_rng: random.Random,
+                 ue_index: int):
+        super().__init__(cfg)
+        self.spec = spec
+        self.layer = layer
+        self.am = spec.rlc_mode == "am"
+        self.loss_rng = loss_rng
+        self.ue_index = ue_index
+
+
 @dataclass
 class _FlowRuntime:
     spec: FlowSpec
     ft: FiveTuple
     ue_id: int
     drb_key: tuple
+    bearer: _Bearer
     mss_bytes: int
     data_ecn: EcnCodepoint
     feedback_mode: FeedbackMode
@@ -383,10 +402,10 @@ class Simulator:
         aqm = scenario.aqm
 
         self.ue_ctx: list[UeContext] = []
-        self.queues: dict[tuple, RlcQueue] = {}
+        self.queues: dict[tuple, _Bearer] = {}
         self.layers: dict[tuple, DrbLayer] = {}
-        self.drb_spec: dict[tuple, object] = {}
-        self.loss_rng: dict[tuple, random.Random] = {}
+        # indices into ue_ctx of the UEs with standing bytes
+        self._active: set[int] = set()
         self.flows: list[_FlowRuntime] = []
         self.flow_by_tuple: dict[FiveTuple, _FlowRuntime] = {}
 
@@ -396,10 +415,6 @@ class Simulator:
             for drb in ue.drbs:
                 cfg = scenario.drb_config(ue, drb)
                 key = cfg.key
-                q = RlcQueue(cfg)
-                ctx.queues.append(q)
-                self.queues[key] = q
-                self.drb_spec[key] = drb
                 seed = scenario.seed * 1000003 + ue.ue_id * 1009 + drb.drb_id
                 params = MarkParams(
                     tau_thr=aqm.tau_thr,
@@ -412,12 +427,16 @@ class Simulator:
                     force_zero_error=aqm.force_zero_error or aqm.kind == "dualpi2step",
                     shared_policy=aqm.shared_policy,
                 )
-                self.layers[key] = DrbLayer(
+                layer = DrbLayer(
                     cfg, params, scenario.window_secs,
                     enabled=aqm.kind != "none",
                     realized_step=aqm.kind == "dualpi2step",
                 )
-                self.loss_rng[key] = random.Random(seed + 7777777)
+                bearer = _Bearer(cfg, drb, layer, random.Random(seed + 7777777),
+                                 len(self.ue_ctx))
+                ctx.queues.append(bearer)
+                self.queues[key] = bearer
+                self.layers[key] = layer
                 for i, fspec in enumerate(drb.flows):
                     ft = FiveTuple(
                         src_addr=SERVER_ADDR_BASE + len(self.flows),
@@ -432,6 +451,7 @@ class Simulator:
                         ft=ft,
                         ue_id=ue.ue_id,
                         drb_key=key,
+                        bearer=bearer,
                         mss_bytes=drb.mss_bytes,
                         data_ecn=_data_codepoint(fspec),
                         feedback_mode=_feedback_mode(fspec),
@@ -478,10 +498,9 @@ class Simulator:
     def _h_arrive_downlink(self, ev) -> None:
         flow, pkt = ev.data
         now = ev.at
-        q = self.queues[flow.drb_key]
-        layer = self.layers[flow.drb_key]
+        q = flow.bearer
         head_ingress = q.sdus[0].enq_at if q.sdus else None
-        outcome = layer.on_dl_pkt(pkt, q.has_room(), now, head_ingress=head_ingress)
+        outcome = q.layer.on_dl_pkt(pkt, q.has_room(), now, head_ingress=head_ingress)
         if outcome.decision is MarkDecision.DROP:
             self.metrics.on_aqm_drop(now, flow.spec.name)
             return
@@ -491,6 +510,7 @@ class Simulator:
             return
         pkt.pred_sojourn = outcome.predicted_sojourn
         q.enqueue(pkt, outcome.sn, now)
+        self._active.add(q.ue_index)
         if outcome.decision in (MarkDecision.TENTATIVE_MARK, MarkDecision.MARK_CE):
             flow.pending_marks.append(now)
             self.metrics.on_mark(now, flow.spec.name)
@@ -498,29 +518,33 @@ class Simulator:
     def _h_slot_tick(self, ev) -> None:
         n = ev.data
         now = ev.at
-        reports = scheduler_slot(self.ue_ctx, self._policy, self.scn.slot_secs, now)
+        ue_ctx = self.ue_ctx
+        active = self._active
+        reports = scheduler_slot([ue_ctx[i] for i in sorted(active)], self._policy,
+                                 self.scn.slot_secs, now)
         # the slot's zero-delay work in transmit order: (flow, sdu) deliveries
-        # and (None, key) feedbacks, run by one post-slot event
+        # and (None, bearer) feedbacks, run by one post-slot event
         post = []
         for rep in reports:
-            key = rep.queue.drb.key
-            drb = self.drb_spec[key]
-            am = drb.rlc_mode == "am"
+            b = rep.queue
+            drb = b.spec
             for sdu in rep.completed:
                 flow = self.flow_by_tuple.get(sdu.pkt.five_tuple)
                 if flow is None:
                     continue
-                if am:
+                if b.am:
                     delay = drb.delivery_delay_secs
-                    if drb.loss_p > 0 and self.loss_rng[key].random() < drb.loss_p:
+                    if drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
                         delay += drb.arq_delay_secs
                     if delay > 0:
                         self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, (flow, sdu))
                         continue
-                elif drb.loss_p > 0 and self.loss_rng[key].random() < drb.loss_p:
+                elif drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
                     continue  # UM: lost in the air, transport recovers
                 post.append((flow, sdu))
-            post.append((None, key))
+            post.append((None, b))
+            if not b.standing_bytes and not ue_ctx[b.ue_index].standing_bytes():
+                active.discard(b.ue_index)
         if post:
             self.loop.schedule(now, EventKind.F1U_FEEDBACK, post)
         if n > 0 and n % self._slots_per_interval == 0:
@@ -541,14 +565,10 @@ class Simulator:
             else:
                 self._deliver(flow, item, now)
 
-    def _feedback(self, key: tuple, now: float) -> None:
-        q = self.queues[key]
-        if q.highest_tx_sn is None:
+    def _feedback(self, b: _Bearer, now: float) -> None:
+        if b.highest_tx_sn is None:
             return
-        layer = self.layers[key]
-        drb = self.drb_spec[key]
-        dlv = q.highest_dlv_sn if drb.rlc_mode == "am" else None
-        layer.on_ran_feedback(q.highest_tx_sn, dlv, now)
+        b.layer.on_ran_feedback(b.highest_tx_sn, b.highest_dlv_sn if b.am else None, now)
 
     def _h_deliver(self, ev) -> None:
         flow, sdu = ev.data
@@ -556,10 +576,8 @@ class Simulator:
 
     def _deliver(self, flow: _FlowRuntime, sdu, now: float) -> None:
         pkt = sdu.pkt
-        q = self.queues[flow.drb_key]
-        drb = self.drb_spec[flow.drb_key]
-        if drb.rlc_mode == "am":
-            q.mark_delivered(sdu.sn)
+        if flow.bearer.am:
+            flow.bearer.mark_delivered(sdu.sn)
         rec = PacketRecord(
             t=now,
             flow=flow.spec.name,
@@ -581,8 +599,7 @@ class Simulator:
         flow, pkt, stage = ev.data
         now = ev.at
         if stage == "cu":
-            layer = self.layers[flow.drb_key]
-            out = layer.on_ul_packet(pkt, now)
+            out = flow.bearer.layer.on_ul_packet(pkt, now)
             self.loop.schedule(now + self.scn.delays.ul_prop_secs, EventKind.ARRIVE_UPLINK,
                                (flow, out, "server"))
             return

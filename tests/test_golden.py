@@ -1,10 +1,13 @@
-"""Golden-stream pin: the exact bytes of a small mixed run.
+"""Golden-stream pins: the exact bytes of two small mixed runs.
 
-Four UEs under proportional fair, AM and UM bearers (with air loss on
-both), Prague/AccECN, CUBIC/classic-ECN, a finite Prague flow and UDP
-ECT(1) flows.  The SHA-256 of its packets, intervals and summary streams
-is pinned, so any change to event order or arithmetic anywhere on the
-slot path shows here.  A change that reorders events on purpose updates
+The first has four UEs under proportional fair, AM and UM bearers (with
+air loss on both), Prague/AccECN, CUBIC/classic-ECN, a finite Prague flow
+and UDP ECT(1) flows.  The second has six UEs that go idle and come back:
+finite flows separated by gaps of hundreds of slots, and one UE whose AM
+bearer stays backlogged while its UM bearer drains, so the scheduler's
+active-UE set and lazily decayed PF averages are on the path.  The SHA-256
+of each run's packets, intervals and summary streams is pinned, so any
+change to event order or arithmetic anywhere on the slot path shows here.  A change that reorders events on purpose updates
 the digest and says so in CHANGES.md.  The pinned value was recorded with
 CPython 3.11 on x86-64 Linux (glibc); a libm that rounds ``sin`` or
 ``erfc`` differently gives other stream bytes.
@@ -24,9 +27,13 @@ from l4span.harness.scenario import (
     Scenario,
     UeSpec,
 )
-from l4span.ransim.sim import run
+import pytest
+
+from l4span.ransim import sim as sim_mod
+from l4span.ransim.sim import Simulator, run
 
 GOLDEN_SHA256 = "d871f39ff73ce15a98a6c2d231a2eada5ec2d4886d33abab7fbaf89820b47a0e"
+IDLE_GOLDEN_SHA256 = "50b9893a230371f6b0aca9485b792bd8d28e21f2fedbc649eae7d63bad86e6fb"
 
 
 def golden_scenario() -> Scenario:
@@ -68,6 +75,51 @@ def golden_scenario() -> Scenario:
                     scheduler="proportional_fair", ues=ues, aqm=AqmSpec())
 
 
+def idle_return_scenario() -> Scenario:
+    def fading(ue: int) -> ChannelSpec:
+        return ChannelSpec(kind="fading", mean_bps=12e6, amplitude_bps=4e6,
+                           period_secs=1.5, phase=ue / 6, fade_seed=ue)
+
+    def burst(prefix: str, kind: str, starts: list[float], size: int, **kw) -> list[FlowSpec]:
+        return [FlowSpec(name=f"{prefix}-{i}", kind=kind, start=s, size_bytes=size, **kw)
+                for i, s in enumerate(starts)]
+
+    ues = [
+        UeSpec(ue_id=1, channel=fading(1), drbs=[
+            DrbSpec(drb_id=1, rlc_mode="am", flows=[
+                FlowSpec(name="bulk-1", kind="prague", start=0.02),
+            ]),
+            DrbSpec(drb_id=2, rlc_mode="um", loss_p=0.01, flows=[
+                FlowSpec(name="udp-1", kind="udp", feedback="none", udp_rate_bps=1e6,
+                         start=0.25, stop=0.7),
+                *burst("um-1", "prague", [0.9, 1.45], 20_000),
+            ]),
+        ]),
+        UeSpec(ue_id=2, channel=fading(2), drbs=[
+            DrbSpec(drb_id=1, rlc_mode="am", flows=burst("p-2", "prague", [0.1, 0.55, 1.2], 30_000)),
+        ]),
+        UeSpec(ue_id=3, channel=fading(3), drbs=[
+            DrbSpec(drb_id=1, rlc_mode="am", loss_p=0.02,
+                    flows=burst("c-3", "cubic", [0.2, 0.95], 40_000, feedback="classic")),
+        ]),
+        UeSpec(ue_id=4, channel=ChannelSpec(kind="sinusoid", mean_bps=9e6, amplitude_bps=3e6,
+                                            period_secs=1.0), drbs=[
+            DrbSpec(drb_id=1, rlc_mode="um", flows=burst("u-4", "prague", [0.05, 0.7, 1.5], 25_000)),
+        ]),
+        UeSpec(ue_id=5, channel=fading(5), drbs=[
+            DrbSpec(drb_id=1, rlc_mode="am", flows=burst("p-5", "prague", [0.3, 1.05], 15_000)),
+        ]),
+        UeSpec(ue_id=6, channel=ChannelSpec(kind="static", capacity_bps=10e6), drbs=[
+            DrbSpec(drb_id=1, rlc_mode="am", flows=[
+                FlowSpec(name="cubic-6", kind="cubic", feedback="classic", start=0.4, stop=0.9),
+                *burst("p-6", "prague", [1.6], 30_000),
+            ]),
+        ]),
+    ]
+    return Scenario(name="golden-idle-6ue", horizon_secs=2.0, warmup_secs=0.5, seed=11,
+                    scheduler="proportional_fair", ues=ues, aqm=AqmSpec())
+
+
 def stream_digest(result) -> str:
     h = hashlib.sha256()
     h.update(dumps_packets(result.collector.packets).encode())
@@ -85,3 +137,35 @@ def test_golden_streams_are_pinned():
     assert sum(f["marks"] for f in flows.values()) > 0
     assert result.summary["drbs"]["4:1"]["tail_drops"] > 0
     assert stream_digest(result) == GOLDEN_SHA256
+
+
+def test_idle_return_streams_are_pinned():
+    result = run(idle_return_scenario())
+    flows = result.summary["flows"]
+    assert all(flows[name]["delivered_bytes"] > 0 for name in flows)
+    finite = [f for f in flows.values() if f["completion_secs"] is not None]
+    assert len(finite) == 13
+    assert stream_digest(result) == IDLE_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("make", [golden_scenario, idle_return_scenario])
+def test_scheduler_sees_every_backlogged_ue_in_order(make, monkeypatch):
+    sim = Simulator(make())
+    position = {id(ue): i for i, ue in enumerate(sim.ue_ctx)}
+    real = sim_mod.scheduler_slot
+    seen = {"slots": 0, "idle_passed": 0}
+
+    def checked(ues, *args):
+        order = [position[id(ue)] for ue in ues]
+        assert order == sorted(set(order))  # ue_ctx order, each UE once
+        backlogged = [i for i, ue in enumerate(sim.ue_ctx) if ue.standing_bytes() > 0]
+        assert set(backlogged) <= set(order)
+        seen["slots"] += 1
+        seen["idle_passed"] += len(order) - len(backlogged)
+        return real(ues, *args)
+
+    monkeypatch.setattr(sim_mod, "scheduler_slot", checked)
+    sim.run()
+    assert seen["slots"] == 4001
+    # the set drops drained UEs: nobody idle is passed
+    assert seen["idle_passed"] == 0

@@ -164,6 +164,38 @@ def test_delivery_pointer_in_order():
     assert q.highest_dlv_sn == 3
 
 
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.just("enqueue"), st.integers(40, 3000)),
+    st.tuples(st.just("transmit"), st.floats(0.0, 10_000.0)),
+), max_size=80), cap=st.integers(1, 12))
+def test_rlc_conserves_bytes_under_partial_transmits(ops, cap):
+    q = RlcQueue(DrbConfig(ue_id=1, drb_id=1, max_queue_sdus=cap))
+    now, sn = 0.0, 0
+    done = []
+    for op, arg in ops:
+        now += 0.0005
+        if op == "enqueue":
+            sn += 1
+            q.enqueue(_pkt(sn, arg), sn, now)
+        else:
+            completed, used = q.transmit(arg, now)
+            assert used <= arg
+            done += completed
+        assert q.admitted_bytes == q.transmitted_bytes + q.standing_bytes
+        assert q.standing_bytes == sum(s.pkt.size_bytes - s.sent_bytes for s in q.sdus)
+        queued = list(q.sdus)
+        # only the head may be partly sent, and it knows when it got there
+        assert all(s.sent_bytes == 0 for s in queued[1:])
+        assert not queued or (queued[0].sent_bytes < queued[0].pkt.size_bytes
+                              and queued[0].enq_at <= queued[0].head_at <= now)
+    sns = [s.sn for s in done]
+    assert sns == sorted(sns) and len(set(sns)) == len(sns)
+    assert all(s.enq_at <= s.head_at <= s.done_at for s in done)
+    assert all(s.sent_bytes == s.pkt.size_bytes for s in done)
+    assert q.transmitted_bytes == sum(s.pkt.size_bytes for s in done) + sum(
+        s.sent_bytes for s in q.sdus)
+
+
 # -- scheduler ----------------------------------------------------------------
 
 
@@ -228,6 +260,12 @@ def test_water_fill_conserves_total_and_respects_caps(data, needs, total):
 @given(need=st.floats(1e-3, 1e7), budget=st.floats(1.0, 1e7))
 def test_one_queue_share_equals_water_fill(need, budget):
     assert _queue_shares([need], budget) == _water_fill([need], [1.0], budget)
+
+
+@given(need=st.floats(5e-324, 1.0), weight=st.floats(1e-300, 1e300))
+def test_one_ue_gets_its_whole_need(need, weight):
+    # the scheduler skips _water_fill for a lone backlogged UE on this basis
+    assert _water_fill([need], [weight], 1.0) == [need]
 
 
 # -- event loop ---------------------------------------------------------------
