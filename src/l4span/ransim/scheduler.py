@@ -39,7 +39,9 @@ class UeContext:
     trace: ChannelTrace
     queues: list[RlcQueue] = field(default_factory=list)
     ewma_rate: float = _PF_RATE_FLOOR
-    # the time of the first slot whose PF update ``ewma_rate`` lacks
+    # the time of the first slot whose PF update ``ewma_rate`` lacks; it must
+    # start at the caller's first slot, or a new UE is decayed for the slots
+    # before it (one multiplication each)
     ewma_at: float = 0.0
 
     def standing_bytes(self) -> int:
@@ -114,7 +116,8 @@ def scheduler_slot(
     DRB per slot with transmissions by the caller).  UEs not passed are idle
     this slot.  Of those passed, only UEs with standing bytes have their
     channel rate looked up, and only those with capacity have their PF
-    average brought up to date."""
+    average brought up to date.  Under PF, each UE's ``ewma_at`` must start
+    at the time of the caller's first slot."""
     pf = policy is SchedulerPolicy.PROPORTIONAL_FAIR
     backlogged = []  # (ue, capacity, standing bytes)
     for ue in ues:
@@ -140,21 +143,16 @@ def scheduler_slot(
             weights.append(cap / max(ue.ewma_rate, _PF_RATE_FLOOR))
         else:
             weights.append(1.0)
-    # one UE: _water_fill hands it min(1, need), and needs are at most 1
-    fractions = needs if len(needs) == 1 else _water_fill(needs, weights, 1.0)
+    fractions = _water_fill(needs, weights, 1.0)
     alpha = slot_len_secs / PF_EWMA_HORIZON_SECS
-    for (ue, cap, standing), fraction in zip(backlogged, fractions):
+    for (ue, cap, _), fraction in zip(backlogged, fractions):
         budget = fraction * cap * slot_len_secs
         if budget < 1:
             continue
-        queues = ue.queues
-        if len(queues) == 1:  # what _queue_shares gives its one queue
-            shares = ((queues[0], budget if budget < standing else standing),)
-        else:
-            queues = [q for q in queues if q.standing_bytes > 0]
-            shares = zip(queues, _queue_shares([float(q.standing_bytes) for q in queues], budget))
+        queues = [q for q in ue.queues if q.standing_bytes > 0]
         served = 0
-        for q, share in shares:
+        for q, share in zip(queues, _queue_shares([float(q.standing_bytes) for q in queues],
+                                                  budget)):
             if share < 1:
                 continue
             completed, used = q.transmit(share, now)

@@ -372,7 +372,6 @@ class _FlowRuntime:
     spec: FlowSpec
     ft: FiveTuple
     ue_id: int
-    drb_key: tuple
     bearer: _Bearer
     mss_bytes: int
     data_ecn: EcnCodepoint
@@ -411,7 +410,8 @@ class Simulator:
 
         for ue in scenario.ues:
             trace = ue.channel.build(scenario.horizon_secs)
-            ctx = UeContext(ue_id=ue.ue_id, trace=trace)
+            # PF averages are current up to the first slot, which run() puts at 0.0
+            ctx = UeContext(ue_id=ue.ue_id, trace=trace, ewma_at=0.0)
             for drb in ue.drbs:
                 cfg = scenario.drb_config(ue, drb)
                 key = cfg.key
@@ -450,7 +450,6 @@ class Simulator:
                         spec=fspec,
                         ft=ft,
                         ue_id=ue.ue_id,
-                        drb_key=key,
                         bearer=bearer,
                         mss_bytes=drb.mss_bytes,
                         data_ecn=_data_codepoint(fspec),
@@ -468,7 +467,7 @@ class Simulator:
 
         self.metrics = MetricsCollector(
             flow_names=[f.spec.name for f in self.flows],
-            drb_of_flow={f.spec.name: f.drb_key for f in self.flows},
+            drb_of_flow={f.spec.name: f.bearer.drb.key for f in self.flows},
             warmup_secs=scenario.warmup_secs,
         )
         self._policy = scenario.scheduler_policy()
@@ -506,7 +505,7 @@ class Simulator:
             return
         if outcome.sn is None:
             q.enqueue(pkt, -1, now)  # counts the tail drop
-            self.metrics.on_tail_drop(now, flow.drb_key, flow.spec.name)
+            self.metrics.on_tail_drop(now, q.drb.key, flow.spec.name)
             return
         pkt.pred_sojourn = outcome.predicted_sojourn
         q.enqueue(pkt, outcome.sn, now)

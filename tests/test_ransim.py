@@ -262,12 +262,6 @@ def test_one_queue_share_equals_water_fill(need, budget):
     assert _queue_shares([need], budget) == _water_fill([need], [1.0], budget)
 
 
-@given(need=st.floats(5e-324, 1.0), weight=st.floats(1e-300, 1e300))
-def test_one_ue_gets_its_whole_need(need, weight):
-    # the scheduler skips _water_fill for a lone backlogged UE on this basis
-    assert _water_fill([need], [weight], 1.0) == [need]
-
-
 # -- event loop ---------------------------------------------------------------
 
 
