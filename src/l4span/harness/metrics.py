@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +28,7 @@ import numpy as np
 INTERVAL_SECS = 0.1
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     t: float
     flow: str
@@ -39,7 +41,31 @@ class PacketRecord:
     size_bytes: int
 
 
-@dataclass
+@dataclass(slots=True)
+class IntervalRecord:
+    """One flow's gauges and counts over one interval; readable by key like a dict."""
+
+    t: float
+    flow: str
+    throughput_bps: float
+    rtt: Optional[float]
+    cwnd: float
+    queue_bytes: int
+    p_l4s: Optional[float]
+    p_classic: Optional[float]
+    r_hat: Optional[float]
+    e_hat: Optional[float]
+    marks: int
+    drops: int
+
+    def __getitem__(self, key: str):
+        try:
+            return getattr(self, key)
+        except AttributeError:
+            raise KeyError(key) from None
+
+
+@dataclass(slots=True)
 class _IntervalAcc:
     delivered_payload: int = 0
     marks: int = 0
@@ -54,7 +80,7 @@ class MetricsCollector:
         self.drb_of_flow = dict(drb_of_flow)
         self.warmup_secs = warmup_secs
         self.packets: list[PacketRecord] = []
-        self.intervals: list[dict] = []
+        self.intervals: list[IntervalRecord] = []
         self.rtt_samples: dict[str, list[tuple[float, float]]] = {f: [] for f in flow_names}
         self.feedback_latency: dict[str, list[tuple[float, float]]] = {f: [] for f in flow_names}
         self.completion: dict[str, float] = {}
@@ -108,27 +134,30 @@ class MetricsCollector:
         self.drb_gauges[drb_key] = gauges
 
     def close_interval(self, t_end: float) -> None:
+        t = round(t_end, 6)
         for flow in self.flow_names:
             acc = self._acc[flow]
             g = self.flow_gauges[flow]
             dg = self.drb_gauges.get(self.drb_of_flow[flow], {})
+            # positional, in field order: keywords cost twice as much per record
             self.intervals.append(
-                {
-                    "t": round(t_end, 6),
-                    "flow": flow,
-                    "throughput_bps": acc.delivered_payload * 8.0 / INTERVAL_SECS,
-                    "rtt": (acc.rtt_sum / acc.rtt_n) if acc.rtt_n else None,
-                    "cwnd": g["cwnd"],
-                    "queue_bytes": dg.get("queue_bytes", 0),
-                    "p_l4s": dg.get("p_l4s"),
-                    "p_classic": dg.get("p_classic"),
-                    "r_hat": dg.get("r_hat"),
-                    "e_hat": dg.get("e_hat"),
-                    "marks": acc.marks,
-                    "drops": acc.drops,
-                }
+                IntervalRecord(
+                    t,
+                    flow,
+                    acc.delivered_payload * 8.0 / INTERVAL_SECS,
+                    (acc.rtt_sum / acc.rtt_n) if acc.rtt_n else None,
+                    g["cwnd"],
+                    dg.get("queue_bytes", 0),
+                    dg.get("p_l4s"),
+                    dg.get("p_classic"),
+                    dg.get("r_hat"),
+                    dg.get("e_hat"),
+                    acc.marks,
+                    acc.drops,
+                )
             )
-            self._acc[flow] = _IntervalAcc()
+            acc.delivered_payload = acc.marks = acc.drops = acc.rtt_n = 0
+            acc.rtt_sum = 0.0
 
     # -- aggregation --------------------------------------------------------
 
@@ -197,36 +226,49 @@ def _dist_stats(values: np.ndarray, p999: bool = False) -> dict:
 
 # -- writers ------------------------------------------------------------------
 
-
-def packet_record_to_dict(r: PacketRecord) -> dict:
-    return {
-        "t": r.t,
-        "flow": r.flow,
-        "one_way": r.one_way,
-        "propagation": r.propagation,
-        "queuing": r.queuing,
-        "scheduling": r.scheduling,
-        "retransmission": r.retransmission,
-        "predicted_sojourn": r.predicted_sojourn,
-        "size_bytes": r.size_bytes,
-    }
+PACKET_FIELDS = tuple(f.name for f in fields(PacketRecord))
+INTERVAL_FIELDS = tuple(f.name for f in fields(IntervalRecord))
+_packet_values = attrgetter(*PACKET_FIELDS)
+_interval_values = attrgetter(*INTERVAL_FIELDS)
+# the same encoder json.dumps(obj, sort_keys=True) builds for every call
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def dumps_packets(packets: list[PacketRecord]) -> str:
-    return "".join(json.dumps(packet_record_to_dict(r), sort_keys=True) + "\n" for r in packets)
+def packet_lines(packets: Iterable[PacketRecord]) -> Iterator[str]:
+    """One sorted-key JSON line per packet record."""
+    encode = _ENCODER.encode
+    for r in packets:
+        yield encode(dict(zip(PACKET_FIELDS, _packet_values(r)))) + "\n"
 
 
-def dumps_intervals(intervals: list[dict]) -> str:
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in intervals)
+def interval_lines(intervals: Iterable[IntervalRecord]) -> Iterator[str]:
+    """One sorted-key JSON line per interval record."""
+    encode = _ENCODER.encode
+    for r in intervals:
+        yield encode(dict(zip(INTERVAL_FIELDS, _interval_values(r)))) + "\n"
+
+
+def dumps_packets(packets: Iterable[PacketRecord]) -> str:
+    return "".join(packet_lines(packets))
+
+
+def dumps_intervals(intervals: Iterable[IntervalRecord]) -> str:
+    return "".join(interval_lines(intervals))
 
 
 def write_run(result, outdir: str | Path, csv: bool = False) -> None:
-    """Write meta.json, packets.jsonl, intervals.jsonl, summary.json (+ CSVs)."""
+    """Write meta.json, packets.jsonl, intervals.jsonl, summary.json (+ CSVs).
+
+    The two record streams are written line by line as they are formatted,
+    so writing holds no more than one line of stream text at a time.
+    """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "meta.json").write_text(json.dumps(result.meta, indent=2, sort_keys=True) + "\n")
-    (out / "packets.jsonl").write_text(dumps_packets(result.collector.packets))
-    (out / "intervals.jsonl").write_text(dumps_intervals(result.collector.intervals))
+    with open(out / "packets.jsonl", "w") as fh:
+        fh.writelines(packet_lines(result.collector.packets))
+    with open(out / "intervals.jsonl", "w") as fh:
+        fh.writelines(interval_lines(result.collector.intervals))
     (out / "summary.json").write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
     (out / "summary.txt").write_text(render_summary_text(result))
     if csv:
@@ -238,22 +280,12 @@ def _write_csvs(result, out: Path) -> None:
 
     with open(out / "packets.csv", "w", newline="") as fh:
         w = _csv.writer(fh)
-        w.writerow(
-            ["t", "flow", "one_way", "propagation", "queuing", "scheduling",
-             "retransmission", "predicted_sojourn", "size_bytes"]
-        )
-        for r in result.collector.packets:
-            w.writerow(
-                [r.t, r.flow, r.one_way, r.propagation, r.queuing, r.scheduling,
-                 r.retransmission, r.predicted_sojourn, r.size_bytes]
-            )
+        w.writerow(PACKET_FIELDS)
+        w.writerows(map(_packet_values, result.collector.packets))
     with open(out / "intervals.csv", "w", newline="") as fh:
-        keys = ["t", "flow", "throughput_bps", "rtt", "cwnd", "queue_bytes",
-                "p_l4s", "p_classic", "r_hat", "e_hat", "marks", "drops"]
         w = _csv.writer(fh)
-        w.writerow(keys)
-        for rec in result.collector.intervals:
-            w.writerow([rec[k] for k in keys])
+        w.writerow(INTERVAL_FIELDS)
+        w.writerows(map(_interval_values, result.collector.intervals))
 
 
 def render_summary_text(result) -> str:

@@ -19,10 +19,16 @@ tie-breaking, and no iteration over unordered containers.
 from __future__ import annotations
 
 import math
+import platform
 import random
+import resource
+import sys
+import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from ..core import (
     AccEcnFields,
@@ -645,6 +651,7 @@ class Simulator:
 
     def run(self) -> SimResult:
         scn = self.scn
+        t0 = time.perf_counter()
         self.loop.schedule(0.0, EventKind.SLOT_TICK, 0)
         for flow in self.flows:
             self.loop.schedule(flow.spec.start, EventKind.SENDER_TIMER, (flow, "start"))
@@ -667,6 +674,7 @@ class Simulator:
             utilization,
             flow_starts={f.spec.name: f.spec.start for f in self.flows},
         )
+        wall = time.perf_counter() - t0
         meta = {
             "scenario": {
                 "name": scn.name,
@@ -682,12 +690,27 @@ class Simulator:
                 "scheduler": scn.scheduler,
                 "warmup_secs": scn.warmup_secs,
             },
-            "events": events,
+            # host-side figures that vary from run to run; no stream carries them
+            "telemetry": {
+                "wall_secs": wall,
+                "sim_secs_per_wall_sec": scn.horizon_secs / wall,
+                "events": events,
+                "peak_rss_mb": _peak_rss_mb(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
         }
         return SimResult(meta=meta, collector=self.metrics, summary=summary, events=events)
 
     def _dispatch(self, ev) -> None:
         self._handlers[ev.kind](ev)
+
+
+def _peak_rss_mb() -> float:
+    """The process's resident-set high-water mark so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
 def run(scenario: Scenario) -> SimResult:

@@ -1,8 +1,24 @@
+import json
+import math
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from l4span.harness.cli import main as cli_main
+from l4span.harness.metrics import (
+    INTERVAL_FIELDS,
+    PACKET_FIELDS,
+    IntervalRecord,
+    MetricsCollector,
+    PacketRecord,
+    dumps_intervals,
+    dumps_packets,
+    interval_lines,
+    packet_lines,
+    write_run,
+)
 from l4span.harness.scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -230,6 +246,22 @@ def test_cli_run_writes_streams_and_is_deterministic(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_meta_json_has_finite_telemetry(tmp_path):
+    scn = BUILTIN_SCENARIOS["static-1ue"]()
+    scn.horizon_secs = 2.0
+    scn.warmup_secs = 0.5
+    sfile = tmp_path / "tiny.yaml"
+    save_scenario(scn, sfile)
+    assert cli_main(["run", str(sfile), "--out", str(tmp_path / "run")]) == 0
+    tel = json.loads((tmp_path / "run" / "meta.json").read_text())["telemetry"]
+    numbers = ("wall_secs", "sim_secs_per_wall_sec", "events", "peak_rss_mb")
+    assert set(tel) == set(numbers) | {"python", "numpy"}
+    for key in numbers:
+        assert isinstance(tel[key], (int, float)) and math.isfinite(tel[key]) and tel[key] > 0, key
+    assert tel["sim_secs_per_wall_sec"] == pytest.approx(2.0 / tel["wall_secs"])
+    assert all(isinstance(tel[k], str) and tel[k] for k in ("python", "numpy"))
+
+
 def test_cli_run_csv_export(tmp_path):
     scn = BUILTIN_SCENARIOS["static-1ue"]()
     scn.horizon_secs = 3.0
@@ -273,3 +305,117 @@ def test_cli_export_scenario(tmp_path):
     assert cli_main(["export-scenario", "shared-drb", "--out", str(out)]) == 0
     scn = load_scenario(out)
     assert len(scn.ues[0].drbs[0].flows) == 2
+
+
+# -- metric records and stream writers ----------------------------------------------
+
+# values the JSON encoder spells specially, and a flow name it must escape
+EDGE_FLOAT = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+EDGE_INT = [0, -(2**63), 2**64 + 1, 10**30]
+EDGE_NAME = "flöw-✓ 流 \"q\""
+
+
+def _edge_packets() -> list[PacketRecord]:
+    return [
+        PacketRecord(t=x, flow=EDGE_NAME, one_way=-x, propagation=0.0, queuing=x,
+                     scheduling=1e-9, retransmission=math.inf,
+                     predicted_sojourn=None if i % 2 else x, size_bytes=n)
+        for i, (x, n) in enumerate(zip(EDGE_FLOAT, EDGE_INT * 2))
+    ]
+
+
+def _edge_intervals() -> list[IntervalRecord]:
+    return [
+        IntervalRecord(t=x, flow=EDGE_NAME, throughput_bps=x, rtt=None if i % 2 else x,
+                       cwnd=-x, queue_bytes=n, p_l4s=None, p_classic=x, r_hat=math.nan,
+                       e_hat=None, marks=n, drops=-n)
+        for i, (x, n) in enumerate(zip(EDGE_FLOAT, EDGE_INT * 2))
+    ]
+
+
+def _as_dict(rec, keys) -> dict:
+    return {k: getattr(rec, k) for k in keys}
+
+
+@pytest.mark.parametrize("records, lines, dumps, keys", [
+    (_edge_packets, packet_lines, dumps_packets, PACKET_FIELDS),
+    (_edge_intervals, interval_lines, dumps_intervals, INTERVAL_FIELDS),
+])
+def test_stream_lines_match_per_record_json_dumps(records, lines, dumps, keys):
+    recs = records()
+    expected = [json.dumps(_as_dict(r, keys), sort_keys=True) + "\n" for r in recs]
+    assert list(lines(recs)) == expected
+    assert dumps(recs) == "".join(expected)
+    assert all(line.isascii() and line.count("\n") == 1 for line in expected)
+
+
+def test_interval_record_reads_like_the_dict_it_replaced():
+    c = MetricsCollector(["a", "b"], {"a": (1, 1), "b": (1, 2)}, warmup_secs=0.0)
+    c.on_delivery(PacketRecord(0.01, "a", 0.02, 0.01, 0.005, 0.005, 0.0, 0.004, 1540), 1500)
+    c.on_delivery(PacketRecord(0.02, "a", 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540), 1500)
+    c.on_rtt(0.05, "a", 0.02)
+    c.on_rtt(0.06, "a", 0.05)
+    c.on_mark(0.07, "a")
+    c.on_tail_drop(0.08, (1, 1), "a")
+    c.on_aqm_drop(0.09, "a")
+    c.set_flow_gauge("a", 14_600.0, 0.03)
+    c.set_drb_gauge((1, 1), queue_bytes=4500, p_l4s=0.25, p_classic=0.0625,
+                    r_hat=2.5e6, e_hat=1e5)
+    c.close_interval(0.1 + 0.2)
+    c.close_interval(0.4000000001)
+    # the dicts close_interval built for the same hooks before it made records
+    a_gauges = {"cwnd": 14_600.0, "queue_bytes": 4500, "p_l4s": 0.25, "p_classic": 0.0625,
+                "r_hat": 2.5e6, "e_hat": 1e5}
+    b_gauges = {"cwnd": 0.0, "queue_bytes": 0, "p_l4s": None, "p_classic": None,
+                "r_hat": None, "e_hat": None}
+    expected = [
+        {"t": 0.3, "flow": "a", "throughput_bps": 3000 * 8.0 / 0.1, "rtt": (0.02 + 0.05) / 2,
+         "marks": 1, "drops": 2, **a_gauges},
+        {"t": 0.3, "flow": "b", "throughput_bps": 0.0, "rtt": None, "marks": 0, "drops": 0,
+         **b_gauges},
+        {"t": 0.4, "flow": "a", "throughput_bps": 0.0, "rtt": None, "marks": 0, "drops": 0,
+         **a_gauges},
+        {"t": 0.4, "flow": "b", "throughput_bps": 0.0, "rtt": None, "marks": 0, "drops": 0,
+         **b_gauges},
+    ]
+    assert len(c.intervals) == len(expected)
+    for rec, old in zip(c.intervals, expected):
+        assert set(INTERVAL_FIELDS) == set(old) and len(old) == 12
+        for key, value in old.items():
+            assert rec[key] == value and type(rec[key]) is type(value), key
+    with pytest.raises(KeyError):
+        c.intervals[0]["nope"]
+
+
+def test_metric_records_have_no_instance_dict():
+    for rec in (_edge_packets()[0], _edge_intervals()[0]):
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+
+def test_write_run_holds_no_whole_stream_in_memory(tmp_path):
+    flows = [f"flow-{i}" for i in range(500)]
+    c = MetricsCollector(flows, {f: (i, 1) for i, f in enumerate(flows)}, warmup_secs=0.0)
+    for i, f in enumerate(flows):
+        c.set_flow_gauge(f, 1500.0 * (i + 1), 0.02)
+        c.set_drb_gauge((i, 1), queue_bytes=i, p_l4s=i / 500, p_classic=None,
+                        r_hat=1e6 + i, e_hat=None)
+    for k in range(100):
+        c.on_delivery(PacketRecord(k * 0.1, flows[k], 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540),
+                      1500)
+        c.close_interval((k + 1) * 0.1)
+    assert len(c.intervals) == 50_000
+    result = SimpleNamespace(
+        meta={"scenario": {"name": "synthetic", "horizon_secs": 10.0, "seed": 0}},
+        summary={"flows": {}, "ues": {}}, collector=c)
+
+    tracemalloc.start()
+    try:
+        write_run(result, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "intervals.jsonl").stat().st_size
+    assert size > 5_000_000
+    assert peak < size / 4, f"traced peak {peak} B for a {size} B stream"

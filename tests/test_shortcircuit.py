@@ -1,6 +1,9 @@
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l4span.core import (
     AccEcnFields,
@@ -169,3 +172,116 @@ def test_fallback_mark_downlink():
     assert fallback_mark_downlink(pkt3, MarkDecision.DROP) is None
     with pytest.raises(InvalidMarkOperation):
         fallback_mark_downlink(_data(ecn=EcnCodepoint.NOT_ECT), MarkDecision.MARK_CE)
+
+
+# -- rewrite_ack against a naive counter oracle ---------------------------------------
+
+# a downlink data packet (payload, codepoint, tentative mark?, CWR?) or an ACK
+# for a percentage of the bytes sent so far; percentages below the highest
+# ACK so far make stale duplicates, equal ones make repeats; payloads come
+# from a few sizes so that the ECT(0) and ECT(1) byte counts often tie
+_DATA = st.tuples(st.just("data"), st.sampled_from([0, 1, 500, 1460]),
+                  st.sampled_from([EcnCodepoint.ECT0, EcnCodepoint.ECT1, EcnCodepoint.CE]),
+                  st.booleans(), st.booleans())
+_ACK = st.tuples(st.just("ack"), st.just(100) | st.integers(0, 100))
+_OPS = st.lists(st.one_of(_DATA, _ACK), max_size=60)
+
+
+class _CounterOracle:
+    """Counts bytes with plain integers, as the AccECN and classic ECN rules read."""
+
+    def __init__(self):
+        self.sent = self.ce = self.ect0 = self.ect1 = self.ce_pkts = 0
+        self.window = []  # (payload, marked) since the last advancing ACK
+        self.ratio = 0.0
+        self.highest = 0
+        self.reported = {"ce": 0, "ect0": 0, "ect1": 0}
+        self.latched = False
+        self.ce_pkts_echoed = 0
+
+    def data(self, payload, ecn, mark, cwr):
+        if cwr:
+            self.latched = False
+        if payload <= 0:
+            return
+        self.sent += payload
+        marked = mark or ecn is EcnCodepoint.CE
+        if marked:
+            self.ce += payload
+            self.ce_pkts += 1
+        elif ecn is EcnCodepoint.ECT0:
+            self.ect0 += payload
+        else:
+            self.ect1 += payload
+        self.window.append((payload, marked))
+        self.ratio = sum(p for p, m in self.window if m) / sum(p for p, _ in self.window)
+
+    def ack(self, ack_no, mode):
+        """False when the ACK is stale and must pass unmodified."""
+        if ack_no < self.highest:
+            return False
+        delta = ack_no - self.highest
+        if mode is FeedbackMode.CLASSIC_ECN and self.ce_pkts > self.ce_pkts_echoed:
+            self.latched, self.ce_pkts_echoed = True, self.ce_pkts
+        if delta > 0:
+            if mode is FeedbackMode.ACC_ECN:
+                marked = min(delta, round(delta * self.ratio))
+                self.reported["ce"] += marked
+                self.reported["ect0" if self.ect0 >= self.ect1 else "ect1"] += delta - marked
+            self.highest = ack_no
+            self.window = []
+        return True
+
+
+def _fields(ack):
+    acc = ack.tcp.accecn
+    counters = None if acc is None else (acc.ace_counter, acc.ce_bytes, acc.ect0_bytes,
+                                         acc.ect1_bytes)
+    return counters, int(ack.tcp.flags)
+
+
+@pytest.mark.parametrize("mode", [FeedbackMode.ACC_ECN, FeedbackMode.CLASSIC_ECN])
+@settings(max_examples=300, deadline=None)
+@given(ops=_OPS)
+def test_rewrite_ack_matches_counter_oracle(mode, ops):
+    state = FlowFeedbackState(mode=mode)
+    oracle = _CounterOracle()
+    last = (0, 0, 0)
+    for op in ops:
+        if op[0] == "data":
+            _, payload, ecn, mark, cwr = op
+            flags = TcpFlags.ACK | (TcpFlags.CWR if cwr else 0)
+            decision = MarkDecision.TENTATIVE_MARK if mark else MarkDecision.PASS
+            record_tentative_mark(state, _data(ecn=ecn, payload=payload, flags=flags), decision)
+            oracle.data(payload, ecn, mark, cwr)
+            assert (state.ce_bytes, state.ect0_bytes, state.ect1_bytes) == (
+                oracle.ce, oracle.ect0, oracle.ect1)
+            assert state.accounted_bytes == oracle.sent
+            continue
+        ack_no = oracle.sent * op[1] // 100
+        ack = _ack(ack_no)
+        before_ack, before_state = _fields(ack), copy.deepcopy(state)
+        out = rewrite_ack(state, ack)
+        if not oracle.ack(ack_no, mode):
+            # a stale duplicate passes unmodified and changes nothing
+            assert _fields(out) == before_ack and state == before_state
+            continue
+        reported = (state.reported_ce_bytes, state.reported_ect0_bytes, state.reported_ect1_bytes)
+        assert all(now >= was for now, was in zip(reported, last))
+        last = reported
+        assert state.reported_ce_bytes <= state.accounted_bytes
+        assert state.highest_acked == oracle.highest
+        if mode is FeedbackMode.ACC_ECN:
+            assert reported == (oracle.reported["ce"], oracle.reported["ect0"],
+                                oracle.reported["ect1"])
+            assert sum(reported) == oracle.highest
+            acc = out.tcp.accecn
+            assert (acc.ace_counter, acc.ce_bytes, acc.ect0_bytes, acc.ect1_bytes) == (
+                oracle.ce_pkts % 8, *reported)
+        else:
+            assert out.tcp.accecn is None
+            assert bool(out.tcp.flags & TcpFlags.ECE) == oracle.latched
+        # the same ACK again is a repeat: same fields, same state
+        rewritten, after_state = _fields(out), copy.deepcopy(state)
+        again = rewrite_ack(state, out)
+        assert _fields(again) == rewritten and state == after_state
