@@ -90,8 +90,6 @@ class MetricsCollector:
         self.tail_drops: dict[tuple, int] = defaultdict(int)
         self.aqm_drops: dict[str, int] = defaultdict(int)
         self._acc: dict[str, _IntervalAcc] = {f: _IntervalAcc() for f in flow_names}
-        self.flow_gauges: dict[str, dict] = {f: {"cwnd": 0.0, "srtt": None} for f in flow_names}
-        self.drb_gauges: dict[tuple, dict] = {}
 
     # -- event hooks --------------------------------------------------------
 
@@ -127,18 +125,18 @@ class MetricsCollector:
     def on_completion(self, flow: str, t: float) -> None:
         self.completion.setdefault(flow, t)
 
-    def set_flow_gauge(self, flow: str, cwnd: float, srtt: Optional[float]) -> None:
-        self.flow_gauges[flow] = {"cwnd": cwnd, "srtt": srtt}
+    def close_interval(self, t_end: float, cwnd: list[float],
+                       bearer_gauges: dict[tuple, tuple]) -> None:
+        """Close the interval ending at ``t_end`` with one record per flow.
 
-    def set_drb_gauge(self, drb_key: tuple, **gauges) -> None:
-        self.drb_gauges[drb_key] = gauges
-
-    def close_interval(self, t_end: float) -> None:
+        ``cwnd`` holds each flow's window in ``flow_names`` order;
+        ``bearer_gauges`` maps each flow's DRB key to the bearer's
+        ``(queue_bytes, p_l4s, p_classic, r_hat, e_hat)``.
+        """
         t = round(t_end, 6)
-        for flow in self.flow_names:
+        for flow, window in zip(self.flow_names, cwnd):
             acc = self._acc[flow]
-            g = self.flow_gauges[flow]
-            dg = self.drb_gauges.get(self.drb_of_flow[flow], {})
+            queue_bytes, p_l4s, p_classic, r_hat, e_hat = bearer_gauges[self.drb_of_flow[flow]]
             # positional, in field order: keywords cost twice as much per record
             self.intervals.append(
                 IntervalRecord(
@@ -146,12 +144,12 @@ class MetricsCollector:
                     flow,
                     acc.delivered_payload * 8.0 / INTERVAL_SECS,
                     (acc.rtt_sum / acc.rtt_n) if acc.rtt_n else None,
-                    g["cwnd"],
-                    dg.get("queue_bytes", 0),
-                    dg.get("p_l4s"),
-                    dg.get("p_classic"),
-                    dg.get("r_hat"),
-                    dg.get("e_hat"),
+                    window,
+                    queue_bytes,
+                    p_l4s,
+                    p_classic,
+                    r_hat,
+                    e_hat,
                     acc.marks,
                     acc.drops,
                 )

@@ -154,7 +154,8 @@ class Scenario:
 
         return SchedulerPolicy(self.scheduler)
 
-    def validate(self) -> None:
+    def validate(self) -> list:
+        """Check every field; return each UE's channel trace, in ``ues`` order."""
         if self.horizon_secs <= 0:
             raise ConfigError("horizon_secs must be positive")
         if self.slot_secs <= 0:
@@ -177,12 +178,13 @@ class Scenario:
             raise ConfigError("scenario needs at least one UE")
         seen_ue = set()
         seen_names = set()
+        traces = []
         for i, ue in enumerate(self.ues):
             if ue.ue_id in seen_ue:
                 raise ConfigError(f"duplicate ue_id {ue.ue_id}")
             seen_ue.add(ue.ue_id)
             try:
-                ue.channel.build(self.horizon_secs)  # validates parameters
+                traces.append(ue.channel.build(self.horizon_secs))  # validates parameters
             except (ConfigError, ValueError, OSError) as exc:
                 raise ConfigError(f"ues[{i}].channel: {exc}") from None
             if not ue.drbs:
@@ -216,6 +218,7 @@ class Scenario:
                         raise ConfigError(f"{loc}: need start < stop <= horizon")
                     if flow.size_bytes is not None and flow.size_bytes <= 0:
                         raise ConfigError(f"{loc}: size_bytes must be positive")
+        return traces
 
     def drb_config(self, ue: UeSpec, drb: DrbSpec) -> DrbConfig:
         return DrbConfig(

@@ -159,21 +159,6 @@ class ProfileTable:
 
     # -- estimates --------------------------------------------------------
 
-    def egress_rate_instant(self, at_sn: int) -> float:
-        """Instantaneous egress rate anchored at the transmit time of ``at_sn``."""
-        entry = next((e for e in self.entries if e.pdcp_sn == at_sn), None)
-        if entry is None:
-            raise KeyError(f"unknown pdcp_sn {at_sn}")
-        if entry.t_transmit is None:
-            raise EstimateUnavailable(f"pdcp_sn {at_sn} not transmitted yet")
-        t_k = entry.t_transmit
-        low = t_k - self.window_secs
-        total = 0
-        for e in self.entries:
-            if e.t_transmit is not None and low < e.t_transmit <= t_k:
-                total += e.size_bytes
-        return total / self.window_secs
-
     def egress_rate_smoothed(self) -> EgressEstimate:
         # the window is trimmed on every push, so the running moments cover
         # exactly the entries it selects

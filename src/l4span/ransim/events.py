@@ -1,7 +1,9 @@
 """Deterministic discrete-event loop.
 
 Events execute in (time, insertion-order) order; a handler may only
-schedule events at or after the current time.
+schedule events at or after the current time.  Each event carries the
+handler it runs, called as ``handler(data, at)``; its ``kind`` is only the
+label that per-kind event counts read (see ROADMAP item 1).
 
 The simulator schedules one ``F1U_FEEDBACK`` event per slot with
 transmissions, at the slot's own time.  It carries the slot's zero-delay
@@ -27,11 +29,12 @@ class EventKind(enum.Enum):
     SENDER_TIMER = "sender_timer"
 
 
-@dataclass
+@dataclass(slots=True)
 class SimEvent:
     at: float
     kind: EventKind
-    data: Any = None
+    handler: Callable[[Any, float], None]
+    data: Any
 
 
 class EventLoop:
@@ -40,11 +43,12 @@ class EventLoop:
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
 
-    def schedule(self, at: float, kind: EventKind, data: Any = None) -> None:
+    def schedule(self, at: float, kind: EventKind, handler: Callable[[Any, float], None],
+                 data: Any = None) -> None:
         if at < self.now - 1e-12:
             raise ValueError(f"cannot schedule event at {at} before now={self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, SimEvent(at=at, kind=kind, data=data)))
+        heapq.heappush(self._heap, (at, self._seq, SimEvent(at, kind, handler, data)))
 
     def pop(self) -> Optional[SimEvent]:
         if not self._heap:
@@ -53,12 +57,12 @@ class EventLoop:
         self.now = ev.at
         return ev
 
-    def run(self, until: float, handler: Callable[[SimEvent], None]) -> int:
+    def run(self, until: float, dispatch: Callable[[SimEvent], None]) -> int:
         """Execute events up to and including time ``until``; returns the count."""
         count = 0
         while self._heap and self._heap[0][0] <= until:
             ev = self.pop()
-            handler(ev)
+            dispatch(ev)
             count += 1
         self.now = until
         return count

@@ -12,6 +12,11 @@ order, after every same-time event queued before it.  The scheduler sees
 only the UEs with queued data: an admitted packet adds its UE to the
 active set, and a UE whose queues drained in a slot leaves it.
 
+Every event carries the handler it runs, called with the event's data and
+time: a simulator method, or for a sender timer the endpoint method it
+fires (the endpoint is the data).  An event's kind only labels it for
+per-kind counts.
+
 Deterministic for a fixed scenario seed: per-DRB RNGs, FIFO event
 tie-breaking, and no iteration over unordered containers.
 """
@@ -90,7 +95,7 @@ class TcpEndpoint:
         self.sim = sim
         self.flow = flow
         spec = flow.spec
-        self.payload_mss = flow.mss_bytes - 40
+        self.payload_mss = flow.bearer.drb.mss_bytes - 40
         if spec.kind == "prague":
             self.cc = PragueState(mss=self.payload_mss, cwnd=10.0 * self.payload_mss,
                                   round_end_total=10.0 * self.payload_mss)
@@ -140,7 +145,7 @@ class TcpEndpoint:
         self.sim.emit_downlink(self.flow, syn, now)
         self._schedule_rto(now + self.rto)
 
-    def stop(self) -> None:
+    def stop(self, now: float) -> None:
         self.stopped = True
 
     # -- ACK path ----------------------------------------------------------
@@ -156,7 +161,7 @@ class TcpEndpoint:
                 think = self.flow.spec.think_secs
                 if think > 0:
                     self.sim.loop.schedule(now + think, EventKind.SENDER_TIMER,
-                                           (self.flow, "start_data"))
+                                           TcpEndpoint.send_data, self)
                 else:
                     self.send_data(now)
             return
@@ -285,7 +290,7 @@ class TcpEndpoint:
         if not self._rto_pending:
             self._rto_pending = True
             self.sim.loop.schedule(max(at, self.sim.loop.now), EventKind.SENDER_TIMER,
-                                   (self.flow, "rto"))
+                                   TcpEndpoint.on_rto_check, self)
 
     def on_rto_check(self, now: float) -> None:
         self._rto_pending = False
@@ -324,16 +329,14 @@ class UdpEndpoint:
         self.sim = sim
         self.flow = flow
         self.rate = flow.spec.udp_rate_bps / 8.0
-        self.pkt_size = flow.mss_bytes
+        self.pkt_size = flow.bearer.drb.mss_bytes
         self.stopped = False
-        self.established = True
         self.cc = None
-        self.srtt = None
 
     def start(self, now: float) -> None:
         self._tick(now)
 
-    def stop(self) -> None:
+    def stop(self, now: float) -> None:
         self.stopped = True
 
     def _tick(self, now: float) -> None:
@@ -349,13 +352,7 @@ class UdpEndpoint:
         )
         self.sim.emit_downlink(self.flow, pkt, now)
         self.sim.loop.schedule(now + self.pkt_size / self.rate, EventKind.SENDER_TIMER,
-                               (self.flow, "udp_tick"))
-
-    def on_ack(self, ack: Packet, now: float) -> None:
-        pass
-
-    def on_rto_check(self, now: float) -> None:
-        pass
+                               UdpEndpoint._tick, self)
 
 
 class _Bearer(RlcQueue):
@@ -377,9 +374,7 @@ class _Bearer(RlcQueue):
 class _FlowRuntime:
     spec: FlowSpec
     ft: FiveTuple
-    ue_id: int
     bearer: _Bearer
-    mss_bytes: int
     data_ecn: EcnCodepoint
     feedback_mode: FeedbackMode
     stop_at: float
@@ -400,7 +395,7 @@ class Simulator:
     """Builds the topology from a scenario and runs the event loop to horizon."""
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
+        traces = scenario.validate()
         self.scn = scenario
         self.loop = EventLoop()
         self._pkt_id = 0
@@ -414,8 +409,7 @@ class Simulator:
         self.flows: list[_FlowRuntime] = []
         self.flow_by_tuple: dict[FiveTuple, _FlowRuntime] = {}
 
-        for ue in scenario.ues:
-            trace = ue.channel.build(scenario.horizon_secs)
+        for ue, trace in zip(scenario.ues, traces):
             # PF averages are current up to the first slot, which run() puts at 0.0
             ctx = UeContext(ue_id=ue.ue_id, trace=trace, ewma_at=0.0)
             for drb in ue.drbs:
@@ -455,9 +449,7 @@ class Simulator:
                     flow = _FlowRuntime(
                         spec=fspec,
                         ft=ft,
-                        ue_id=ue.ue_id,
                         bearer=bearer,
-                        mss_bytes=drb.mss_bytes,
                         data_ecn=_data_codepoint(fspec),
                         feedback_mode=_feedback_mode(fspec),
                         stop_at=stop_at,
@@ -479,14 +471,6 @@ class Simulator:
         self._policy = scenario.scheduler_policy()
         self._slots_per_interval = max(1, round(INTERVAL_SECS / scenario.slot_secs))
         self._ue_served_at_warmup: dict[int, int] = {}
-        self._handlers = {
-            EventKind.ARRIVE_DOWNLINK: self._h_arrive_downlink,
-            EventKind.SLOT_TICK: self._h_slot_tick,
-            EventKind.F1U_FEEDBACK: self._h_post_slot,
-            EventKind.DELIVER_TO_UE: self._h_deliver,
-            EventKind.ARRIVE_UPLINK: self._h_arrive_uplink,
-            EventKind.SENDER_TIMER: self._h_sender_timer,
-        }
 
     # -- helpers -----------------------------------------------------------
 
@@ -496,13 +480,12 @@ class Simulator:
 
     def emit_downlink(self, flow: _FlowRuntime, pkt: Packet, at: float) -> None:
         self.loop.schedule(at + self.scn.delays.dl_prop_secs, EventKind.ARRIVE_DOWNLINK,
-                           (flow, pkt))
+                           self._arrive_downlink, (flow, pkt))
 
-    # -- handlers ----------------------------------------------------------
+    # -- handlers: each takes its event's data and time ---------------------
 
-    def _h_arrive_downlink(self, ev) -> None:
-        flow, pkt = ev.data
-        now = ev.at
+    def _arrive_downlink(self, data, now: float) -> None:
+        flow, pkt = data
         q = flow.bearer
         head_ingress = q.sdus[0].enq_at if q.sdus else None
         outcome = q.layer.on_dl_pkt(pkt, q.has_room(), now, head_ingress=head_ingress)
@@ -520,19 +503,18 @@ class Simulator:
             flow.pending_marks.append(now)
             self.metrics.on_mark(now, flow.spec.name)
 
-    def _h_slot_tick(self, ev) -> None:
-        n = ev.data
-        now = ev.at
+    def _slot_tick(self, n: int, now: float) -> None:
         ue_ctx = self.ue_ctx
         active = self._active
         reports = scheduler_slot([ue_ctx[i] for i in sorted(active)], self._policy,
                                  self.scn.slot_secs, now)
-        # the slot's zero-delay work in transmit order: (flow, sdu) deliveries
-        # and (None, bearer) feedbacks, run by one post-slot event
+        # the slot's zero-delay work in transmit order, run by one post-slot
+        # event: per bearer, its (flow, sdu) deliveries, then its feedback
         post = []
         for rep in reports:
             b = rep.queue
             drb = b.spec
+            deliveries = []
             for sdu in rep.completed:
                 flow = self.flow_by_tuple.get(sdu.pkt.five_tuple)
                 if flow is None:
@@ -542,44 +524,36 @@ class Simulator:
                     if drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
                         delay += drb.arq_delay_secs
                     if delay > 0:
-                        self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, (flow, sdu))
+                        self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, self._deliver,
+                                           (flow, sdu))
                         continue
                 elif drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
                     continue  # UM: lost in the air, transport recovers
-                post.append((flow, sdu))
-            post.append((None, b))
+                deliveries.append((flow, sdu))
+            post.append((b, deliveries))
             if not b.standing_bytes and not ue_ctx[b.ue_index].standing_bytes():
                 active.discard(b.ue_index)
         if post:
-            self.loop.schedule(now, EventKind.F1U_FEEDBACK, post)
+            self.loop.schedule(now, EventKind.F1U_FEEDBACK, self._post_slot, post)
         if n > 0 and n % self._slots_per_interval == 0:
-            self._collect_gauges()
-            self.metrics.close_interval(now)
+            self._close_interval(now)
         if self.scn.warmup_secs - self.scn.slot_secs / 2 <= now < self.scn.warmup_secs + self.scn.slot_secs / 2:
             for ctx in self.ue_ctx:
                 self._ue_served_at_warmup[ctx.ue_id] = sum(q.transmitted_bytes for q in ctx.queues)
         nxt = (n + 1) * self.scn.slot_secs
         if nxt <= self.scn.horizon_secs:
-            self.loop.schedule(nxt, EventKind.SLOT_TICK, n + 1)
+            self.loop.schedule(nxt, EventKind.SLOT_TICK, self._slot_tick, n + 1)
 
-    def _h_post_slot(self, ev) -> None:
-        now = ev.at
-        for flow, item in ev.data:
-            if flow is None:
-                self._feedback(item, now)
-            else:
-                self._deliver(flow, item, now)
+    def _post_slot(self, batch, now: float) -> None:
+        deliver = self._deliver
+        for b, deliveries in batch:
+            for item in deliveries:
+                deliver(item, now)
+            if b.highest_tx_sn is not None:
+                b.layer.on_ran_feedback(b.highest_tx_sn, b.highest_dlv_sn if b.am else None, now)
 
-    def _feedback(self, b: _Bearer, now: float) -> None:
-        if b.highest_tx_sn is None:
-            return
-        b.layer.on_ran_feedback(b.highest_tx_sn, b.highest_dlv_sn if b.am else None, now)
-
-    def _h_deliver(self, ev) -> None:
-        flow, sdu = ev.data
-        self._deliver(flow, sdu, ev.at)
-
-    def _deliver(self, flow: _FlowRuntime, sdu, now: float) -> None:
+    def _deliver(self, item, now: float) -> None:
+        flow, sdu = item
         pkt = sdu.pkt
         if flow.bearer.am:
             flow.bearer.mark_delivered(sdu.sn)
@@ -598,17 +572,16 @@ class Simulator:
         ack = receiver_on_data(flow.receiver, pkt, now, self.next_pkt_id())
         if ack is not None:
             self.loop.schedule(now + self.scn.delays.ran_ul_secs, EventKind.ARRIVE_UPLINK,
-                               (flow, ack, "cu"))
+                               self._uplink_at_cu, (flow, ack))
 
-    def _h_arrive_uplink(self, ev) -> None:
-        flow, pkt, stage = ev.data
-        now = ev.at
-        if stage == "cu":
-            out = flow.bearer.layer.on_ul_packet(pkt, now)
-            self.loop.schedule(now + self.scn.delays.ul_prop_secs, EventKind.ARRIVE_UPLINK,
-                               (flow, out, "server"))
-            return
-        # at the server
+    def _uplink_at_cu(self, data, now: float) -> None:
+        flow, ack = data
+        out = flow.bearer.layer.on_ul_packet(ack, now)
+        self.loop.schedule(now + self.scn.delays.ul_prop_secs, EventKind.ARRIVE_UPLINK,
+                           self._uplink_at_server, (flow, out))
+
+    def _uplink_at_server(self, data, now: float) -> None:
+        flow, pkt = data
         if pkt.fb_cutoff is not None:
             pend = flow.pending_marks
             while pend and pend[0] <= pkt.fb_cutoff:
@@ -616,47 +589,28 @@ class Simulator:
                 self.metrics.on_feedback_latency(now, flow.spec.name, now - t_mark)
         flow.endpoint.on_ack(pkt, now)
 
-    def _h_sender_timer(self, ev) -> None:
-        flow, kind = ev.data
-        now = ev.at
-        if kind == "start":
-            flow.endpoint.start(now)
-        elif kind == "start_data":
-            flow.endpoint.send_data(now)
-        elif kind == "stop":
-            flow.endpoint.stop()
-        elif kind == "rto":
-            flow.endpoint.on_rto_check(now)
-        elif kind == "udp_tick":
-            flow.endpoint._tick(now)
-
-    def _collect_gauges(self) -> None:
-        for flow in self.flows:
-            ep = flow.endpoint
-            cwnd = float(ep.cc.cwnd) if ep.cc is not None else 0.0
-            self.metrics.set_flow_gauge(flow.spec.name, cwnd, ep.srtt)
-        for key, layer in self.layers.items():
-            st = layer.mark_state
+    def _close_interval(self, now: float) -> None:
+        cwnd = [float(f.endpoint.cc.cwnd) if f.endpoint.cc is not None else 0.0
+                for f in self.flows]
+        bearer_gauges = {}
+        for key, b in self.queues.items():
+            st = b.layer.mark_state
             est = st.last_estimate
-            self.metrics.set_drb_gauge(
-                key,
-                queue_bytes=self.queues[key].standing_bytes,
-                p_l4s=st.p_l4s,
-                p_classic=st.p_classic,
-                r_hat=est.r_hat if est else None,
-                e_hat=est.e_hat if est else None,
-            )
+            bearer_gauges[key] = (b.standing_bytes, st.p_l4s, st.p_classic,
+                                  est.r_hat if est else None, est.e_hat if est else None)
+        self.metrics.close_interval(now, cwnd, bearer_gauges)
 
     # -- run -----------------------------------------------------------------
 
     def run(self) -> SimResult:
         scn = self.scn
         t0 = time.perf_counter()
-        self.loop.schedule(0.0, EventKind.SLOT_TICK, 0)
+        self.loop.schedule(0.0, EventKind.SLOT_TICK, self._slot_tick, 0)
         for flow in self.flows:
-            self.loop.schedule(flow.spec.start, EventKind.SENDER_TIMER, (flow, "start"))
+            ep = flow.endpoint
+            self.loop.schedule(flow.spec.start, EventKind.SENDER_TIMER, type(ep).start, ep)
             if flow.spec.stop is not None and flow.spec.stop < scn.horizon_secs:
-                self.loop.schedule(flow.spec.stop, EventKind.SENDER_TIMER, (flow, "stop"))
+                self.loop.schedule(flow.spec.stop, EventKind.SENDER_TIMER, type(ep).stop, ep)
         events = self.loop.run(scn.horizon_secs, self._dispatch)
 
         utilization = {}
@@ -703,7 +657,7 @@ class Simulator:
         return SimResult(meta=meta, collector=self.metrics, summary=summary, events=events)
 
     def _dispatch(self, ev) -> None:
-        self._handlers[ev.kind](ev)
+        ev.handler(ev.data, ev.at)
 
 
 def _peak_rss_mb() -> float:

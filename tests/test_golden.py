@@ -7,8 +7,11 @@ finite flows separated by gaps of hundreds of slots, and one UE whose AM
 bearer stays backlogged while its UM bearer drains, so the scheduler's
 active-UE set and lazily decayed PF averages are on the path.  The SHA-256
 of each run's packets, intervals and summary streams is pinned, so any
-change to event order or arithmetic anywhere on the slot path shows here.  A change that reorders events on purpose updates
-the digest and says so in CHANGES.md.  The pinned value was recorded with
+change to event order or arithmetic anywhere on the slot path shows here.
+A change that reorders events on purpose updates the digest and says so
+in CHANGES.md.  The events dispatched per kind, and the handlers each kind
+runs, are pinned too: the benchmark's per-kind figures count events by
+that label.  The pinned values were recorded with
 CPython 3.11 on x86-64 Linux (glibc); a libm that rounds ``sin`` or
 ``erfc`` differently gives other stream bytes.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter, defaultdict
 
 from l4span.harness.metrics import dumps_intervals, dumps_packets
 from l4span.harness.scenario import (
@@ -146,6 +150,38 @@ def test_idle_return_streams_are_pinned():
     finite = [f for f in flows.values() if f["completion_secs"] is not None]
     assert len(finite) == 13
     assert stream_digest(result) == IDLE_GOLDEN_SHA256
+
+
+# events dispatched per kind; the benchmark's per-kind figures count these labels
+DISPATCH_COUNTS = {
+    golden_scenario: {"arrive_downlink": 1424, "arrive_uplink": 1426, "deliver_to_ue": 685,
+                      "f1u_feedback": 3836, "sender_timer": 697, "slot_tick": 4001},
+    idle_return_scenario: {"arrive_downlink": 1045, "arrive_uplink": 1986, "deliver_to_ue": 910,
+                           "f1u_feedback": 3127, "sender_timer": 87, "slot_tick": 4001},
+}
+
+
+@pytest.mark.parametrize("make", [golden_scenario, idle_return_scenario])
+def test_dispatch_counts_and_handlers_per_kind_are_pinned(make, monkeypatch):
+    counts = Counter()
+    handlers = defaultdict(set)
+    real = Simulator._dispatch
+
+    def counted(self, ev):
+        counts[ev.kind.value] += 1
+        handlers[ev.kind.value].add(getattr(ev.handler, "__func__", ev.handler))
+        real(self, ev)
+
+    monkeypatch.setattr(Simulator, "_dispatch", counted)
+    result = run(make())
+    assert dict(counts) == DISPATCH_COUNTS[make]
+    assert result.events == sum(counts.values())
+    # one handler per kind, but the uplink's two legs and the senders' timers
+    assert handlers.pop("arrive_uplink") == {Simulator._uplink_at_cu, Simulator._uplink_at_server}
+    timers = handlers.pop("sender_timer")
+    assert all(h.__qualname__.split(".")[0] in ("TcpEndpoint", "UdpEndpoint") for h in timers)
+    assert {k: len(h) for k, h in handlers.items()} == {
+        "arrive_downlink": 1, "deliver_to_ue": 1, "f1u_feedback": 1, "slot_tick": 1}
 
 
 @pytest.mark.parametrize("make", [golden_scenario, idle_return_scenario])

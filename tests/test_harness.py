@@ -358,11 +358,9 @@ def test_interval_record_reads_like_the_dict_it_replaced():
     c.on_mark(0.07, "a")
     c.on_tail_drop(0.08, (1, 1), "a")
     c.on_aqm_drop(0.09, "a")
-    c.set_flow_gauge("a", 14_600.0, 0.03)
-    c.set_drb_gauge((1, 1), queue_bytes=4500, p_l4s=0.25, p_classic=0.0625,
-                    r_hat=2.5e6, e_hat=1e5)
-    c.close_interval(0.1 + 0.2)
-    c.close_interval(0.4000000001)
+    gauges = {(1, 1): (4500, 0.25, 0.0625, 2.5e6, 1e5), (1, 2): (0, None, None, None, None)}
+    c.close_interval(0.1 + 0.2, [14_600.0, 0.0], gauges)
+    c.close_interval(0.4000000001, [14_600.0, 0.0], gauges)
     # the dicts close_interval built for the same hooks before it made records
     a_gauges = {"cwnd": 14_600.0, "queue_bytes": 4500, "p_l4s": 0.25, "p_classic": 0.0625,
                 "r_hat": 2.5e6, "e_hat": 1e5}
@@ -397,14 +395,12 @@ def test_metric_records_have_no_instance_dict():
 def test_write_run_holds_no_whole_stream_in_memory(tmp_path):
     flows = [f"flow-{i}" for i in range(500)]
     c = MetricsCollector(flows, {f: (i, 1) for i, f in enumerate(flows)}, warmup_secs=0.0)
-    for i, f in enumerate(flows):
-        c.set_flow_gauge(f, 1500.0 * (i + 1), 0.02)
-        c.set_drb_gauge((i, 1), queue_bytes=i, p_l4s=i / 500, p_classic=None,
-                        r_hat=1e6 + i, e_hat=None)
+    cwnd = [1500.0 * (i + 1) for i in range(len(flows))]
+    gauges = {(i, 1): (i, i / 500, None, 1e6 + i, None) for i in range(len(flows))}
     for k in range(100):
         c.on_delivery(PacketRecord(k * 0.1, flows[k], 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540),
                       1500)
-        c.close_interval((k + 1) * 0.1)
+        c.close_interval((k + 1) * 0.1, cwnd, gauges)
     assert len(c.intervals) == 50_000
     result = SimpleNamespace(
         meta={"scenario": {"name": "synthetic", "horizon_secs": 10.0, "seed": 0}},

@@ -86,30 +86,26 @@ def test_timestamps_monotone_per_entry():
     assert e.t_ingress <= e.t_transmit <= e.t_deliver
 
 
-def test_egress_rate_instant_single_packet():
+def test_egress_rate_smoothed_single_packet():
     t = _table()
     t.record_ingress(1, 1500, 0.0)
     t.on_f1u_feedback(1, None, 0.005)
-    assert t.egress_rate_instant(1) == pytest.approx(1500 / W)
-    assert t.egress_rate_instant(1) == pytest.approx(120481.92771084337)
+    est = t.egress_rate_smoothed()
+    assert est.sample_count == 1
+    assert est.r_hat == pytest.approx(1500 / W)
+    assert est.r_hat == pytest.approx(120481.92771084337)
 
 
-def test_egress_rate_instant_additivity():
+def test_egress_rate_smoothed_additivity():
+    # the second sample's rate counts both packets in its window
     t = _table()
     t.record_ingress(1, 1500, 0.0)
     t.record_ingress(2, 1500, 0.0)
     t.on_f1u_feedback(1, None, 0.004)
     t.on_f1u_feedback(2, None, 0.0045)
-    assert t.egress_rate_instant(2) == pytest.approx(2 * 1500 / W)
-
-
-def test_egress_rate_instant_unknown_sn():
-    t = _table()
-    with pytest.raises(KeyError):
-        t.egress_rate_instant(99)
-    t.record_ingress(1, 1500, 0.0)
-    with pytest.raises(EstimateUnavailable):
-        t.egress_rate_instant(1)
+    est = t.egress_rate_smoothed()
+    assert est.r_hat == pytest.approx((1500 / W + 2 * 1500 / W) / 2)
+    assert est.e_hat == pytest.approx(750 / W)
 
 
 def test_smoothed_requires_transmissions():

@@ -14,7 +14,7 @@ from l4span.core import (
     Proto,
     RlcMode,
 )
-from l4span.harness.scenario import BUILTIN_SCENARIOS, FlowSpec
+from l4span.harness.scenario import BUILTIN_SCENARIOS, ChannelSpec, FlowSpec
 from l4span.marking import MarkParams, p_l4s
 from l4span.profile import DEFAULT_WINDOW_SECS
 from l4span.ransim import layer as layer_mod
@@ -268,19 +268,26 @@ def test_one_queue_share_equals_water_fill(need, budget):
 def test_event_ordering_and_ties():
     loop = EventLoop()
     seen = []
-    loop.schedule(2.0, EventKind.SENDER_TIMER, "b")
-    loop.schedule(1.0, EventKind.SENDER_TIMER, "a")
-    loop.schedule(2.0, EventKind.SENDER_TIMER, "c")  # same time: insertion order
-    loop.run(10.0, lambda ev: seen.append(ev.data))
-    assert seen == ["a", "b", "c"]
+
+    def record(data, now):
+        seen.append((data, now))
+
+    loop.schedule(2.0, EventKind.SENDER_TIMER, record, "b")
+    loop.schedule(1.0, EventKind.SENDER_TIMER, record, "a")
+    loop.schedule(2.0, EventKind.SENDER_TIMER, record, "c")  # same time: insertion order
+    assert loop.run(10.0, lambda ev: ev.handler(ev.data, ev.at)) == 3
+    assert seen == [("a", 1.0), ("b", 2.0), ("c", 2.0)]
 
 
 def test_causality_enforced():
+    def noop(data, now):
+        pass
+
     loop = EventLoop()
-    loop.schedule(1.0, EventKind.SENDER_TIMER, None)
+    loop.schedule(1.0, EventKind.SENDER_TIMER, noop)
     loop.pop()
     with pytest.raises(ValueError):
-        loop.schedule(0.5, EventKind.SENDER_TIMER, None)
+        loop.schedule(0.5, EventKind.SENDER_TIMER, noop)
 
 
 # -- end-to-end sim properties --------------------------------------------------
@@ -293,6 +300,23 @@ def _short_scenario(**kw):
     for key, val in kw.items():
         setattr(scn, key, val)
     return scn
+
+
+def test_simulator_builds_each_channel_trace_once(monkeypatch):
+    scn = BUILTIN_SCENARIOS["mobile-16ue"]()
+    built = []
+    real = ChannelSpec.build
+
+    def counted(spec, horizon):
+        trace = real(spec, horizon)
+        built.append((spec, trace))
+        return trace
+
+    monkeypatch.setattr(ChannelSpec, "build", counted)
+    sim = Simulator(scn)
+    assert [spec for spec, _ in built] == [ue.channel for ue in scn.ues]
+    assert len(sim.ue_ctx) == len(built)
+    assert all(ctx.trace is trace for ctx, (_, trace) in zip(sim.ue_ctx, built))
 
 
 def test_zero_traffic_terminates():

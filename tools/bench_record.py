@@ -36,11 +36,17 @@ CHECKOUT_KEYS = ("git_sha", "source_sha256", "python", "numpy", "cpu_count", "pl
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``1-5`` or ``1,3,7`` (or a mix) -> a list of seeds."""
+    """``1-5`` or ``1,3,7`` (or a mix) -> a list of seeds.
+
+    A reversed range such as ``5-1`` holds no seed and is an error.
+    """
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += list(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += list(range(lo, hi + 1))
     return seeds
 
 
