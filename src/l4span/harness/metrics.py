@@ -5,7 +5,13 @@ Three outputs per run, all recomputable from each other's inputs:
 * packets.jsonl: one record per delivered packet (one-way delay breakdown
   plus the sojourn predicted for it at ingress);
 * intervals.jsonl: per-flow records every 100 ms (throughput, rtt, cwnd,
-  queue depth, marking gauges, mark/drop counts);
+  the flow's bearer gauges: queue depth, marking probabilities, r_hat and
+  e_hat; mark/drop counts).  The stream is sparse: a flow has a record for
+  an interval when it is its bearer's anchor (the bearer's first flow in
+  ``flow_names`` order, so every bearer has one gauge row per interval),
+  when it started before the interval ended and had not completed before
+  the interval began, or when any of its interval counts (delivered bytes,
+  RTT samples, marks, drops) is non-zero;
 * summary.json: per-flow and per-UE aggregates over the steady-state
   window.
 
@@ -16,6 +22,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
@@ -75,10 +82,12 @@ class _IntervalAcc:
 
 
 class MetricsCollector:
-    def __init__(self, flow_names: list[str], drb_of_flow: dict[str, tuple], warmup_secs: float):
+    def __init__(self, flow_names: list[str], drb_of_flow: dict[str, tuple], warmup_secs: float,
+                 flow_starts: dict[str, float]):
         self.flow_names = list(flow_names)
         self.drb_of_flow = dict(drb_of_flow)
         self.warmup_secs = warmup_secs
+        self.flow_starts = dict(flow_starts)
         self.packets: list[PacketRecord] = []
         self.intervals: list[IntervalRecord] = []
         self.rtt_samples: dict[str, list[tuple[float, float]]] = {f: [] for f in flow_names}
@@ -90,6 +99,13 @@ class MetricsCollector:
         self.tail_drops: dict[tuple, int] = defaultdict(int)
         self.aqm_drops: dict[str, int] = defaultdict(int)
         self._acc: dict[str, _IntervalAcc] = {f: _IntervalAcc() for f in flow_names}
+        # per flow, in flow_names order: (name, accumulator, start, DRB key, is anchor)
+        anchored = set()
+        self._rows = []
+        for f in self.flow_names:
+            key = self.drb_of_flow[f]
+            self._rows.append((f, self._acc[f], self.flow_starts[f], key, key not in anchored))
+            anchored.add(key)
 
     # -- event hooks --------------------------------------------------------
 
@@ -127,16 +143,25 @@ class MetricsCollector:
 
     def close_interval(self, t_end: float, cwnd: list[float],
                        bearer_gauges: dict[tuple, tuple]) -> None:
-        """Close the interval ending at ``t_end`` with one record per flow.
+        """Close the interval ``[t_end - INTERVAL_SECS, t_end)``.
 
         ``cwnd`` holds each flow's window in ``flow_names`` order;
         ``bearer_gauges`` maps each flow's DRB key to the bearer's
-        ``(queue_bytes, p_l4s, p_classic, r_hat, e_hat)``.
+        ``(queue_bytes, p_l4s, p_classic, r_hat, e_hat)``.  A flow gets a
+        record when it is its bearer's anchor (first flow in ``flow_names``
+        order), when it started before ``t_end`` and had not completed
+        before the interval began, or when any of its interval counts is
+        non-zero; the others' counts are all zero, so skipping them drops
+        no delivery, RTT sample, mark or drop.
         """
         t = round(t_end, 6)
-        for flow, window in zip(self.flow_names, cwnd):
-            acc = self._acc[flow]
-            queue_bytes, p_l4s, p_classic, r_hat, e_hat = bearer_gauges[self.drb_of_flow[flow]]
+        began = t_end - INTERVAL_SECS
+        completion = self.completion
+        for (flow, acc, start, key, anchor), window in zip(self._rows, cwnd):
+            if not (anchor or acc.delivered_payload or acc.rtt_n or acc.marks or acc.drops
+                    or (start < t_end and completion.get(flow, math.inf) >= began)):
+                continue
+            queue_bytes, p_l4s, p_classic, r_hat, e_hat = bearer_gauges[key]
             # positional, in field order: keywords cost twice as much per record
             self.intervals.append(
                 IntervalRecord(
@@ -162,12 +187,7 @@ class MetricsCollector:
     def _steady(self, pairs: list[tuple[float, float]]) -> np.ndarray:
         return np.array([v for t, v in pairs if t >= self.warmup_secs], dtype=float)
 
-    def summarize(
-        self,
-        horizon: float,
-        utilization: dict[int, dict],
-        flow_starts: dict[str, float],
-    ) -> dict:
+    def summarize(self, horizon: float, utilization: dict[int, dict]) -> dict:
         # steady-state delays and queuing by flow, in delivery order, in one pass
         delays_of: dict[str, list[float]] = {f: [] for f in self.flow_names}
         queuing_of: dict[str, list[float]] = {f: [] for f in self.flow_names}
@@ -187,7 +207,7 @@ class MetricsCollector:
                 "delivered_bytes": self.delivered_payload[flow],
                 "throughput_bps": self.delivered_payload_steady[flow] * 8.0 / span,
                 "completion_secs": (
-                    completion - flow_starts[flow] if completion is not None else None
+                    completion - self.flow_starts[flow] if completion is not None else None
                 ),
                 "marks": self.mark_counts[flow],
                 "aqm_drops": self.aqm_drops[flow],

@@ -27,12 +27,16 @@ class ChannelTrace:
             last = t
         if breakpoints[0][0] > 0:
             raise ValueError("first breakpoint must be at t=0")
-        self.breakpoints = breakpoints
         self._times = [t for t, _ in breakpoints]
         self._caps = [c for _, c in breakpoints]
         # segment i covers [_times[i], _ends[i])
         self._ends = self._times[1:] + [math.inf]
         self._cursor = 0
+
+    @property
+    def breakpoints(self) -> list[tuple[float, float]]:
+        """The trace's ``(t, capacity)`` pairs, rebuilt on each read."""
+        return list(zip(self._times, self._caps))
 
     def rate_at(self, t: float) -> float:
         if t < 0:

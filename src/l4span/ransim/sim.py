@@ -467,6 +467,7 @@ class Simulator:
             flow_names=[f.spec.name for f in self.flows],
             drb_of_flow={f.spec.name: f.bearer.drb.key for f in self.flows},
             warmup_secs=scenario.warmup_secs,
+            flow_starts={f.spec.name: f.spec.start for f in self.flows},
         )
         self._policy = scenario.scheduler_policy()
         self._slots_per_interval = max(1, round(INTERVAL_SECS / scenario.slot_secs))
@@ -623,11 +624,7 @@ class Simulator:
                 "capacity_bytes_steady": possible,
                 "utilization": served_steady / possible if possible > 0 else 0.0,
             }
-        summary = self.metrics.summarize(
-            scn.horizon_secs,
-            utilization,
-            flow_starts={f.spec.name: f.spec.start for f in self.flows},
-        )
+        summary = self.metrics.summarize(scn.horizon_secs, utilization)
         wall = time.perf_counter() - t0
         meta = {
             "scenario": {

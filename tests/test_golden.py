@@ -5,19 +5,23 @@ air loss on both), Prague/AccECN, CUBIC/classic-ECN, a finite Prague flow
 and UDP ECT(1) flows.  The second has six UEs that go idle and come back:
 finite flows separated by gaps of hundreds of slots, and one UE whose AM
 bearer stays backlogged while its UM bearer drains, so the scheduler's
-active-UE set and lazily decayed PF averages are on the path.  The SHA-256
-of each run's packets, intervals and summary streams is pinned, so any
-change to event order or arithmetic anywhere on the slot path shows here.
-A change that reorders events on purpose updates the digest and says so
-in CHANGES.md.  The events dispatched per kind, and the handlers each kind
-runs, are pinned too: the benchmark's per-kind figures count events by
-that label.  The pinned values were recorded with
-CPython 3.11 on x86-64 Linux (glibc); a libm that rounds ``sin`` or
-``erfc`` differently gives other stream bytes.
+active-UE set and lazily decayed PF averages are on the path.  Two SHA-256
+digests of each run are pinned: one of its packets and summary streams,
+one of its intervals stream, so any change to event order or arithmetic
+anywhere on the slot path shows here, and a change to which interval
+records are kept shows apart from one to what the run computed.  A change
+that reorders events on purpose updates the digests and says so in
+CHANGES.md.  The interval stream is sparse, and each bearer still reports
+its gauges once per interval; that contract is checked here too.  The
+events dispatched per kind, and the handlers each kind runs, are pinned
+too: the benchmark's per-kind figures count events by that label.  The
+pinned values were recorded with CPython 3.11 on x86-64 Linux (glibc); a
+libm that rounds ``sin`` or ``erfc`` differently gives other stream bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import Counter, defaultdict
@@ -36,8 +40,10 @@ import pytest
 from l4span.ransim import sim as sim_mod
 from l4span.ransim.sim import Simulator, run
 
-GOLDEN_SHA256 = "d871f39ff73ce15a98a6c2d231a2eada5ec2d4886d33abab7fbaf89820b47a0e"
-IDLE_GOLDEN_SHA256 = "50b9893a230371f6b0aca9485b792bd8d28e21f2fedbc649eae7d63bad86e6fb"
+GOLDEN_PACKETS_SUMMARY_SHA256 = "b094545b7792d90d0b3273d1b945c1c306b3e58f24afdd75bf30a2a347a4bae3"
+GOLDEN_INTERVALS_SHA256 = "84d4693a1bb2e25599022abe4a417e75aae669292041c0787de21b7a0bac2428"
+IDLE_GOLDEN_PACKETS_SUMMARY_SHA256 = "39f800ffad671a2f8da9c1ac2fd1173ef27e7d80e1ed10d51a67425f903059f5"
+IDLE_GOLDEN_INTERVALS_SHA256 = "1f7d43c2b2e0cb885bbb312a94680c429dedff2d74ee5abc74c1e0ec698122b5"
 
 
 def golden_scenario() -> Scenario:
@@ -124,32 +130,64 @@ def idle_return_scenario() -> Scenario:
                     scheduler="proportional_fair", ues=ues, aqm=AqmSpec())
 
 
-def stream_digest(result) -> str:
+@functools.cache
+def cached_run(make):
+    """One run per scenario builder, shared by the tests that only read it."""
+    return run(make())
+
+
+def packets_summary_digest(result) -> str:
     h = hashlib.sha256()
     h.update(dumps_packets(result.collector.packets).encode())
-    h.update(dumps_intervals(result.collector.intervals).encode())
     h.update((json.dumps(result.summary, indent=2, sort_keys=True) + "\n").encode())
     return h.hexdigest()
 
 
+def intervals_digest(result) -> str:
+    return hashlib.sha256(dumps_intervals(result.collector.intervals).encode()).hexdigest()
+
+
 def test_golden_streams_are_pinned():
-    result = run(golden_scenario())
+    result = cached_run(golden_scenario)
     # the run exercises every path the pin is meant to cover
     flows = result.summary["flows"]
     assert all(flows[name]["delivered_bytes"] > 0 for name in flows)
     assert flows["short-2"]["completion_secs"] is not None
     assert sum(f["marks"] for f in flows.values()) > 0
     assert result.summary["drbs"]["4:1"]["tail_drops"] > 0
-    assert stream_digest(result) == GOLDEN_SHA256
+    assert packets_summary_digest(result) == GOLDEN_PACKETS_SUMMARY_SHA256
+    assert intervals_digest(result) == GOLDEN_INTERVALS_SHA256
 
 
 def test_idle_return_streams_are_pinned():
-    result = run(idle_return_scenario())
+    result = cached_run(idle_return_scenario)
     flows = result.summary["flows"]
     assert all(flows[name]["delivered_bytes"] > 0 for name in flows)
     finite = [f for f in flows.values() if f["completion_secs"] is not None]
     assert len(finite) == 13
-    assert stream_digest(result) == IDLE_GOLDEN_SHA256
+    assert packets_summary_digest(result) == IDLE_GOLDEN_PACKETS_SUMMARY_SHA256
+    assert intervals_digest(result) == IDLE_GOLDEN_INTERVALS_SHA256
+
+
+@pytest.mark.parametrize("make", [golden_scenario, idle_return_scenario])
+def test_every_bearer_reports_its_gauges_once_per_interval(make):
+    scn = make()
+    c = cached_run(make).collector
+    starts = {f.name: f.start for ue in scn.ues for d in ue.drbs for f in d.flows}
+    anchors = {d.flows[0].name for ue in scn.ues for d in ue.drbs}
+    gauges = defaultdict(set)
+    for r in c.intervals:
+        gauges[c.drb_of_flow[r.flow], r.t].add((r.queue_bytes, r.p_l4s, r.p_classic,
+                                                r.r_hat, r.e_hat))
+        # only a bearer's anchor reports before it starts
+        assert r.flow in anchors or r.t >= starts[r.flow], (r.flow, r.t)
+    times = [round(0.1 * k, 6) for k in range(1, 21)]
+    assert sorted({r.t for r in c.intervals}) == times
+    for key in set(c.drb_of_flow.values()):
+        for t in times:
+            assert len(gauges[key, t]) == 1, (key, t)
+    # the stream is sparse: some flow is missing from some interval
+    assert len(c.intervals) < len(times) * len(c.flow_names)
 
 
 # events dispatched per kind; the benchmark's per-kind figures count these labels

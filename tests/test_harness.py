@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import defaultdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,13 +22,20 @@ from l4span.harness.metrics import (
 )
 from l4span.harness.scenario import (
     BUILTIN_SCENARIOS,
+    AqmSpec,
+    ChannelSpec,
     ConfigError,
+    DrbSpec,
+    FlowSpec,
+    Scenario,
+    UeSpec,
     load_scenario,
     resolve_scenario,
     save_scenario,
     scenario_from_dict,
 )
 from l4span.ransim.sim import run
+from test_golden import cached_run, golden_scenario, idle_return_scenario
 
 MINIMAL_YAML = """
 name: mini
@@ -214,6 +222,50 @@ def test_summary_recomputable_from_streams():
     assert per_interval == pytest.approx(res.collector.delivered_payload["prague-1"], rel=1e-9)
 
 
+def late_delivery_scenario() -> Scenario:
+    """A one-packet flow with a copy of its packet delivered after it completed.
+
+    A UDP burst leaves about a second of standing queue ahead of the flow's
+    data packet; its retransmission timer fires while the packet waits, and
+    the copy queues behind the same backlog, so it arrives some 0.7 s after
+    the original's ACK completed the flow.
+    """
+    ues = [UeSpec(ue_id=1, channel=ChannelSpec(kind="static", capacity_bps=4e6), drbs=[
+        DrbSpec(drb_id=1, rlc_mode="am", max_queue_sdus=1000, flows=[
+            FlowSpec(name="udp-hold", kind="udp", feedback="none", udp_rate_bps=3.8e6,
+                     start=0.05, stop=1.5),
+            FlowSpec(name="udp-burst", kind="udp", feedback="none", udp_rate_bps=40e6,
+                     start=0.05, stop=0.15),
+            FlowSpec(name="short", kind="prague", size_bytes=1000, think_secs=0.2),
+        ])])]
+    return Scenario(name="late-delivery", horizon_secs=2.0, warmup_secs=0.5, seed=1,
+                    ues=ues, aqm=AqmSpec(kind="none"))
+
+
+@pytest.mark.parametrize("make", [golden_scenario, idle_return_scenario, late_delivery_scenario])
+def test_interval_counts_add_up_to_run_totals_for_every_flow(make):
+    # every flow, finite and UDP ones and deliveries after completion
+    # included: the sparse interval stream drops no delivery, mark or drop
+    c = cached_run(make).collector
+    delivered, marks = defaultdict(float), defaultdict(int)
+    drops_of_bearer = defaultdict(int)
+    for r in c.intervals:
+        delivered[r["flow"]] += r["throughput_bps"] * 0.1 / 8.0
+        marks[r["flow"]] += r["marks"]
+        drops_of_bearer[c.drb_of_flow[r["flow"]]] += r["drops"]
+    expected_drops = defaultdict(int, c.tail_drops)
+    for flow in c.flow_names:
+        assert c.delivered_payload[flow] > 0
+        assert delivered[flow] == pytest.approx(c.delivered_payload[flow], rel=1e-9), flow
+        assert marks[flow] == c.mark_counts[flow], flow
+        expected_drops[c.drb_of_flow[flow]] += c.aqm_drops[flow]
+    assert dict(drops_of_bearer) == dict(expected_drops)
+    if make is late_delivery_scenario:
+        done = c.completion["short"]
+        assert any(r.flow == "short" and r.t - 0.1 > done and r.throughput_bps > 0
+                   for r in c.intervals)
+
+
 # -- CLI --------------------------------------------------------------------------
 
 
@@ -350,7 +402,8 @@ def test_stream_lines_match_per_record_json_dumps(records, lines, dumps, keys):
 
 
 def test_interval_record_reads_like_the_dict_it_replaced():
-    c = MetricsCollector(["a", "b"], {"a": (1, 1), "b": (1, 2)}, warmup_secs=0.0)
+    c = MetricsCollector(["a", "b"], {"a": (1, 1), "b": (1, 2)}, warmup_secs=0.0,
+                         flow_starts={"a": 0.0, "b": 0.0})
     c.on_delivery(PacketRecord(0.01, "a", 0.02, 0.01, 0.005, 0.005, 0.0, 0.004, 1540), 1500)
     c.on_delivery(PacketRecord(0.02, "a", 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540), 1500)
     c.on_rtt(0.05, "a", 0.02)
@@ -385,6 +438,29 @@ def test_interval_record_reads_like_the_dict_it_replaced():
         c.intervals[0]["nope"]
 
 
+def test_close_interval_keeps_anchor_live_and_counting_flows():
+    # one bearer: "a" is its anchor and starts only at 0.5, "b" starts at
+    # 0.25, "c" completes at 0.12 and has a late delivery in the fourth interval
+    c = MetricsCollector(["a", "b", "c"], dict.fromkeys("abc", (1, 1)), warmup_secs=0.0,
+                         flow_starts={"a": 0.5, "b": 0.25, "c": 0.0})
+    gauges = {(1, 1): (0, None, None, None, None)}
+    c.close_interval(0.1, [0.0] * 3, gauges)
+    c.on_completion("c", 0.12)
+    c.close_interval(0.2, [0.0] * 3, gauges)
+    c.close_interval(0.3, [0.0] * 3, gauges)
+    c.on_delivery(PacketRecord(0.35, "c", 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540), 1500)
+    c.close_interval(0.4, [0.0] * 3, gauges)
+    c.close_interval(0.5, [0.0] * 3, gauges)
+    assert [(r.t, r.flow) for r in c.intervals] == [
+        (0.1, "a"), (0.1, "c"),
+        (0.2, "a"), (0.2, "c"),  # completed inside the interval
+        (0.3, "a"), (0.3, "b"),
+        (0.4, "a"), (0.4, "b"), (0.4, "c"),  # the late delivery
+        (0.5, "a"), (0.5, "b"),
+    ]
+    assert c.intervals[8].throughput_bps == 1500 * 8.0 / 0.1
+
+
 def test_metric_records_have_no_instance_dict():
     for rec in (_edge_packets()[0], _edge_intervals()[0]):
         assert not hasattr(rec, "__dict__")
@@ -394,7 +470,8 @@ def test_metric_records_have_no_instance_dict():
 
 def test_write_run_holds_no_whole_stream_in_memory(tmp_path):
     flows = [f"flow-{i}" for i in range(500)]
-    c = MetricsCollector(flows, {f: (i, 1) for i, f in enumerate(flows)}, warmup_secs=0.0)
+    c = MetricsCollector(flows, {f: (i, 1) for i, f in enumerate(flows)}, warmup_secs=0.0,
+                         flow_starts=dict.fromkeys(flows, 0.0))
     cwnd = [1500.0 * (i + 1) for i in range(len(flows))]
     gauges = {(i, 1): (i, i / 500, None, 1e6 + i, None) for i in range(len(flows))}
     for k in range(100):

@@ -94,6 +94,9 @@ def test_trace_fading_bounds_and_determinism():
     a = ChannelTrace.fading(30e6, 10e6, 5.0, 10.0, seed=3)
     b = ChannelTrace.fading(30e6, 10e6, 5.0, 10.0, seed=3)
     assert a.breakpoints == b.breakpoints
+    # the pairs are rebuilt from the lookup arrays, not kept beside them
+    assert "breakpoints" not in vars(a)
+    assert a.breakpoints == list(zip(a._times, a._caps))
     c = ChannelTrace.fading(30e6, 10e6, 5.0, 10.0, seed=4)
     assert a.breakpoints != c.breakpoints
     for t, cap in a.breakpoints:
