@@ -42,11 +42,6 @@ class Proto(enum.Enum):
     UDP = "udp"
 
 
-class Direction(enum.Enum):
-    DOWNLINK = "dl"
-    UPLINK = "ul"
-
-
 class RlcMode(enum.Enum):
     AM = "am"
     UM = "um"
@@ -121,7 +116,6 @@ class Packet:
     five_tuple: FiveTuple
     size_bytes: int
     ecn: EcnCodepoint
-    direction: Direction
     created_at: float
     tcp: Optional[TcpFields] = None
     # simulation-only diagnostics, never wire fields: the timestamp up to

@@ -6,13 +6,12 @@ memoized per scenario variant so overlapping criteria reuse them.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from ..core import DrbConfig, FlowClass, Packet
 from ..marking import DrbMarkState, MarkDecision, MarkParams, map_mark_outcome
 from ..profile import DEFAULT_WINDOW_SECS, ProfileTable
 from .metrics import dumps_intervals, dumps_packets
-from .scenario import BUILTIN_SCENARIOS, Scenario
+from .scenario import BUILTIN_SCENARIOS, Scenario, override
 
 
 @dataclass
@@ -45,87 +44,38 @@ def render_table(results: list["CriterionResult"]) -> str:
 
 # -- scenario variants ---------------------------------------------------------
 
-
-def _static_l4span() -> Scenario:
-    return BUILTIN_SCENARIOS["static-1ue"]()
-
-def _static_zero_error() -> Scenario:
-    scn = BUILTIN_SCENARIOS["static-1ue"]()
-    scn.name = "static-1ue-e0"
-    scn.aqm.force_zero_error = True
-    return scn
-
-def _static_noaqm() -> Scenario:
-    scn = BUILTIN_SCENARIOS["static-1ue"]()
-    scn.name = "static-1ue-noaqm"
-    scn.aqm.kind = "none"
-    return scn
-
-def _swap_cubic(scn: Scenario) -> Scenario:
-    drb = scn.ues[0].drbs[0]
-    drb.flows = [dataclasses.replace(f, kind="cubic", feedback="classic", name=f"cubic-{i+1}")
-                 for i, f in enumerate(drb.flows)]
-    return scn
-
-def _static_cubic() -> Scenario:
-    scn = _swap_cubic(BUILTIN_SCENARIOS["static-1ue"]())
-    scn.name = "static-1ue-cubic"
-    return scn
-
-def _static_cubic_noaqm() -> Scenario:
-    scn = _static_cubic()
-    scn.name = "static-1ue-cubic-noaqm"
-    scn.aqm.kind = "none"
-    return scn
-
-def _mobile_l4span() -> Scenario:
-    return BUILTIN_SCENARIOS["mobile-1ue"]()
-
-def _shared_coupled() -> Scenario:
-    return BUILTIN_SCENARIOS["shared-drb"]()
-
-def _shared_mark_all_l4s() -> Scenario:
-    scn = BUILTIN_SCENARIOS["shared-drb"]()
-    scn.name = "shared-drb-all-l4s"
-    scn.aqm.shared_policy = "l4s"
-    return scn
-
-def _slf_llf() -> Scenario:
-    return BUILTIN_SCENARIOS["slf-llf"]()
-
-def _slf_llf_noaqm() -> Scenario:
-    scn = BUILTIN_SCENARIOS["slf-llf"]()
-    scn.name = "slf-llf-noaqm"
-    scn.aqm.kind = "none"
-    return scn
-
-def _ablation_off() -> Scenario:
-    return BUILTIN_SCENARIOS["ablation-no-shortcircuit"]()
-
-def _ablation_on() -> Scenario:
-    scn = BUILTIN_SCENARIOS["ablation-no-shortcircuit"]()
-    scn.name = "ablation-shortcircuit-on"
-    scn.aqm.short_circuit = True
-    return scn
-
-
-VARIANTS: dict[str, Callable[[], Scenario]] = {
-    "static-1ue": _static_l4span,
-    "static-1ue-e0": _static_zero_error,
-    "static-1ue-step": _static_zero_error,
-    "static-1ue-noaqm": _static_noaqm,
-    "static-1ue-cubic": _static_cubic,
-    "static-1ue-cubic-noaqm": _static_cubic_noaqm,
-    "mobile-1ue": _mobile_l4span,
-    "baseline-dualpi2-1ms": BUILTIN_SCENARIOS["baseline-dualpi2-1ms"],
-    "baseline-dualpi2-10ms": BUILTIN_SCENARIOS["baseline-dualpi2-10ms"],
-    "shared-drb": _shared_coupled,
-    "shared-drb-all-l4s": _shared_mark_all_l4s,
-    "slf-llf": _slf_llf,
-    "slf-llf-noaqm": _slf_llf_noaqm,
-    "ablation-no-shortcircuit": _ablation_off,
-    "ablation-shortcircuit-on": _ablation_on,
+# a classic CUBIC flow in place of the bundled single-UE scenarios' Prague flow
+_CUBIC = {
+    "ues.0.drbs.0.flows.0.name": "cubic-1",
+    "ues.0.drbs.0.flows.0.kind": "cubic",
+    "ues.0.drbs.0.flows.0.feedback": "classic",
 }
+
+# each run the criteria read: the bundled scenario it derives from and the
+# dotted-path overrides that make it; the key names the run
+VARIANTS: dict[str, tuple[str, dict]] = {
+    "static-1ue": ("static-1ue", {}),
+    "static-1ue-e0": ("static-1ue", {"aqm.force_zero_error": True}),
+    # C2's twin: the e0 scenario itself, run under the reference rule (see result)
+    "static-1ue-step": ("static-1ue", {"name": "static-1ue-e0", "aqm.force_zero_error": True}),
+    "static-1ue-noaqm": ("static-1ue", {"aqm.kind": "none"}),
+    "static-1ue-cubic": ("static-1ue", _CUBIC),
+    "static-1ue-cubic-noaqm": ("static-1ue", {**_CUBIC, "aqm.kind": "none"}),
+    "mobile-1ue": ("mobile-1ue", {}),
+    "baseline-dualpi2-1ms": ("baseline-dualpi2-1ms", {}),
+    "baseline-dualpi2-10ms": ("baseline-dualpi2-10ms", {}),
+    "shared-drb": ("shared-drb", {}),
+    "shared-drb-all-l4s": ("shared-drb", {"aqm.shared_policy": "l4s"}),
+    "slf-llf": ("slf-llf", {}),
+    "slf-llf-noaqm": ("slf-llf", {"aqm.kind": "none"}),
+    "ablation-no-shortcircuit": ("ablation-no-shortcircuit", {}),
+    "ablation-shortcircuit-on": ("ablation-no-shortcircuit", {"aqm.short_circuit": True}),
+}
+
+
+def variant_scenario(key: str) -> Scenario:
+    base, changes = VARIANTS[key]
+    return override(BUILTIN_SCENARIOS[base](), {"name": key, **changes})
 
 
 def reference_step_mark(
@@ -160,7 +110,7 @@ class AcceptanceRunner:
             from ..ransim import layer
             from ..ransim.sim import run as sim_run
 
-            scn = VARIANTS[key]()
+            scn = variant_scenario(key)
             if self.verbose:
                 print(f"... running {key} ({scn.horizon_secs:.0f} s horizon)", flush=True)
             t0 = time.time()
@@ -421,7 +371,7 @@ class AcceptanceRunner:
 
     def c10_processing_cost(self) -> CriterionResult:
         from ..ransim.layer import DrbLayer
-        from ..core import Direction, EcnCodepoint, FiveTuple, Packet, Proto, TcpFields, TcpFlags
+        from ..core import EcnCodepoint, FiveTuple, Packet, Proto, TcpFields, TcpFlags
 
         drb = DrbConfig(ue_id=1, drb_id=1)
         layer = DrbLayer(drb, MarkParams(rng_seed=1), DEFAULT_WINDOW_SECS)
@@ -429,7 +379,7 @@ class AcceptanceRunner:
 
         def mk_pkt(i, now):
             return Packet(pkt_id=i, five_tuple=ft, size_bytes=1500, ecn=EcnCodepoint.ECT1,
-                          direction=Direction.DOWNLINK, created_at=now,
+                          created_at=now,
                           tcp=TcpFields(seq=i * 1460, ack_no=0, flags=TcpFlags.ACK))
 
         # warm the table to a realistic standing state
@@ -474,10 +424,8 @@ class AcceptanceRunner:
         from ..ransim.sim import run as sim_run
 
         def short_run():
-            scn = BUILTIN_SCENARIOS["mobile-1ue"]()
-            scn.horizon_secs = 6.0
-            scn.warmup_secs = 2.0
-            return sim_run(scn)
+            return sim_run(override(BUILTIN_SCENARIOS["mobile-1ue"](),
+                                    {"horizon_secs": 6.0, "warmup_secs": 2.0}))
 
         a, b = short_run(), short_run()
         same = (

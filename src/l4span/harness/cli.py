@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import ast
-import copy
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .metrics import write_run
-from .scenario import BUILTIN_SCENARIOS, ConfigError, resolve_scenario, save_scenario
+from .scenario import BUILTIN_SCENARIOS, ConfigError, override, resolve_scenario, save_scenario
 
 
 def _cmd_run(args) -> int:
@@ -37,19 +36,13 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _set_path(obj, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if part.isdigit():
-            obj = obj[int(part)]
-        else:
-            if not hasattr(obj, part):
-                raise ConfigError(f"unknown parameter path segment {part!r} in {dotted!r}")
-            obj = getattr(obj, part)
-    leaf = parts[-1]
-    if not hasattr(obj, leaf):
-        raise ConfigError(f"unknown parameter {leaf!r} in {dotted!r}")
-    setattr(obj, leaf, value)
+def _param_value(text: str):
+    """A ``--param`` value: a Python literal, else the raw text (so string
+    fields take bare words); the scenario loader checks it either way."""
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, SyntaxError, TypeError):
+        return text
 
 
 def _sweep_point(job) -> str:
@@ -68,27 +61,19 @@ def _cmd_sweep(args) -> int:
         if "=" not in spec:
             raise ConfigError(f"--param needs path=v1,v2 (got {spec!r})")
         path, _, values = spec.partition("=")
-        parsed = [ast.literal_eval(v) for v in values.split(",")]
-        axes.append((path, parsed))
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [base.seed]
+        axes.append((path, [_param_value(v) for v in values.split(",")]))
+    seeds = [_param_value(s) for s in args.seeds.split(",")] if args.seeds else [base.seed]
 
-    points = [([], base.seed)]
+    assigns = [[]]
     for path, values in axes:
-        points = [(assign + [(path, v)], seed) for assign, seed in points for v in values]
-    points = [(assign, seed) for assign, _ in points for seed in seeds]
+        assigns = [assign + [(path, v)] for assign in assigns for v in values]
 
     jobs = []
-    out_root = Path(args.out)
-    for assign, seed in points:
-        scn = copy.deepcopy(base)
-        label_parts = []
-        for path, value in assign:
-            _set_path(scn, path, value)
-            label_parts.append(f"{path.split('.')[-1]}={value}")
-        scn.seed = seed
-        label_parts.append(f"seed={seed}")
-        scn.validate()
-        jobs.append((scn, out_root / "_".join(label_parts)))
+    for assign in assigns:
+        for seed in seeds:
+            scn = override(base, {**dict(assign), "seed": seed})
+            label = [f"{path.split('.')[-1]}={v}" for path, v in assign] + [f"seed={seed}"]
+            jobs.append((scn, Path(args.out) / "_".join(label)))
 
     workers = int(os.environ.get("L4SPAN_WORKERS", "0")) or (os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:

@@ -1,20 +1,27 @@
 """Declarative experiment description: UEs, bearers, flows, channel, AQM.
 
-Scenario files are YAML or JSON mirroring the dataclasses below; unknown
-keys and dangling references are configuration errors naming the offending
-field.  A registry of bundled scenarios covers the standard experiments.
+Scenario files are YAML or JSON mirroring the dataclasses below, read by
+one loader with one rule per field type (``_load``).  Unknown keys, values
+of the wrong type, out-of-range values and dangling references are
+configuration errors naming the offending field.  A scenario derived from
+another (a sweep point, an acceptance variant, a derived bundled scenario)
+is its base plus dotted-path overrides through the same loader
+(``override``).  A registry of bundled scenarios covers the standard
+experiments.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from ..core import DrbConfig, RlcMode
+from ..core import TCP_HEADER_BYTES, DrbConfig, RlcMode
 from ..profile import DEFAULT_COHERENCE_SECS
 
 DEFAULT_CAPACITY_BPS = 40e6          # 40 Mbit/s cell
@@ -162,8 +169,8 @@ class Scenario:
             raise ConfigError("slot_secs must be positive")
         if self.coherence_secs <= 0:
             raise ConfigError("coherence_secs must be positive")
-        if self.warmup_secs >= self.horizon_secs:
-            raise ConfigError("warmup_secs must be shorter than horizon_secs")
+        if not 0 <= self.warmup_secs < self.horizon_secs:
+            raise ConfigError("warmup_secs must be >= 0 and shorter than horizon_secs")
         if self.scheduler not in ("round_robin", "proportional_fair"):
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
         if self.aqm.kind not in AQM_KINDS:
@@ -174,6 +181,9 @@ class Scenario:
             raise ConfigError("aqm.beta must be in (0, 1)")
         if self.aqm.tau_thr <= 0:
             raise ConfigError("aqm.tau_thr must be positive")
+        for leg, secs in vars(self.delays).items():
+            if secs < 0:
+                raise ConfigError(f"delays.{leg} must be >= 0")
         if not self.ues:
             raise ConfigError("scenario needs at least one UE")
         seen_ue = set()
@@ -198,6 +208,9 @@ class Scenario:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: unknown rlc_mode {drb.rlc_mode!r}")
                 if drb.max_queue_sdus <= 0:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: max_queue_sdus must be positive")
+                if drb.mss_bytes <= TCP_HEADER_BYTES:
+                    raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: mss_bytes must exceed "
+                                      f"the {TCP_HEADER_BYTES}-byte header")
                 if not 0 <= drb.loss_p < 1:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: loss_p must be in [0, 1)")
                 if drb.delivery_delay_secs < 0 or drb.arq_delay_secs < 0:
@@ -214,10 +227,17 @@ class Scenario:
                     if flow.kind == "udp" and flow.feedback != "none":
                         raise ConfigError(f"{loc}: udp flows use feedback 'none'")
                     stop = flow.stop if flow.stop is not None else self.horizon_secs
-                    if not flow.start < stop <= self.horizon_secs:
-                        raise ConfigError(f"{loc}: need start < stop <= horizon")
+                    if not 0 <= flow.start < stop <= self.horizon_secs:
+                        raise ConfigError(f"{loc}: need 0 <= start < stop <= horizon")
                     if flow.size_bytes is not None and flow.size_bytes <= 0:
                         raise ConfigError(f"{loc}: size_bytes must be positive")
+                    if flow.udp_rate_bps <= 0:
+                        raise ConfigError(f"{loc}: udp_rate_bps must be positive")
+                    if flow.think_secs < 0:
+                        raise ConfigError(f"{loc}: think_secs must be >= 0")
+                    if flow.rwnd_bytes < drb.mss_bytes - TCP_HEADER_BYTES:
+                        raise ConfigError(f"{loc}: rwnd_bytes must hold one payload "
+                                          f"(mss_bytes - {TCP_HEADER_BYTES})")
         return traces
 
     def drb_config(self, ue: UeSpec, drb: DrbSpec) -> DrbConfig:
@@ -245,34 +265,46 @@ def _as_float(value: Any, where: str) -> float:
     return out
 
 
+_EXPECTED = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _load(tp, value: Any, where: str):
+    """A field's value under the one rule for its annotation ``tp``: a
+    dataclass takes a mapping and ``list[Spec]`` a list of mappings, loaded
+    recursively; ``float`` a finite number or numeric string (YAML reads
+    ``40e6`` as text); ``int`` an integer that is not a bool; ``bool`` and
+    ``str`` their own type; ``None`` only where the field is ``Optional``."""
+    if typing.get_origin(tp) is typing.Union:  # Optional[X]: None or an X
+        if value is None:
+            return None
+        (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+    if dataclasses.is_dataclass(tp):
+        return _from_dict(tp, value, where)
+    if typing.get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        (item,) = typing.get_args(tp)
+        return [_from_dict(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if tp is float:
+        return _as_float(value, where)
+    if isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{where}: expected {_EXPECTED[tp]}, got {value!r}")
+
+
 def _from_dict(cls, data: Any, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    types = _field_types(cls)
+    unknown = set(data) - set(types)
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    nested = {"ues": UeSpec, "drbs": DrbSpec, "flows": FlowSpec}
-    for key, value in data.items():
-        f = fields[key]
-        if key in ("channel",):
-            kwargs[key] = _from_dict(ChannelSpec, value, f"{where}.{key}")
-        elif key == "aqm":
-            kwargs[key] = _from_dict(AqmSpec, value, f"{where}.{key}")
-        elif key == "delays":
-            kwargs[key] = _from_dict(PathDelays, value, f"{where}.{key}")
-        elif key in nested:
-            if not isinstance(value, list):
-                raise ConfigError(f"{where}.{key}: expected a list")
-            kwargs[key] = [
-                _from_dict(nested[key], item, f"{where}.{key}[{i}]") for i, item in enumerate(value)
-            ]
-        # annotations are strings under postponed evaluation
-        elif f.type == "float" or (f.type == "Optional[float]" and value is not None):
-            kwargs[key] = _as_float(value, f"{where}.{key}")
-        else:
-            kwargs[key] = value
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown, key=str)}")
+    kwargs = {key: _load(types[key], value, f"{where}.{key}") for key, value in data.items()}
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -287,6 +319,30 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def scenario_to_dict(scn: Scenario) -> dict:
     return dataclasses.asdict(scn)
+
+
+def _slot(node: Any, part: str, path: str):
+    """The key or index ``part`` of ``path`` names in ``node``, which must exist."""
+    if isinstance(node, list):
+        if part.isdigit() and int(part) < len(node):
+            return int(part)
+        raise ConfigError(f"parameter {path!r}: no index {part!r} ({len(node)} entries)")
+    if isinstance(node, dict) and part in node:
+        return part
+    raise ConfigError(f"unknown parameter {path!r}: no field {part!r}")
+
+
+def override(scn: Scenario, changes: dict) -> Scenario:
+    """A new scenario: ``scn`` with each dotted path of ``changes`` set to
+    its value, loaded and validated like a scenario file.  A numeric
+    segment indexes a list (``ues.0.drbs.0.flows.0.kind``)."""
+    data = scenario_to_dict(scn)
+    for path, value in changes.items():
+        node, parts = data, path.split(".")
+        for part in parts[:-1]:
+            node = node[_slot(node, part, path)]
+        node[_slot(node, parts[-1], path)] = value
+    return scenario_from_dict(data)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -414,24 +470,18 @@ def ablation_no_shortcircuit() -> Scenario:
     # delivery delay + the uplink leg) then dominates the control loop, which
     # is exactly what the ACK rewrite skips; 16 UEs with staggered starts
     # supply scheduling load and ramp-up episodes throughout the run
-    scn = _many_ue("ablation-no-shortcircuit", 16, "fading", stagger=1.0)
-    scn.delays = PathDelays(dl_prop_secs=0.002, ul_prop_secs=0.002)
-    scn.aqm = AqmSpec(short_circuit=False)
-    return scn
+    return override(_many_ue("ablation-no-shortcircuit", 16, "fading", stagger=1.0), {
+        "delays.dl_prop_secs": 0.002, "delays.ul_prop_secs": 0.002, "aqm.short_circuit": False})
 
 
 def baseline_dualpi2_1ms() -> Scenario:
-    scn = mobile_1ue()
-    scn.name = "baseline-dualpi2-1ms"
-    scn.aqm = AqmSpec(kind="dualpi2step", tau_thr=0.001)
-    return scn
+    return override(mobile_1ue(), {
+        "name": "baseline-dualpi2-1ms", "aqm.kind": "dualpi2step", "aqm.tau_thr": 0.001})
 
 
 def baseline_dualpi2_10ms() -> Scenario:
-    scn = mobile_1ue()
-    scn.name = "baseline-dualpi2-10ms"
-    scn.aqm = AqmSpec(kind="dualpi2step", tau_thr=0.010)
-    return scn
+    return override(mobile_1ue(), {
+        "name": "baseline-dualpi2-10ms", "aqm.kind": "dualpi2step", "aqm.tau_thr": 0.010})
 
 
 BUILTIN_SCENARIOS = {

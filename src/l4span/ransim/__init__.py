@@ -1,12 +1,2 @@
-from .channel import ChannelTrace
-from .events import EventKind, EventLoop, SimEvent
-from .layer import DrbLayer
-from .rlc import EnqueueResult, RlcQueue
-from .scheduler import SchedulerPolicy, UeContext, scheduler_slot
-from .sim import SimResult, Simulator, run
-
-__all__ = [
-    "ChannelTrace", "DrbLayer", "EnqueueResult", "EventKind", "EventLoop",
-    "RlcQueue", "SchedulerPolicy", "SimEvent", "SimResult", "Simulator",
-    "UeContext", "run", "scheduler_slot",
-]
+"""The RAN simulator: channel traces, RLC queues, the slot scheduler, the
+per-bearer marking layer and the event loop that runs them (``sim``)."""

@@ -46,7 +46,6 @@ GC_KEEP_HORIZON_SECS = 1.0
 
 @dataclass
 class DownlinkOutcome:
-    pkt: Optional[Packet]       # None when the packet was dropped by the AQM
     decision: MarkDecision
     predicted_sojourn: Optional[float]
     sn: Optional[int]
@@ -101,7 +100,7 @@ class DrbLayer:
                 self.mark_state.rtt_star[ft] = now - self._syn_seen[ft]
 
         if not has_room:
-            return DownlinkOutcome(pkt=None, decision=MarkDecision.PASS, predicted_sojourn=None, sn=None)
+            return DownlinkOutcome(decision=MarkDecision.PASS, predicted_sojourn=None, sn=None)
 
         est = self.mark_state.last_estimate
         predicted = None
@@ -118,7 +117,7 @@ class DrbLayer:
             decision = decide_mark(self.mark_state, self.params, pkt, flow_class, self.rng, now)
         if decision is MarkDecision.DROP:
             # never entered the RLC, so it never enters the profile either
-            return DownlinkOutcome(pkt=None, decision=decision, predicted_sojourn=predicted, sn=None)
+            return DownlinkOutcome(decision=decision, predicted_sojourn=predicted, sn=None)
 
         sn = self._next_sn
         self._next_sn += 1
@@ -133,14 +132,14 @@ class DrbLayer:
         )
         if short_circuitable:
             record_tentative_mark(fb, pkt, decision)
-            return DownlinkOutcome(pkt=pkt, decision=decision, predicted_sojourn=predicted, sn=sn)
+            return DownlinkOutcome(decision=decision, predicted_sojourn=predicted, sn=sn)
         if decision is MarkDecision.TENTATIVE_MARK:
             # no rewritable feedback channel yet (handshake in flight): cannot signal
             decision = MarkDecision.PASS
         if decision is MarkDecision.MARK_CE:
             pkt.fb_cutoff = now  # mark-time annotation for the feedback-latency ledger
             fallback_mark_downlink(pkt, decision)
-        return DownlinkOutcome(pkt=pkt, decision=decision, predicted_sojourn=predicted, sn=sn)
+        return DownlinkOutcome(decision=decision, predicted_sojourn=predicted, sn=sn)
 
     # -- RAN feedback --------------------------------------------------------
 

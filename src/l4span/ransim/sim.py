@@ -37,7 +37,6 @@ import numpy as np
 
 from ..core import (
     AccEcnFields,
-    Direction,
     DrbConfig,
     EcnCodepoint,
     FiveTuple,
@@ -105,7 +104,6 @@ class TcpEndpoint:
             self.cc = RenoState(mss=self.payload_mss, cwnd=10.0 * self.payload_mss)
         self.is_prague = spec.kind == "prague"
         self.established = False
-        self.stopped = False
         self.next_seq = 0
         self.snd_una = 0
         self.outstanding: "OrderedDict[int, list]" = OrderedDict()  # seq -> [size, sent_at, retx]
@@ -138,15 +136,11 @@ class TcpEndpoint:
             five_tuple=self.flow.ft,
             size_bytes=40,
             ecn=EcnCodepoint.NOT_ECT,
-            direction=Direction.DOWNLINK,
             created_at=now,
             tcp=TcpFields(seq=0, ack_no=0, flags=flags, accecn=accecn),
         )
         self.sim.emit_downlink(self.flow, syn, now)
         self._schedule_rto(now + self.rto)
-
-    def stop(self, now: float) -> None:
-        self.stopped = True
 
     # -- ACK path ----------------------------------------------------------
 
@@ -234,7 +228,7 @@ class TcpEndpoint:
     # -- sending -----------------------------------------------------------
 
     def send_data(self, now: float) -> None:
-        if not self.established or self.stopped:
+        if not self.established or now >= self.flow.stop_at:
             return
         window = min(self.cc.cwnd, self.flow.spec.rwnd_bytes)
         while True:
@@ -270,7 +264,6 @@ class TcpEndpoint:
             five_tuple=self.flow.ft,
             size_bytes=payload + 40,
             ecn=self.flow.data_ecn,
-            direction=Direction.DOWNLINK,
             created_at=emit_at,
             tcp=TcpFields(seq=seq, ack_no=0, flags=flags),
         )
@@ -294,7 +287,7 @@ class TcpEndpoint:
 
     def on_rto_check(self, now: float) -> None:
         self._rto_pending = False
-        if self.stopped:
+        if now >= self.flow.stop_at:
             return
         if not self.established:
             if now >= self.syn_sent_at + self.rto - 1e-12:
@@ -330,24 +323,19 @@ class UdpEndpoint:
         self.flow = flow
         self.rate = flow.spec.udp_rate_bps / 8.0
         self.pkt_size = flow.bearer.drb.mss_bytes
-        self.stopped = False
         self.cc = None
 
     def start(self, now: float) -> None:
         self._tick(now)
 
-    def stop(self, now: float) -> None:
-        self.stopped = True
-
     def _tick(self, now: float) -> None:
-        if self.stopped or now >= self.flow.stop_at:
+        if now >= self.flow.stop_at:
             return
         pkt = Packet(
             pkt_id=self.sim.next_pkt_id(),
             five_tuple=self.flow.ft,
             size_bytes=self.pkt_size,
             ecn=self.flow.data_ecn,
-            direction=Direction.DOWNLINK,
             created_at=now,
         )
         self.sim.emit_downlink(self.flow, pkt, now)
@@ -377,7 +365,7 @@ class _FlowRuntime:
     bearer: _Bearer
     data_ecn: EcnCodepoint
     feedback_mode: FeedbackMode
-    stop_at: float
+    stop_at: float                  # the sender sends nothing from here on
     endpoint: object = None
     receiver: ReceiverState = None
     pending_marks: deque = field(default_factory=deque)
@@ -445,7 +433,8 @@ class Simulator:
                         dst_port=443,
                         proto=Proto.UDP if fspec.kind == "udp" else Proto.TCP,
                     )
-                    stop_at = fspec.stop if fspec.stop is not None else scenario.horizon_secs
+                    stop = fspec.stop
+                    stop_at = stop if stop is not None and stop < scenario.horizon_secs else math.inf
                     flow = _FlowRuntime(
                         spec=fspec,
                         ft=ft,
@@ -610,8 +599,6 @@ class Simulator:
         for flow in self.flows:
             ep = flow.endpoint
             self.loop.schedule(flow.spec.start, EventKind.SENDER_TIMER, type(ep).start, ep)
-            if flow.spec.stop is not None and flow.spec.stop < scn.horizon_secs:
-                self.loop.schedule(flow.spec.stop, EventKind.SENDER_TIMER, type(ep).stop, ep)
         events = self.loop.run(scn.horizon_secs, self._dispatch)
 
         utilization = {}

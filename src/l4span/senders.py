@@ -24,7 +24,6 @@ from typing import Optional
 
 from .core import (
     AccEcnFields,
-    Direction,
     EcnCodepoint,
     FiveTuple,
     Packet,
@@ -187,7 +186,6 @@ class ReceiverState:
     flow: FiveTuple                 # downlink tuple (server -> client)
     mode: FeedbackMode
     mss: int = 1500
-    delayed_ack_factor: int = 1     # ACK every packet by default
     recv_next: int = 0
     ce_pkts: int = 0
     ce_bytes: int = 0
@@ -196,7 +194,6 @@ class ReceiverState:
     ece_latched: bool = False
     latest_ce_mark_time: Optional[float] = None
     _ooo: dict[int, int] = field(default_factory=dict)
-    _unacked_count: int = 0
 
     def received_counters(self) -> AccEcnFields:
         return AccEcnFields(
@@ -245,11 +242,6 @@ def receiver_on_data(
     if pkt.five_tuple.proto is not Proto.TCP:
         return None  # UDP feedback is out of band or absent; downlink marking covers it
 
-    state._unacked_count += 1
-    if not is_syn and state._unacked_count < state.delayed_ack_factor:
-        return None
-    state._unacked_count = 0
-
     flags = TcpFlags.ACK
     accecn = None
     if is_syn:
@@ -268,7 +260,6 @@ def receiver_on_data(
         five_tuple=reverse_tuple(state.flow),
         size_bytes=40,
         ecn=EcnCodepoint.NOT_ECT,
-        direction=Direction.UPLINK,
         created_at=now,
         tcp=TcpFields(seq=0, ack_no=state.recv_next, flags=flags, accecn=accecn),
     )

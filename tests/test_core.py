@@ -3,7 +3,6 @@ import random
 import pytest
 
 from l4span.core import (
-    Direction,
     EcnCodepoint,
     FiveTuple,
     FlowClass,
@@ -72,7 +71,7 @@ def _pkt(proto, size):
     ft = FiveTuple(1, 2, 10, 20, proto)
     return Packet(
         pkt_id=1, five_tuple=ft, size_bytes=size, ecn=EcnCodepoint.ECT1,
-        direction=Direction.DOWNLINK, created_at=0.0,
+        created_at=0.0,
     )
 
 

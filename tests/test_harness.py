@@ -1,5 +1,8 @@
+import functools
+import importlib.util
 import json
 import math
+import re
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
@@ -31,9 +34,12 @@ from l4span.harness.scenario import (
     UeSpec,
     load_scenario,
     resolve_scenario,
+    override,
     save_scenario,
     scenario_from_dict,
+    scenario_to_dict,
 )
+from l4span.harness.acceptance import VARIANTS, variant_scenario
 from l4span.ransim.sim import run
 from test_golden import cached_run, golden_scenario, idle_return_scenario
 
@@ -191,6 +197,117 @@ def test_resolve_scenario_unknown():
         resolve_scenario("does-not-exist")
 
 
+# -- the typed loader and overrides --------------------------------------------------
+
+
+def _probe_base() -> dict:
+    return {
+        "name": "probe", "horizon_secs": 2.0, "warmup_secs": 0.5, "seed": 1,
+        "delays": {}, "aqm": {},
+        "ues": [{"ue_id": 1, "drbs": [{"flows": [
+            {"name": "f1"},
+            {"name": "u1", "kind": "udp", "feedback": "none"},
+        ]}]}],
+    }
+
+
+DRB = ("ues", 0, "drbs", 0)
+FLOW = DRB + ("flows", 0)
+
+# (path into the scenario data, value, what the error must name): each one
+# crashed or ran to a meaningless result before the loader and validate()
+# checked it
+PROBES = [
+    (DRB + ("mss_bytes",), 0, "mss_bytes"),
+    (DRB + ("mss_bytes",), 30, "mss_bytes"),
+    (DRB + ("flows", 1, "udp_rate_bps"), 0, "udp_rate_bps"),
+    (FLOW + ("start",), -1.0, "start"),
+    (("delays", "dl_prop_secs"), -0.01, "dl_prop_secs"),
+    (("delays", "ran_ul_secs"), -0.01, "ran_ul_secs"),
+    (FLOW + ("think_secs",), -1, "think_secs"),
+    (FLOW + ("rwnd_bytes",), 1000, "rwnd_bytes"),
+    (("warmup_secs",), -1, "warmup_secs"),
+    (DRB + ("max_queue_sdus",), "x", "scenario.ues[0].drbs[0].max_queue_sdus"),
+    (("seed",), "abc", "scenario.seed"),
+    (("ues", 0, "ue_id"), "1", "scenario.ues[0].ue_id"),
+    (("aqm", "short_circuit"), "no", "scenario.aqm.short_circuit"),
+    (("name",), 5, "scenario.name"),
+    (FLOW + ("size_bytes",), 1.5, "scenario.ues[0].drbs[0].flows[0].size_bytes"),
+    (FLOW + ("name",), None, "scenario.ues[0].drbs[0].flows[0].name"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("path, value, named", PROBES,
+                         ids=[f"{'.'.join(map(str, p[0]))}={p[1]!r}" for p in PROBES])
+def test_malformed_scenario_is_one_named_config_error(tmp_path, capsys, command, path, value,
+                                                      named):
+    data = _probe_base()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    sfile = tmp_path / "probe.json"
+    sfile.write_text(json.dumps(data))
+    argv = [command, str(sfile)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_probe_base_itself_is_valid():
+    scn = scenario_from_dict(_probe_base())
+    assert scn.ues[0].drbs[0].flows[1].stop is None  # Optional fields keep their None default
+
+
+def _workload_first_scenarios() -> dict:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return {w: functools.partial(mod.generate, w, mod.subrun_seeds(w, 1)[0])
+            for w in mod.WORKLOADS}
+
+
+ROUND_TRIP = {
+    **{f"builtin:{k}": f for k, f in BUILTIN_SCENARIOS.items()},
+    **{f"variant:{k}": functools.partial(variant_scenario, k) for k in VARIANTS},
+    **{f"workload:{k}": f for k, f in _workload_first_scenarios().items()},
+}
+
+
+@pytest.mark.parametrize("key", sorted(ROUND_TRIP))
+def test_loader_round_trips_every_scenario(key):
+    data = scenario_to_dict(ROUND_TRIP[key]())
+    assert scenario_to_dict(scenario_from_dict(data)) == data
+    # through JSON text too, the way the benchmark hands a scenario to its runs
+    assert scenario_to_dict(scenario_from_dict(json.loads(json.dumps(data)))) == data
+
+
+def test_override_sets_paths_on_a_copy():
+    base = BUILTIN_SCENARIOS["shared-drb"]()
+    before = scenario_to_dict(base)
+    scn = override(base, {"aqm.kind": "none", "ues.0.drbs.0.flows.1.rwnd_bytes": 100_000,
+                          "ues.0.channel.capacity_bps": "20e6"})
+    assert (scn.aqm.kind, scn.ues[0].drbs[0].flows[1].rwnd_bytes) == ("none", 100_000)
+    assert scn.ues[0].channel.capacity_bps == 20e6
+    assert scenario_to_dict(base) == before
+
+
+# the sweep tests below cover a missing field, an index out of range and a
+# value of the wrong type
+@pytest.mark.parametrize("changes, named", [
+    ({"ues.x.ue_id": 2}, "ues.x.ue_id"),
+    ({"aqm.kind.x": 1}, "aqm.kind.x"),
+    ({"aqm.kind": "fq_codel"}, "aqm.kind"),
+])
+def test_override_names_a_bad_path_or_value(changes, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        override(BUILTIN_SCENARIOS["static-1ue"](), changes)
+
+
 # -- metrics recompute property ---------------------------------------------------
 
 
@@ -346,10 +463,48 @@ def test_cli_sweep(tmp_path, monkeypatch):
         assert (d / "summary.json").exists()
 
 
-def test_cli_sweep_bad_param(tmp_path):
+def test_cli_sweep_bad_param(tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = cli_main(["sweep", "static-1ue", "--param", "aqm.not_a_knob=1", "--out", str(out)])
     assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "aqm.not_a_knob" in err
+
+
+def _tiny_scenario_file(tmp_path) -> Path:
+    scn = override(BUILTIN_SCENARIOS["static-1ue"](),
+                   {"name": "tiny", "horizon_secs": 2.0, "warmup_secs": 0.5})
+    sfile = tmp_path / "tiny.yaml"
+    save_scenario(scn, sfile)
+    return sfile
+
+
+def test_cli_sweep_takes_bare_words_for_string_fields(tmp_path, monkeypatch):
+    monkeypatch.setenv("L4SPAN_WORKERS", "1")
+    out = tmp_path / "sweep"
+    rc = cli_main(["sweep", str(_tiny_scenario_file(tmp_path)), "--param", "aqm.kind=none,l4span",
+                   "--out", str(out)])
+    assert rc == 0
+    assert sorted(d.name for d in out.iterdir()) == ["kind=l4span_seed=1", "kind=none_seed=1"]
+    kinds = {json.loads((d / "meta.json").read_text())["scenario"]["aqm"]["kind"]
+             for d in out.iterdir()}
+    assert kinds == {"none", "l4span"}
+
+
+@pytest.mark.parametrize("option, named", [
+    (["--param", "ues.5.channel.capacity_bps=1e6"], "ues.5.channel.capacity_bps"),
+    (["--param", "aqm.tau_thr=abc"], "aqm.tau_thr"),
+    (["--seeds", "1,x"], "seed"),
+])
+def test_cli_sweep_bad_point_is_one_named_config_error(tmp_path, capsys, option, named):
+    out = tmp_path / "sweep"
+    rc = cli_main(["sweep", str(_tiny_scenario_file(tmp_path)), *option, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()  # every point is checked before any runs
 
 
 def test_cli_export_scenario(tmp_path):

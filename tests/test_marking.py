@@ -4,7 +4,6 @@ import random
 import pytest
 
 from l4span.core import (
-    Direction,
     EcnCodepoint,
     EstimateUnavailable,
     FiveTuple,
@@ -200,7 +199,7 @@ def _estimate(n_queue, r_hat, e_hat, at=1.0):
 def _pkt(proto=Proto.TCP, ecn=EcnCodepoint.ECT1):
     return Packet(
         pkt_id=1, five_tuple=FiveTuple(1, 2, 10, 20, proto), size_bytes=1500,
-        ecn=ecn, direction=Direction.DOWNLINK, created_at=1.0,
+        ecn=ecn, created_at=1.0,
     )
 
 

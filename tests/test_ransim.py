@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from l4span.core import (
-    Direction,
     DrbConfig,
     EcnCodepoint,
     FiveTuple,
@@ -121,7 +120,7 @@ def test_trace_from_file(tmp_path):
 def _pkt(i, size=1500):
     ft = FiveTuple(1, 2, 10, 20, Proto.TCP)
     return Packet(pkt_id=i, five_tuple=ft, size_bytes=size, ecn=EcnCodepoint.ECT1,
-                  direction=Direction.DOWNLINK, created_at=0.0)
+                  created_at=0.0)
 
 
 def test_enqueue_and_drop_tail():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l4span.core import Direction, DrbConfig, EcnCodepoint, FiveTuple, Packet, Proto
+from l4span.core import DrbConfig, EcnCodepoint, FiveTuple, Packet, Proto
 from l4span.ransim.channel import ChannelTrace
 from l4span.ransim.rlc import RlcQueue
 from l4span.ransim.scheduler import (
@@ -74,7 +74,7 @@ def oracle_slot(ues, policy, slot_len_secs, now):
 def _pkt(i: int, size: int) -> Packet:
     ft = FiveTuple(src_addr=1, dst_addr=2, src_port=3, dst_port=4, proto=Proto.UDP)
     return Packet(pkt_id=i, five_tuple=ft, size_bytes=size, ecn=EcnCodepoint.ECT1,
-                  direction=Direction.DOWNLINK, created_at=0.0)
+                  created_at=0.0)
 
 
 def _cell(channels):

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from l4span.core import (
-    Direction,
     EcnCodepoint,
     FiveTuple,
     Packet,
@@ -196,7 +195,7 @@ FT = FiveTuple(1, 2, 10, 20, Proto.TCP)
 def _data(seq, payload=1460, ecn=EcnCodepoint.ECT1, flags=TcpFlags.ACK):
     return Packet(
         pkt_id=1, five_tuple=FT, size_bytes=payload + 40, ecn=ecn,
-        direction=Direction.DOWNLINK, created_at=0.0,
+        created_at=0.0,
         tcp=TcpFields(seq=seq, ack_no=0, flags=flags),
     )
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from l4span.core import (
     AccEcnFields,
-    Direction,
     EcnCodepoint,
     FiveTuple,
     Packet,
@@ -33,7 +32,7 @@ FT_UDP = FiveTuple(1, 2, 10, 20, Proto.UDP)
 def _data(ecn=EcnCodepoint.ECT1, payload=1500, flags=TcpFlags.ACK):
     return Packet(
         pkt_id=1, five_tuple=FT, size_bytes=payload + 40, ecn=ecn,
-        direction=Direction.DOWNLINK, created_at=0.0,
+        created_at=0.0,
         tcp=TcpFields(seq=0, ack_no=0, flags=flags),
     )
 
@@ -41,7 +40,7 @@ def _data(ecn=EcnCodepoint.ECT1, payload=1500, flags=TcpFlags.ACK):
 def _ack(ack_no, flags=TcpFlags.ACK, accecn=None):
     return Packet(
         pkt_id=2, five_tuple=FiveTuple(2, 1, 20, 10, Proto.TCP), size_bytes=40,
-        ecn=EcnCodepoint.NOT_ECT, direction=Direction.UPLINK, created_at=0.0,
+        ecn=EcnCodepoint.NOT_ECT, created_at=0.0,
         tcp=TcpFields(seq=0, ack_no=ack_no, flags=flags, accecn=accecn),
     )
 
@@ -51,7 +50,7 @@ def test_classify_feedback_mode():
     assert classify_feedback_mode(_ack(0, flags=TcpFlags.ACK | TcpFlags.ECE)) is FeedbackMode.CLASSIC_ECN
     udp = Packet(
         pkt_id=3, five_tuple=FT_UDP, size_bytes=28, ecn=EcnCodepoint.NOT_ECT,
-        direction=Direction.UPLINK, created_at=0.0,
+        created_at=0.0,
     )
     assert classify_feedback_mode(udp) is FeedbackMode.DOWNLINK_FALLBACK
 
