@@ -21,8 +21,8 @@ def measure(short_circuit):
     lats, rtts = [], []
     for pairs in res.collector.feedback_latency.values():
         lats.extend(v for t, v in pairs if t >= scn.warmup_secs)
-    for pairs in res.collector.rtt_samples.values():
-        rtts.extend(v for t, v in pairs if t >= scn.warmup_secs)
+    for flow in res.collector.flow_names:
+        rtts.extend(res.collector.steady_rtts(flow))
     tput = sum(f["throughput_bps"] for f in res.summary["flows"].values())
     return np.array(lats), np.array(rtts), tput
 

@@ -2,13 +2,18 @@
 
 Everything here is a plain value type; nothing mutates shared state, so these
 objects can be copied or shared freely.
+
+The per-packet path hashes and tests only C-level values: a ``FiveTuple``
+is a ``NamedTuple`` whose ``Proto`` hashes as its ``str`` value, and
+``TcpFields.flags`` is a plain ``int`` tested with the ``SYN``/``ACK``/
+``ECE``/``CWR`` masks.  ``TcpFlags`` names the same bits for callers.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 TCP_HEADER_BYTES = 40
 UDP_HEADER_BYTES = 28
@@ -37,7 +42,7 @@ class FlowClass(enum.Enum):
     NON_ECN = "non_ecn"
 
 
-class Proto(enum.Enum):
+class Proto(str, enum.Enum):
     TCP = "tcp"
     UDP = "udp"
 
@@ -47,31 +52,34 @@ class RlcMode(enum.Enum):
     UM = "um"
 
 
+# TCP flag bits as plain int masks, for ``TcpFields.flags``
+SYN = 0x1
+ACK = 0x2
+ECE = 0x4
+CWR = 0x8
+
+
 class TcpFlags(enum.IntFlag):
     NONE = 0
-    SYN = 0x1
-    ACK = 0x2
-    ECE = 0x4
-    CWR = 0x8
+    SYN = SYN
+    ACK = ACK
+    ECE = ECE
+    CWR = CWR
+
+
+# indexed by the 2-bit codepoint: ECT(1) identifies scalable low-latency
+# flows, ECT(0) classic ECN flows, and Not-ECT flows cannot receive ECN
+# feedback at all.  CE on arrival is treated as low-latency (the dual-queue
+# convention of routing CE traffic to the low-latency queue).
+FLOW_CLASS_OF_ECN = (FlowClass.NON_ECN, FlowClass.L4S, FlowClass.CLASSIC_ECN, FlowClass.L4S)
 
 
 def classify_flow(ecn: EcnCodepoint) -> FlowClass:
-    """Map a packet's ECN codepoint to its congestion-signaling class.
-
-    ECT(1) identifies scalable low-latency flows, ECT(0) classic ECN flows,
-    and Not-ECT flows cannot receive ECN feedback at all.  CE on arrival is
-    treated as low-latency (the dual-queue convention of routing CE traffic
-    to the low-latency queue).
-    """
-    if ecn is EcnCodepoint.ECT1 or ecn is EcnCodepoint.CE:
-        return FlowClass.L4S
-    if ecn is EcnCodepoint.ECT0:
-        return FlowClass.CLASSIC_ECN
-    return FlowClass.NON_ECN
+    """Map a packet's ECN codepoint to its congestion-signaling class."""
+    return FLOW_CLASS_OF_ECN[ecn]
 
 
-@dataclass(frozen=True)
-class FiveTuple:
+class FiveTuple(NamedTuple):
     """Flow identity. Addresses are abstract host ids; nothing here is routed."""
 
     src_addr: int
@@ -100,7 +108,7 @@ class AccEcnFields:
 class TcpFields:
     seq: int = 0
     ack_no: int = 0
-    flags: TcpFlags = TcpFlags.NONE
+    flags: int = 0                  # SYN | ACK | ECE | CWR bits
     accecn: Optional[AccEcnFields] = None
 
 

@@ -294,8 +294,8 @@ class AcceptanceRunner:
 
         def pooled_rtt(res):
             vals = []
-            for flow, pairs in res.collector.rtt_samples.items():
-                vals.extend(v for _, v in pairs)
+            for samples in res.collector.rtt_samples.values():
+                vals.extend(samples)
             return np.array(vals)
 
         lat_on, lat_off = pooled_lat(on), pooled_lat(off)
@@ -371,7 +371,7 @@ class AcceptanceRunner:
 
     def c10_processing_cost(self) -> CriterionResult:
         from ..ransim.layer import DrbLayer
-        from ..core import EcnCodepoint, FiveTuple, Packet, Proto, TcpFields, TcpFlags
+        from ..core import ACK, EcnCodepoint, FiveTuple, Packet, Proto, TcpFields
 
         drb = DrbConfig(ue_id=1, drb_id=1)
         layer = DrbLayer(drb, MarkParams(rng_seed=1), DEFAULT_WINDOW_SECS)
@@ -380,7 +380,7 @@ class AcceptanceRunner:
         def mk_pkt(i, now):
             return Packet(pkt_id=i, five_tuple=ft, size_bytes=1500, ecn=EcnCodepoint.ECT1,
                           created_at=now,
-                          tcp=TcpFields(seq=i * 1460, ack_no=0, flags=TcpFlags.ACK))
+                          tcp=TcpFields(seq=i * 1460, ack_no=0, flags=ACK))
 
         # warm the table to a realistic standing state
         now = 0.0

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
@@ -90,7 +91,9 @@ class MetricsCollector:
         self.flow_starts = dict(flow_starts)
         self.packets: list[PacketRecord] = []
         self.intervals: list[IntervalRecord] = []
-        self.rtt_samples: dict[str, list[tuple[float, float]]] = {f: [] for f in flow_names}
+        # RTT samples per flow in time order, and how many of them precede warm-up
+        self.rtt_samples: dict[str, array] = {f: array("d") for f in flow_names}
+        self._rtt_warmup_n: dict[str, int] = dict.fromkeys(flow_names, 0)
         self.feedback_latency: dict[str, list[tuple[float, float]]] = {f: [] for f in flow_names}
         self.completion: dict[str, float] = {}
         self.delivered_payload: dict[str, int] = defaultdict(int)
@@ -118,7 +121,10 @@ class MetricsCollector:
         acc.delivered_payload += payload_bytes
 
     def on_rtt(self, t: float, flow: str, rtt: float) -> None:
-        self.rtt_samples[flow].append((t, rtt))
+        """One RTT sample; samples arrive in time order, as every hook's do."""
+        self.rtt_samples[flow].append(rtt)
+        if t < self.warmup_secs:
+            self._rtt_warmup_n[flow] += 1
         acc = self._acc[flow]
         acc.rtt_sum += rtt
         acc.rtt_n += 1
@@ -187,6 +193,10 @@ class MetricsCollector:
     def _steady(self, pairs: list[tuple[float, float]]) -> np.ndarray:
         return np.array([v for t, v in pairs if t >= self.warmup_secs], dtype=float)
 
+    def steady_rtts(self, flow: str) -> np.ndarray:
+        """The flow's RTT samples taken from warm-up on."""
+        return np.array(self.rtt_samples[flow][self._rtt_warmup_n[flow]:], dtype=float)
+
     def summarize(self, horizon: float, utilization: dict[int, dict]) -> dict:
         # steady-state delays and queuing by flow, in delivery order, in one pass
         delays_of: dict[str, list[float]] = {f: [] for f in self.flow_names}
@@ -200,7 +210,7 @@ class MetricsCollector:
         for flow in self.flow_names:
             delays = np.array(delays_of[flow], dtype=float)
             queuing = np.array(queuing_of[flow], dtype=float)
-            rtts = self._steady(self.rtt_samples[flow])
+            rtts = self.steady_rtts(flow)
             lats = self._steady(self.feedback_latency[flow])
             completion = self.completion.get(flow)
             flows[flow] = {

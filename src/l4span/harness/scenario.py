@@ -23,6 +23,7 @@ from typing import Any, Optional
 
 from ..core import TCP_HEADER_BYTES, DrbConfig, RlcMode
 from ..profile import DEFAULT_COHERENCE_SECS
+from .metrics import INTERVAL_SECS
 
 DEFAULT_CAPACITY_BPS = 40e6          # 40 Mbit/s cell
 DEFAULT_SLOT_SECS = 0.0005           # 30 kHz-SCS slot
@@ -167,6 +168,9 @@ class Scenario:
             raise ConfigError("horizon_secs must be positive")
         if self.slot_secs <= 0:
             raise ConfigError("slot_secs must be positive")
+        if self.slot_secs > INTERVAL_SECS:
+            # slots close the metric intervals, so one slot may not span two
+            raise ConfigError(f"slot_secs must not exceed the {INTERVAL_SECS} s metric interval")
         if self.coherence_secs <= 0:
             raise ConfigError("coherence_secs must be positive")
         if not 0 <= self.warmup_secs < self.horizon_secs:
@@ -498,11 +502,18 @@ BUILTIN_SCENARIOS = {
 }
 
 
+# the bundled scenarios built by ``override``, which validates what it builds
+_DERIVED_BUILTINS = frozenset({
+    "ablation-no-shortcircuit", "baseline-dualpi2-1ms", "baseline-dualpi2-10ms"})
+
+
 def resolve_scenario(ref: str) -> Scenario:
-    """A path to a scenario file, or the name of a bundled scenario."""
+    """A path to a scenario file, or the name of a bundled scenario; either
+    is validated once."""
     if ref in BUILTIN_SCENARIOS:
         scn = BUILTIN_SCENARIOS[ref]()
-        scn.validate()
+        if ref not in _DERIVED_BUILTINS:
+            scn.validate()
         return scn
     if Path(ref).exists():
         return load_scenario(ref)

@@ -59,9 +59,12 @@ class EventLoop:
 
     def run(self, until: float, dispatch: Callable[[SimEvent], None]) -> int:
         """Execute events up to and including time ``until``; returns the count."""
+        heap = self._heap
+        heappop = heapq.heappop
         count = 0
-        while self._heap and self._heap[0][0] <= until:
-            ev = self.pop()
+        while heap and heap[0][0] <= until:
+            ev = heappop(heap)[2]
+            self.now = ev.at
             dispatch(ev)
             count += 1
         self.now = until

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core import (
+    FLOW_CLASS_OF_ECN,
+    SYN,
     DrbConfig,
     EstimateUnavailable,
     FiveTuple,
     Packet,
     Proto,
-    TcpFlags,
-    classify_flow,
     reverse_tuple,
 )
 from ..marking import (
@@ -72,6 +72,8 @@ class DrbLayer:
         self.mark_state = DrbMarkState()
         self.rng = random.Random(params.rng_seed)
         self.flow_feedback: dict[FiveTuple, FlowFeedbackState] = {}
+        # the same states keyed by the uplink tuple their ACKs carry
+        self._feedback_of_ack: dict[FiveTuple, FlowFeedbackState] = {}
         self._syn_seen: dict[FiveTuple, float] = {}
         self._next_sn = 1
         self._feedbacks = 0
@@ -89,12 +91,12 @@ class DrbLayer:
     ) -> DownlinkOutcome:
         self._dl_since_refresh = True
         ft = pkt.five_tuple
-        flow_class = classify_flow(pkt.ecn)
+        flow_class = FLOW_CLASS_OF_ECN[pkt.ecn]
         self.mark_state.observe_flow(ft, flow_class, pkt.size_bytes, now)
 
         # handshake RTT: interval between the first two forward TCP packets
         if pkt.tcp is not None:
-            if pkt.tcp.flags & TcpFlags.SYN:
+            if pkt.tcp.flags & SYN:
                 self._syn_seen[ft] = now
             elif ft in self._syn_seen and ft not in self.mark_state.rtt_star:
                 self.mark_state.rtt_star[ft] = now - self._syn_seen[ft]
@@ -174,11 +176,14 @@ class DrbLayer:
     def on_ul_packet(self, pkt: Packet, now: float) -> Packet:
         if pkt.five_tuple.proto is not Proto.TCP or pkt.tcp is None:
             return pkt
-        ft = reverse_tuple(pkt.five_tuple)  # the downlink flow this ACK belongs to
-        fb = self.flow_feedback.get(ft)
+        fb = self._feedback_of_ack.get(pkt.five_tuple)
         if fb is None:
-            fb = FlowFeedbackState(mode=classify_feedback_mode(pkt))
-            self.flow_feedback[ft] = fb
+            ft = reverse_tuple(pkt.five_tuple)  # the downlink flow this ACK belongs to
+            fb = self.flow_feedback.get(ft)
+            if fb is None:
+                fb = FlowFeedbackState(mode=classify_feedback_mode(pkt))
+                self.flow_feedback[ft] = fb
+            self._feedback_of_ack[pkt.five_tuple] = fb
         if not self.enabled or not self.params.short_circuit:
             return pkt
         if fb.mode is FeedbackMode.DOWNLINK_FALLBACK:

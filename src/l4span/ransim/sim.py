@@ -36,6 +36,10 @@ from typing import Optional
 import numpy as np
 
 from ..core import (
+    ACK,
+    CWR,
+    ECE,
+    SYN,
     AccEcnFields,
     DrbConfig,
     EcnCodepoint,
@@ -43,7 +47,6 @@ from ..core import (
     Packet,
     Proto,
     TcpFields,
-    TcpFlags,
 )
 from ..harness.metrics import INTERVAL_SECS, MetricsCollector, PacketRecord
 from ..harness.scenario import DrbSpec, FlowSpec, Scenario
@@ -125,10 +128,10 @@ class TcpEndpoint:
 
     def start(self, now: float) -> None:
         self.syn_sent_at = now
-        flags = TcpFlags.SYN
+        flags = SYN
         accecn = None
         if self.flow.feedback_mode is FeedbackMode.CLASSIC_ECN:
-            flags |= TcpFlags.ECE | TcpFlags.CWR  # ECN-setup SYN
+            flags |= ECE | CWR  # ECN-setup SYN
         elif self.flow.feedback_mode is FeedbackMode.ACC_ECN:
             accecn = AccEcnFields()
         syn = Packet(
@@ -148,7 +151,7 @@ class TcpEndpoint:
         t = ack.tcp
         if t is None:
             return
-        if t.flags & TcpFlags.SYN:
+        if t.flags & SYN:
             if not self.established:
                 self.established = True
                 self._rtt_sample(now - self.syn_sent_at, now)
@@ -182,7 +185,7 @@ class TcpEndpoint:
                 self.last_ce_bytes = max(raw, self.last_ce_bytes)
             prague_on_ack(self.cc, delta, ce_delta, now)
         else:
-            ece = bool(t.flags & TcpFlags.ECE)
+            ece = bool(t.flags & ECE)
             before = self.cc.last_cut_at
             classic_on_ack(self.cc, delta, ece, now)
             if self.cc.last_cut_at != before:
@@ -255,9 +258,9 @@ class TcpEndpoint:
             self.next_seq += payload
 
     def _emit(self, seq: int, payload: int, emit_at: float) -> None:
-        flags = TcpFlags.ACK
+        flags = ACK
         if self.pending_cwr:
-            flags |= TcpFlags.CWR
+            flags |= CWR
             self.pending_cwr = False
         pkt = Packet(
             pkt_id=self.sim.next_pkt_id(),

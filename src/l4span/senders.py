@@ -23,13 +23,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
+    ACK,
+    CWR,
+    ECE,
+    SYN,
     AccEcnFields,
     EcnCodepoint,
     FiveTuple,
     Packet,
     Proto,
     TcpFields,
-    TcpFlags,
     reverse_tuple,
 )
 from .shortcircuit import FeedbackMode
@@ -194,6 +197,10 @@ class ReceiverState:
     ece_latched: bool = False
     latest_ce_mark_time: Optional[float] = None
     _ooo: dict[int, int] = field(default_factory=dict)
+    ack_tuple: FiveTuple = field(init=False, repr=False, compare=False)  # uplink tuple
+
+    def __post_init__(self) -> None:
+        self.ack_tuple = reverse_tuple(self.flow)
 
     def received_counters(self) -> AccEcnFields:
         return AccEcnFields(
@@ -226,12 +233,13 @@ def receiver_on_data(
     elif pkt.ecn is EcnCodepoint.ECT1:
         state.ect1_bytes += payload
 
-    is_syn = bool(pkt.tcp is not None and pkt.tcp.flags & TcpFlags.SYN)
-    if pkt.tcp is not None and pkt.tcp.flags & TcpFlags.CWR:
+    tcp = pkt.tcp
+    is_syn = tcp is not None and tcp.flags & SYN
+    if tcp is not None and tcp.flags & CWR:
         state.ece_latched = False
 
-    if pkt.tcp is not None and payload > 0:
-        seq = pkt.tcp.seq
+    if tcp is not None and payload > 0:
+        seq = tcp.seq
         if seq == state.recv_next:
             state.recv_next += payload
             while state.recv_next in state._ooo:
@@ -242,22 +250,22 @@ def receiver_on_data(
     if pkt.five_tuple.proto is not Proto.TCP:
         return None  # UDP feedback is out of band or absent; downlink marking covers it
 
-    flags = TcpFlags.ACK
+    flags = ACK
     accecn = None
     if is_syn:
-        flags |= TcpFlags.SYN
+        flags |= SYN
         if state.mode is FeedbackMode.CLASSIC_ECN:
-            flags |= TcpFlags.ECE  # ECN capability echo in the handshake
+            flags |= ECE  # ECN capability echo in the handshake
         if state.mode is FeedbackMode.ACC_ECN:
             accecn = state.received_counters()
     else:
         if state.mode is FeedbackMode.CLASSIC_ECN and state.ece_latched:
-            flags |= TcpFlags.ECE
+            flags |= ECE
         if state.mode is FeedbackMode.ACC_ECN:
             accecn = state.received_counters()
     ack = Packet(
         pkt_id=ack_pkt_id,
-        five_tuple=reverse_tuple(state.flow),
+        five_tuple=state.ack_tuple,
         size_bytes=40,
         ecn=EcnCodepoint.NOT_ECT,
         created_at=now,

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import EcnCodepoint, Packet, Proto, TcpFlags
+from .core import CWR, ECE, AccEcnFields, EcnCodepoint, Packet, Proto
 from .marking import MarkDecision
 
 
@@ -35,7 +35,7 @@ def classify_feedback_mode(first_ack: Packet) -> FeedbackMode:
         return FeedbackMode.DOWNLINK_FALLBACK
     if first_ack.tcp.accecn is not None:
         return FeedbackMode.ACC_ECN
-    if first_ack.tcp.flags & TcpFlags.ECE:
+    if first_ack.tcp.flags & ECE:
         return FeedbackMode.CLASSIC_ECN
     return FeedbackMode.DOWNLINK_FALLBACK
 
@@ -74,7 +74,7 @@ class FlowFeedbackState:
 
 def record_tentative_mark(state: FlowFeedbackState, pkt: Packet, decision: MarkDecision) -> None:
     """Account a downlink packet against the flow; the packet is forwarded unmodified."""
-    if pkt.tcp is not None and pkt.tcp.flags & TcpFlags.CWR:
+    if pkt.tcp is not None and pkt.tcp.flags & CWR:
         state.ece_latched = False
     payload = pkt.payload_bytes
     if payload <= 0:
@@ -123,8 +123,6 @@ def rewrite_ack(state: FlowFeedbackState, ack: Packet) -> Packet:
             state._marked_since_ack = 0
             state._total_since_ack = 0
         if ack.tcp.accecn is None:
-            from .core import AccEcnFields
-
             ack.tcp.accecn = AccEcnFields()
         acc = ack.tcp.accecn
         acc.ace_counter = state.ce_pkts % 8
@@ -140,9 +138,9 @@ def rewrite_ack(state: FlowFeedbackState, ack: Packet) -> Packet:
             state._marked_since_ack = 0
             state._total_since_ack = 0
         if state.ece_latched:
-            ack.tcp.flags |= TcpFlags.ECE
+            ack.tcp.flags |= ECE
         else:
-            ack.tcp.flags &= ~TcpFlags.ECE
+            ack.tcp.flags &= ~ECE
     return ack
 
 

@@ -1,16 +1,24 @@
+import dataclasses
 import random
 
 import pytest
 
 from l4span.core import (
+    ACK,
+    CWR,
+    ECE,
+    SYN,
     EcnCodepoint,
     FiveTuple,
     FlowClass,
     Packet,
     Proto,
+    TcpFlags,
     classify_flow,
     reverse_tuple,
 )
+from l4span.harness.scenario import AqmSpec, ChannelSpec, DrbSpec, FlowSpec, Scenario, UeSpec
+from l4span.ransim import sim as sim_mod
 
 
 def test_ecn_codepoint_bit_values():
@@ -83,3 +91,56 @@ def test_packet_header_floor():
         _pkt(Proto.TCP, 39)
     with pytest.raises(ValueError):
         _pkt(Proto.UDP, 27)
+
+
+# -- the API edge: named types outside, C-level values on the per-packet path --------
+
+
+def test_five_tuple_is_an_immutable_hashable_value():
+    ft = FiveTuple(src_addr=1, dst_addr=2, src_port=10, dst_port=20, proto=Proto.TCP)
+    assert ft == FiveTuple(1, 2, 10, 20, Proto.TCP)
+    assert ft != FiveTuple(1, 2, 10, 20, Proto.UDP)
+    assert hash(ft) == hash(FiveTuple(1, 2, 10, 20, Proto.TCP))
+    assert {ft: "flow"}[FiveTuple(1, 2, 10, 20, Proto.TCP)] == "flow"
+    assert ft._fields == ("src_addr", "dst_addr", "src_port", "dst_port", "proto")
+    with pytest.raises(AttributeError):
+        ft.src_port = 11
+    assert reverse_tuple(reverse_tuple(ft)) == ft and reverse_tuple(ft) != ft
+
+
+def test_proto_keeps_its_value_and_identity():
+    assert Proto.TCP.value == "tcp" and Proto.UDP.value == "udp"
+    assert Proto("tcp") is Proto.TCP
+    assert FiveTuple(1, 2, 10, 20, Proto.UDP).proto is Proto.UDP
+
+
+def test_flag_masks_are_the_named_flag_bits():
+    assert (SYN, ACK, ECE, CWR) == (1, 2, 4, 8)
+    assert [int(f) for f in (TcpFlags.SYN, TcpFlags.ACK, TcpFlags.ECE, TcpFlags.CWR)] == [1, 2, 4, 8]
+    flags = ACK | ECE
+    assert flags & TcpFlags.ECE and not flags & TcpFlags.CWR
+    flags &= ~ECE
+    assert flags == ACK and not flags & TcpFlags.ECE
+
+
+def test_simulated_tcp_packets_carry_int_flags(monkeypatch):
+    # both feedback modes on one bearer: SYNs, data with CWR, ACKs with ECE
+    seen = []
+    real = sim_mod.receiver_on_data
+
+    def spy(state, pkt, now, ack_pkt_id):
+        ack = real(state, pkt, now, ack_pkt_id)
+        seen.extend(p for p in (pkt, ack) if p is not None and p.tcp is not None)
+        return ack
+
+    monkeypatch.setattr(sim_mod, "receiver_on_data", spy)
+    scn = Scenario(name="flags", horizon_secs=2.0, warmup_secs=0.2, aqm=AqmSpec(tau_thr=0.002),
+                   ues=[UeSpec(ue_id=1, channel=ChannelSpec(kind="static", capacity_bps=5e6),
+                               drbs=[DrbSpec(flows=[
+                                   FlowSpec(name="prague", kind="prague"),
+                                   FlowSpec(name="cubic", kind="cubic", feedback="classic"),
+                               ])])])
+    sim_mod.run(scn)
+    assert {type(p.tcp.flags) for p in seen} == {int}
+    assert any(p.tcp.flags & TcpFlags.SYN for p in seen)
+    assert any(p.tcp.flags & TcpFlags.ECE and not p.tcp.flags & TcpFlags.SYN for p in seen)

@@ -14,16 +14,21 @@ that reorders events on purpose updates the digests and says so in
 CHANGES.md.  The interval stream is sparse, and each bearer still reports
 its gauges once per interval; that contract is checked here too.  The
 events dispatched per kind, and the handlers each kind runs, are pinned
-too: the benchmark's per-kind figures count events by that label.  The
-pinned values were recorded with CPython 3.11 on x86-64 Linux (glibc); a
-libm that rounds ``sin`` or ``erfc`` differently gives other stream bytes.
+too: the benchmark's per-kind figures count events by that label.  A
+profiled golden run guards the per-packet path against Python-level enum
+code and hashing.  The pinned values were recorded with CPython 3.11 on
+x86-64 Linux (glibc); a libm that rounds ``sin`` or ``erfc`` differently
+gives other stream bytes.
 """
 
 from __future__ import annotations
 
+import cProfile
+import enum
 import functools
 import hashlib
 import json
+import pstats
 from collections import Counter, defaultdict
 
 from l4span.harness.metrics import dumps_intervals, dumps_packets
@@ -246,3 +251,19 @@ def test_scheduler_sees_every_backlogged_ue_in_order(make, monkeypatch):
     assert seen["slots"] == 4001
     # the set drops drained UEs: nobody idle is passed
     assert seen["idle_passed"] == 0
+
+
+def test_per_packet_path_runs_no_python_level_enum_code_or_hashing():
+    # flags are int masks, FiveTuple is a tuple and Proto hashes as its str:
+    # a run's calls into enum.py stay O(flows) and no __hash__ runs in
+    # Python.  An IntFlag test or a dataclass flow key on the per-packet
+    # path shows up here as thousands of calls.  The cached run does the
+    # first-use imports outside the profile.
+    cached_run(golden_scenario)
+    sim = Simulator(golden_scenario())
+    prof = cProfile.Profile()
+    prof.runcall(sim.run)
+    calls = {key: nc for key, (_, nc, *_) in pstats.Stats(prof).stats.items()}
+    enum_calls = sum(nc for (path, _, _), nc in calls.items() if path == enum.__file__)
+    assert enum_calls <= 4 * len(sim.flows)
+    assert [key for key in calls if key[2] == "__hash__"] == []

@@ -197,6 +197,24 @@ def test_resolve_scenario_unknown():
         resolve_scenario("does-not-exist")
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_resolve_scenario_builds_each_channel_trace_once(name, monkeypatch):
+    # a derived builtin is validated by the override that builds it, and
+    # not again by resolve_scenario (16 traces for the 16-UE ablation, not 32)
+    built = []
+    real = ChannelSpec.build
+
+    def counted(self, horizon):
+        built.append(self)
+        return real(self, horizon)
+
+    monkeypatch.setattr(ChannelSpec, "build", counted)
+    scn = resolve_scenario(name)
+    assert len(built) == len(scn.ues)
+    if name == "ablation-no-shortcircuit":
+        assert len(built) == 16
+
+
 # -- the typed loader and overrides --------------------------------------------------
 
 
@@ -227,6 +245,7 @@ PROBES = [
     (FLOW + ("think_secs",), -1, "think_secs"),
     (FLOW + ("rwnd_bytes",), 1000, "rwnd_bytes"),
     (("warmup_secs",), -1, "warmup_secs"),
+    (("slot_secs",), 10.0, "slot_secs"),
     (DRB + ("max_queue_sdus",), "x", "scenario.ues[0].drbs[0].max_queue_sdus"),
     (("seed",), "abc", "scenario.seed"),
     (("ues", 0, "ue_id"), "1", "scenario.ues[0].ue_id"),
