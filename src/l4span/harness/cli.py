@@ -54,7 +54,8 @@ def _sweep_point(job) -> str:
     return str(outdir)
 
 
-def _cmd_sweep(args) -> int:
+def _sweep_jobs(args) -> list:
+    """Every (scenario, output directory) point of a sweep, each checked."""
     base = resolve_scenario(args.scenario)
     axes = []
     for spec in args.param or []:
@@ -74,7 +75,11 @@ def _cmd_sweep(args) -> int:
             scn = override(base, {**dict(assign), "seed": seed})
             label = [f"{path.split('.')[-1]}={v}" for path, v in assign] + [f"seed={seed}"]
             jobs.append((scn, Path(args.out) / "_".join(label)))
+    return jobs
 
+
+def _cmd_sweep(args) -> int:
+    jobs = _sweep_jobs(args)
     workers = int(os.environ.get("L4SPAN_WORKERS", "0")) or (os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -21,8 +21,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from ..core import TCP_HEADER_BYTES, DrbConfig, RlcMode
+from ..core import TCP_HEADER_BYTES, RlcMode
+from ..marking import SHARED_POLICIES
 from ..profile import DEFAULT_COHERENCE_SECS
+from ..ransim.channel import ChannelTrace
+from ..ransim.scheduler import SchedulerPolicy
 from .metrics import INTERVAL_SECS
 
 DEFAULT_CAPACITY_BPS = 40e6          # 40 Mbit/s cell
@@ -36,7 +39,6 @@ DEFAULT_ARQ_DELAY = 0.020
 SENDER_KINDS = ("prague", "cubic", "reno", "udp")
 FEEDBACK_KINDS = ("accecn", "classic", "none")
 AQM_KINDS = ("l4span", "dualpi2step", "none")
-SHARED_POLICIES = ("coupled", "l4s", "classic", "original")
 
 
 class ConfigError(Exception):
@@ -64,7 +66,7 @@ class FlowSpec:
 @dataclass
 class DrbSpec:
     drb_id: int = 1
-    rlc_mode: str = "am"
+    rlc_mode: str = "am"                  # an RlcMode value
     max_queue_sdus: int = DEFAULT_QUEUE_SDUS
     mss_bytes: int = DEFAULT_MSS
     delivery_delay_secs: float = DEFAULT_DELIVERY_DELAY
@@ -91,8 +93,6 @@ class ChannelSpec:
     path: Optional[str] = None            # file
 
     def build(self, horizon: float):
-        from ..ransim.channel import ChannelTrace
-
         if self.kind == "static":
             return ChannelTrace.static(self.capacity_bps / 8.0)
         if self.kind == "step":
@@ -146,7 +146,7 @@ class Scenario:
     horizon_secs: float = 30.0
     seed: int = 1
     ues: list[UeSpec] = field(default_factory=list)
-    scheduler: str = "round_robin"
+    scheduler: str = "round_robin"        # a SchedulerPolicy value
     slot_secs: float = DEFAULT_SLOT_SECS
     coherence_secs: float = DEFAULT_COHERENCE_SECS
     aqm: AqmSpec = field(default_factory=AqmSpec)
@@ -156,11 +156,6 @@ class Scenario:
     @property
     def window_secs(self) -> float:
         return self.coherence_secs / 2.0
-
-    def scheduler_policy(self):
-        from ..ransim.scheduler import SchedulerPolicy
-
-        return SchedulerPolicy(self.scheduler)
 
     def validate(self) -> list:
         """Check every field; return each UE's channel trace, in ``ues`` order."""
@@ -175,7 +170,7 @@ class Scenario:
             raise ConfigError("coherence_secs must be positive")
         if not 0 <= self.warmup_secs < self.horizon_secs:
             raise ConfigError("warmup_secs must be >= 0 and shorter than horizon_secs")
-        if self.scheduler not in ("round_robin", "proportional_fair"):
+        if self.scheduler not in {p.value for p in SchedulerPolicy}:
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
         if self.aqm.kind not in AQM_KINDS:
             raise ConfigError(f"unknown aqm.kind {self.aqm.kind!r}")
@@ -208,7 +203,7 @@ class Scenario:
                 if drb.drb_id in seen_drb:
                     raise ConfigError(f"duplicate drb_id {drb.drb_id} in ue {ue.ue_id}")
                 seen_drb.add(drb.drb_id)
-                if drb.rlc_mode not in ("am", "um"):
+                if drb.rlc_mode not in {m.value for m in RlcMode}:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: unknown rlc_mode {drb.rlc_mode!r}")
                 if drb.max_queue_sdus <= 0:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: max_queue_sdus must be positive")
@@ -243,15 +238,6 @@ class Scenario:
                         raise ConfigError(f"{loc}: rwnd_bytes must hold one payload "
                                           f"(mss_bytes - {TCP_HEADER_BYTES})")
         return traces
-
-    def drb_config(self, ue: UeSpec, drb: DrbSpec) -> DrbConfig:
-        return DrbConfig(
-            ue_id=ue.ue_id,
-            drb_id=drb.drb_id,
-            rlc_mode=RlcMode.AM if drb.rlc_mode == "am" else RlcMode.UM,
-            max_queue_sdus=drb.max_queue_sdus,
-            mss_bytes=drb.mss_bytes,
-        )
 
 
 # -- (de)serialization -------------------------------------------------------

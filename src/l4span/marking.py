@@ -33,6 +33,8 @@ _SQRT2 = math.sqrt(2.0)
 
 DEFAULT_BETA = 0.5
 IDLE_FLOW_FORGET_SECS = 10.0
+# shared-bearer strategies, see decide_mark
+SHARED_POLICIES = ("coupled", "l4s", "classic", "original")
 
 
 def k_constant(beta: float) -> float:
@@ -145,7 +147,7 @@ class MarkParams:
     freshness_secs: float = 2 * DEFAULT_WINDOW_SECS
     # baseline switch: zero the error width so marking is a hard sojourn step
     force_zero_error: bool = False
-    # shared-bearer strategy: coupled | l4s | classic | original
+    # shared-bearer strategy, one of SHARED_POLICIES
     shared_policy: str = "coupled"
     # throughput-model constant K, derived from beta at construction
     k: float = field(init=False, repr=False)
@@ -155,7 +157,7 @@ class MarkParams:
             raise ValueError("tau_thr must be positive")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
-        if self.shared_policy not in ("coupled", "l4s", "classic", "original"):
+        if self.shared_policy not in SHARED_POLICIES:
             raise ValueError(f"unknown shared_policy {self.shared_policy!r}")
         self.k = k_constant(self.beta)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class EventKind(enum.Enum):
@@ -49,13 +49,6 @@ class EventLoop:
             raise ValueError(f"cannot schedule event at {at} before now={self.now}")
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, SimEvent(at, kind, handler, data)))
-
-    def pop(self) -> Optional[SimEvent]:
-        if not self._heap:
-            return None
-        _, _, ev = heapq.heappop(self._heap)
-        self.now = ev.at
-        return ev
 
     def run(self, until: float, dispatch: Callable[[SimEvent], None]) -> int:
         """Execute events up to and including time ``until``; returns the count."""

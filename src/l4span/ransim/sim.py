@@ -19,6 +19,9 @@ per-kind counts.
 
 Deterministic for a fixed scenario seed: per-DRB RNGs, FIFO event
 tie-breaking, and no iteration over unordered containers.
+
+A scenario and the specs inside it are read by their fields alone; the
+simulator imports no scenario type.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import sys
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -46,10 +49,10 @@ from ..core import (
     FiveTuple,
     Packet,
     Proto,
+    RlcMode,
     TcpFields,
 )
 from ..harness.metrics import INTERVAL_SECS, MetricsCollector, PacketRecord
-from ..harness.scenario import DrbSpec, FlowSpec, Scenario
 from ..marking import MarkDecision, MarkParams
 from ..senders import (
     CubicState,
@@ -65,14 +68,14 @@ from ..shortcircuit import FeedbackMode
 from .events import EventKind, EventLoop
 from .layer import DrbLayer
 from .rlc import RlcQueue
-from .scheduler import UeContext, scheduler_slot
+from .scheduler import SchedulerPolicy, UeContext, scheduler_slot
 
 MIN_RTO_SECS = 0.2
 MAX_RTO_SECS = 60.0
 SERVER_ADDR_BASE = 1000
 
 
-def _feedback_mode(spec: FlowSpec) -> FeedbackMode:
+def _feedback_mode(spec) -> FeedbackMode:
     if spec.feedback == "accecn":
         return FeedbackMode.ACC_ECN
     if spec.feedback == "classic":
@@ -80,7 +83,7 @@ def _feedback_mode(spec: FlowSpec) -> FeedbackMode:
     return FeedbackMode.DOWNLINK_FALLBACK
 
 
-def _data_codepoint(spec: FlowSpec) -> EcnCodepoint:
+def _data_codepoint(spec) -> EcnCodepoint:
     if spec.kind == "prague" or (spec.kind == "udp" and spec.feedback == "none"):
         return EcnCodepoint.ECT1
     if spec.feedback == "classic":
@@ -351,19 +354,19 @@ class _Bearer(RlcQueue):
     needs of it: its marking layer, its spec, its loss RNG and its UE's
     index in ``Simulator.ue_ctx``."""
 
-    def __init__(self, cfg: DrbConfig, spec: DrbSpec, layer: DrbLayer, loss_rng: random.Random,
+    def __init__(self, cfg: DrbConfig, spec, layer: DrbLayer, loss_rng: random.Random,
                  ue_index: int):
         super().__init__(cfg)
         self.spec = spec
         self.layer = layer
-        self.am = spec.rlc_mode == "am"
+        self.am = cfg.rlc_mode is RlcMode.AM
         self.loss_rng = loss_rng
         self.ue_index = ue_index
 
 
 @dataclass
 class _FlowRuntime:
-    spec: FlowSpec
+    spec: Any                       # the flow's scenario spec
     ft: FiveTuple
     bearer: _Bearer
     data_ecn: EcnCodepoint
@@ -385,7 +388,7 @@ class SimResult:
 class Simulator:
     """Builds the topology from a scenario and runs the event loop to horizon."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario):
         traces = scenario.validate()
         self.scn = scenario
         self.loop = EventLoop()
@@ -404,7 +407,9 @@ class Simulator:
             # PF averages are current up to the first slot, which run() puts at 0.0
             ctx = UeContext(ue_id=ue.ue_id, trace=trace, ewma_at=0.0)
             for drb in ue.drbs:
-                cfg = scenario.drb_config(ue, drb)
+                cfg = DrbConfig(ue_id=ue.ue_id, drb_id=drb.drb_id,
+                                rlc_mode=RlcMode(drb.rlc_mode),
+                                max_queue_sdus=drb.max_queue_sdus, mss_bytes=drb.mss_bytes)
                 key = cfg.key
                 seed = scenario.seed * 1000003 + ue.ue_id * 1009 + drb.drb_id
                 params = MarkParams(
@@ -461,7 +466,7 @@ class Simulator:
             warmup_secs=scenario.warmup_secs,
             flow_starts={f.spec.name: f.spec.start for f in self.flows},
         )
-        self._policy = scenario.scheduler_policy()
+        self._policy = SchedulerPolicy(scenario.scheduler)
         self._slots_per_interval = max(1, round(INTERVAL_SECS / scenario.slot_secs))
         self._ue_served_at_warmup: dict[int, int] = {}
 
@@ -509,9 +514,7 @@ class Simulator:
             drb = b.spec
             deliveries = []
             for sdu in rep.completed:
-                flow = self.flow_by_tuple.get(sdu.pkt.five_tuple)
-                if flow is None:
-                    continue
+                flow = self.flow_by_tuple[sdu.pkt.five_tuple]
                 if b.am:
                     delay = drb.delivery_delay_secs
                     if drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
@@ -654,6 +657,6 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
-def run(scenario: Scenario) -> SimResult:
+def run(scenario) -> SimResult:
     """Validate and execute a scenario; deterministic given its seed."""
     return Simulator(scenario).run()

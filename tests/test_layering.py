@@ -9,10 +9,16 @@ import pytest
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "l4span"
 LIBRARY = ["core", "profile", "marking", "shortcircuit", "senders"]
-# sim.py still builds its topology from harness.scenario and records into
-# harness.metrics; it can move once ransim takes a plain topology config
-# (the benchmark imports Simulator and TcpEndpoint from l4span.ransim.sim)
-RANSIM = sorted(f"ransim/{p.name}" for p in (PKG / "ransim").glob("*.py") if p.name != "sim.py")
+RANSIM = sorted(f"ransim/{p.name}" for p in (PKG / "ransim").glob("*.py"))
+# the one harness edge left: sim.py records into harness.metrics, whose
+# MetricsCollector the benchmark patches at l4span.harness.metrics, so the
+# collector stays there until the benchmark reads a public telemetry
+# surface (ROADMAP item 1)
+HARNESS_EDGES = {
+    "ransim/sim.py": ["l4span.harness.metrics", "l4span.harness.metrics.INTERVAL_SECS",
+                      "l4span.harness.metrics.MetricsCollector",
+                      "l4span.harness.metrics.PacketRecord"],
+}
 
 
 def _imported_modules(rel: str) -> set[str]:
@@ -38,7 +44,8 @@ def _reaches(names: set[str], package: str) -> list[str]:
 
 @pytest.mark.parametrize("rel", [f"{m}.py" for m in LIBRARY] + RANSIM)
 def test_no_harness_imports(rel):
-    assert _reaches(_imported_modules(rel), "l4span.harness") == []
+    """None, apart from the edges HARNESS_EDGES pins name by name."""
+    assert _reaches(_imported_modules(rel), "l4span.harness") == HARNESS_EDGES.get(rel, [])
 
 
 @pytest.mark.parametrize("rel", [f"{m}.py" for m in LIBRARY])

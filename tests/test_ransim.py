@@ -287,7 +287,7 @@ def test_causality_enforced():
 
     loop = EventLoop()
     loop.schedule(1.0, EventKind.SENDER_TIMER, noop)
-    loop.pop()
+    assert loop.run(1.0, lambda ev: ev.handler(ev.data, ev.at)) == 1
     with pytest.raises(ValueError):
         loop.schedule(0.5, EventKind.SENDER_TIMER, noop)
 
