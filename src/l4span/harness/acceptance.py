@@ -133,7 +133,8 @@ class AcceptanceRunner:
     # -- helpers -----------------------------------------------------------
 
     @staticmethod
-    def _steady_packets(res, flow: str, warmup: float):
+    def _steady_packets(res, flow: str):
+        warmup = res.collector.warmup_secs
         return [r for r in res.collector.packets if r.flow == flow and r.t >= warmup]
 
     @staticmethod
@@ -218,8 +219,7 @@ class AcceptanceRunner:
     def c3_l4s_latency_utilization(self) -> CriterionResult:
         res = self.result("static-1ue")
         base = self.result("static-1ue-noaqm")
-        scn_warmup = 5.0
-        queuing = np.array([r.queuing for r in self._steady_packets(res, "prague-1", scn_warmup)])
+        queuing = np.array([r.queuing for r in self._steady_packets(res, "prague-1")])
         med_q = float(np.median(queuing))
         util = res.summary["ues"][1]["utilization"]
         med_delay = self._flow(res, "prague-1")["delay"]["p50"]
@@ -250,12 +250,11 @@ class AcceptanceRunner:
     def c5_classic_non_starvation(self) -> CriterionResult:
         res = self.result("static-1ue-cubic")
         base = self.result("static-1ue-cubic-noaqm")
-        warmup = 5.0
-        qs = [r["queue_bytes"] for r in res.collector.intervals if r["t"] >= warmup]
+        qs = [r["queue_bytes"] for r in res.collector.intervals if r["t"] >= res.collector.warmup_secs]
         nonzero = sum(1 for q in qs if q > 0) / len(qs)
         util = res.summary["ues"][1]["utilization"]
-        med_q = float(np.median([r.queuing for r in self._steady_packets(res, "cubic-1", warmup)]))
-        med_q_base = float(np.median([r.queuing for r in self._steady_packets(base, "cubic-1", warmup)]))
+        med_q = float(np.median([r.queuing for r in self._steady_packets(res, "cubic-1")]))
+        med_q_base = float(np.median([r.queuing for r in self._steady_packets(base, "cubic-1")]))
         passed = nonzero >= 0.99 and util >= 0.90 and med_q <= 0.25 * med_q_base
         return CriterionResult(
             5, "classic flow keeps a standing queue without bufferbloat", passed,
@@ -356,7 +355,7 @@ class AcceptanceRunner:
         res = self.result("mobile-1ue")
         rel_errs = []
         for r in res.collector.packets:
-            if r.t < 5.0 or r.predicted_sojourn is None:
+            if r.t < res.collector.warmup_secs or r.predicted_sojourn is None:
                 continue
             actual = r.queuing + r.scheduling
             if actual > 1e-4:

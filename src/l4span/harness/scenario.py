@@ -157,8 +157,9 @@ class Scenario:
     def window_secs(self) -> float:
         return self.coherence_secs / 2.0
 
-    def validate(self) -> list:
-        """Check every field; return each UE's channel trace, in ``ues`` order."""
+    def validate(self) -> None:
+        """Check every field; each channel's generator checks its parameters
+        over a zero horizon, so no trace is built (``Simulator`` builds them)."""
         if self.horizon_secs <= 0:
             raise ConfigError("horizon_secs must be positive")
         if self.slot_secs <= 0:
@@ -187,15 +188,23 @@ class Scenario:
             raise ConfigError("scenario needs at least one UE")
         seen_ue = set()
         seen_names = set()
-        traces = []
         for i, ue in enumerate(self.ues):
             if ue.ue_id in seen_ue:
                 raise ConfigError(f"duplicate ue_id {ue.ue_id}")
             seen_ue.add(ue.ue_id)
+            ch, where = ue.channel, f"ues[{i}].channel"
+            # a trace holds a breakpoint per hold: a hold shorter than a slot
+            # changes nothing a slot reads, and grows the build without bound
+            if ch.kind == "step" and ch.period_secs / 2 < self.slot_secs:
+                raise ConfigError(f"{where}.period_secs: the half-period must be at least slot_secs")
+            if ch.kind == "fading" and ch.fast_secs < self.slot_secs:
+                raise ConfigError(f"{where}.fast_secs must be at least slot_secs")
+            if ch.kind == "fading" and ch.period_secs <= 0:
+                raise ConfigError(f"{where}.period_secs must be positive")
             try:
-                traces.append(ue.channel.build(self.horizon_secs))  # validates parameters
+                ch.build(0.0)
             except (ConfigError, ValueError, OSError) as exc:
-                raise ConfigError(f"ues[{i}].channel: {exc}") from None
+                raise ConfigError(f"{where}: {exc}") from None
             if not ue.drbs:
                 raise ConfigError(f"ue {ue.ue_id} has no DRBs")
             seen_drb = set()
@@ -237,7 +246,6 @@ class Scenario:
                     if flow.rwnd_bytes < drb.mss_bytes - TCP_HEADER_BYTES:
                         raise ConfigError(f"{loc}: rwnd_bytes must hold one payload "
                                           f"(mss_bytes - {TCP_HEADER_BYTES})")
-        return traces
 
 
 # -- (de)serialization -------------------------------------------------------
@@ -398,17 +406,17 @@ def mobile_1ue() -> Scenario:
 
 
 def _many_ue(
-    name: str, n: int, channel_kind: str, horizon: float = 30.0, stagger: float = 0.0, **kw
+    name: str, n: int, fading: bool, horizon: float = 30.0, stagger: float = 0.0, **kw
 ) -> Scenario:
     ues = []
     for i in range(1, n + 1):
-        if channel_kind == "static":
-            ch = ChannelSpec(kind="static", capacity_bps=DEFAULT_CAPACITY_BPS)
-        else:
+        if fading:
             ch = ChannelSpec(
                 kind="fading", mean_bps=30e6, amplitude_bps=10e6, period_secs=5.0,
                 phase=i / n, fade_seed=i,
             )
+        else:
+            ch = ChannelSpec(kind="static", capacity_bps=DEFAULT_CAPACITY_BPS)
         ues.append(
             UeSpec(ue_id=i, channel=ch,
                    drbs=[DrbSpec(flows=[FlowSpec(name=f"prague-{i}", kind="prague",
@@ -418,15 +426,15 @@ def _many_ue(
 
 
 def static_16ue() -> Scenario:
-    return _many_ue("static-16ue", 16, "static")
+    return _many_ue("static-16ue", 16, fading=False)
 
 
 def mobile_16ue() -> Scenario:
-    return _many_ue("mobile-16ue", 16, "sinusoid")
+    return _many_ue("mobile-16ue", 16, fading=True)
 
 
 def static_64ue() -> Scenario:
-    return _many_ue("static-64ue", 64, "static")
+    return _many_ue("static-64ue", 64, fading=False)
 
 
 def shared_drb() -> Scenario:
@@ -460,7 +468,7 @@ def ablation_no_shortcircuit() -> Scenario:
     # delivery delay + the uplink leg) then dominates the control loop, which
     # is exactly what the ACK rewrite skips; 16 UEs with staggered starts
     # supply scheduling load and ramp-up episodes throughout the run
-    return override(_many_ue("ablation-no-shortcircuit", 16, "fading", stagger=1.0), {
+    return override(_many_ue("ablation-no-shortcircuit", 16, fading=True, stagger=1.0), {
         "delays.dl_prop_secs": 0.002, "delays.ul_prop_secs": 0.002, "aqm.short_circuit": False})
 
 
@@ -488,18 +496,12 @@ BUILTIN_SCENARIOS = {
 }
 
 
-# the bundled scenarios built by ``override``, which validates what it builds
-_DERIVED_BUILTINS = frozenset({
-    "ablation-no-shortcircuit", "baseline-dualpi2-1ms", "baseline-dualpi2-10ms"})
-
-
 def resolve_scenario(ref: str) -> Scenario:
     """A path to a scenario file, or the name of a bundled scenario; either
-    is validated once."""
+    is validated."""
     if ref in BUILTIN_SCENARIOS:
         scn = BUILTIN_SCENARIOS[ref]()
-        if ref not in _DERIVED_BUILTINS:
-            scn.validate()
+        scn.validate()
         return scn
     if Path(ref).exists():
         return load_scenario(ref)

@@ -167,6 +167,8 @@ class _FlowRecord:
     flow_class: FlowClass
     last_seen: float
     bytes_seen: int = 0
+    syn_at: Optional[float] = None      # the latest downlink SYN
+    rtt_star: Optional[float] = None    # SYN to the next forward packet
 
 
 @dataclass
@@ -178,21 +180,21 @@ class DrbMarkState:
     p_classic: Optional[float] = None
     p_l4s: float = 0.0
     p_l4s_shared: float = 0.0
-    n_l: float = 0.0
-    rtt_star: dict[FiveTuple, float] = field(default_factory=dict)
     flows: dict[FiveTuple, _FlowRecord] = field(default_factory=dict)
     _next_idle_scan: float = 0.0
 
-    def observe_flow(self, ft: FiveTuple, flow_class: FlowClass, size_bytes: int, now: float) -> None:
+    def observe_flow(self, ft: FiveTuple, flow_class: FlowClass, size_bytes: int,
+                     now: float) -> _FlowRecord:
         """Track the flow mix; the latest downlink packet decides a flow's class.
 
         Mode transitions happen exactly when a packet of a missing class
-        arrives; idle flows are scanned out on a coarse cadence.
+        arrives; idle flows are forgotten, handshake RTT included, on a
+        coarse cadence.
         """
         rec = self.flows.get(ft)
         changed = False
         if rec is None:
-            self.flows[ft] = _FlowRecord(flow_class, now, size_bytes)
+            rec = self.flows[ft] = _FlowRecord(flow_class, now, size_bytes)
             changed = True
         else:
             if rec.flow_class is not flow_class:
@@ -205,10 +207,10 @@ class DrbMarkState:
             stale = [f for f, r in self.flows.items() if now - r.last_seen > IDLE_FLOW_FORGET_SECS]
             for f in stale:
                 del self.flows[f]
-                self.rtt_star.pop(f, None)
                 changed = True
         if changed:
             self._refresh_mode()
+        return rec
 
     def _refresh_mode(self) -> None:
         has_l4s = any(r.flow_class is FlowClass.L4S for r in self.flows.values())
@@ -222,16 +224,15 @@ class DrbMarkState:
 
     def weighted_rtt_star(self) -> Optional[float]:
         """Byte-weighted mean handshake RTT over the bearer's classic flows."""
+        if self.mode is DrbMode.L4S_ONLY:  # the bearer has no classic flow
+            return None
         total = 0
         acc = 0.0
-        for ft, rec in self.flows.items():
-            if rec.flow_class is FlowClass.L4S:
-                continue
-            base = self.rtt_star.get(ft)
-            if base is None:
+        for rec in self.flows.values():
+            if rec.rtt_star is None or rec.flow_class is FlowClass.L4S:
                 continue
             w = max(rec.bytes_seen, 1)
-            acc += base * w
+            acc += rec.rtt_star * w
             total += w
         if total == 0:
             return None
@@ -246,7 +247,6 @@ def refresh_probabilities(state: DrbMarkState, params: MarkParams, estimate: Egr
     """
     state.last_estimate = estimate
     e_hat = 0.0 if params.force_zero_error else estimate.e_hat
-    state.n_l = estimate.r_hat * params.tau_thr
     state.p_l4s = p_l4s(estimate.n_queue, estimate.r_hat, e_hat, params.tau_thr)
     try:
         # with no measurable standing queue the estimator sees the arrival

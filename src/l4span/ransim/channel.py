@@ -51,9 +51,7 @@ class ChannelTrace:
         if t1 <= t0:
             return 0.0
         total = 0.0
-        times = self._times + [math.inf]
-        for i, cap in enumerate(self._caps):
-            seg0, seg1 = times[i], times[i + 1]
+        for seg0, seg1, cap in zip(self._times, self._ends, self._caps):
             lo, hi = max(t0, seg0), min(t1, seg1)
             if hi > lo:
                 total += cap * (hi - lo)
@@ -70,6 +68,8 @@ class ChannelTrace:
         """Alternate between c1 and c2 every half period."""
         if period <= 0:
             raise ValueError("period must be positive")
+        if min(c1, c2) < 0:
+            raise ValueError("capacities must be >= 0")
         pts = []
         t = 0.0
         i = 0
@@ -91,7 +91,7 @@ class ChannelTrace:
     ) -> "ChannelTrace":
         if period <= 0 or sample_secs <= 0:
             raise ValueError("period and sample_secs must be positive")
-        if amplitude > mean:
+        if abs(amplitude) > mean:
             raise ValueError("amplitude may not exceed mean (capacity must stay >= 0)")
         pts = []
         n = int(horizon / sample_secs) + 1
@@ -127,6 +127,8 @@ class ChannelTrace:
             raise ValueError("fade floors must be in (0, 1]")
         if fade_secs <= 0 or fast_secs <= 0:
             raise ValueError("fade hold times must be positive")
+        if slow_period <= 0:
+            raise ValueError("period must be positive")
         rng = random.Random(seed)
         fast_rng = random.Random(seed + 7919)
         pts = []

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 
 class EventKind(enum.Enum):
@@ -29,9 +28,9 @@ class EventKind(enum.Enum):
     SENDER_TIMER = "sender_timer"
 
 
-@dataclass(slots=True)
-class SimEvent:
+class SimEvent(NamedTuple):  # the heap entry; ``seq`` is unique, so order is (at, seq)
     at: float
+    seq: int
     kind: EventKind
     handler: Callable[[Any, float], None]
     data: Any
@@ -40,7 +39,7 @@ class SimEvent:
 class EventLoop:
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[SimEvent] = []
         self._seq = 0
 
     def schedule(self, at: float, kind: EventKind, handler: Callable[[Any, float], None],
@@ -48,15 +47,15 @@ class EventLoop:
         if at < self.now - 1e-12:
             raise ValueError(f"cannot schedule event at {at} before now={self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, SimEvent(at, kind, handler, data)))
+        heapq.heappush(self._heap, SimEvent(at, self._seq, kind, handler, data))
 
     def run(self, until: float, dispatch: Callable[[SimEvent], None]) -> int:
         """Execute events up to and including time ``until``; returns the count."""
         heap = self._heap
         heappop = heapq.heappop
         count = 0
-        while heap and heap[0][0] <= until:
-            ev = heappop(heap)[2]
+        while heap and heap[0].at <= until:
+            ev = heappop(heap)
             self.now = ev.at
             dispatch(ev)
             count += 1

@@ -74,7 +74,6 @@ class DrbLayer:
         self.flow_feedback: dict[FiveTuple, FlowFeedbackState] = {}
         # the same states keyed by the uplink tuple their ACKs carry
         self._feedback_of_ack: dict[FiveTuple, FlowFeedbackState] = {}
-        self._syn_seen: dict[FiveTuple, float] = {}
         self._next_sn = 1
         self._feedbacks = 0
         # a downlink packet since the last refresh may have changed the
@@ -92,14 +91,14 @@ class DrbLayer:
         self._dl_since_refresh = True
         ft = pkt.five_tuple
         flow_class = FLOW_CLASS_OF_ECN[pkt.ecn]
-        self.mark_state.observe_flow(ft, flow_class, pkt.size_bytes, now)
+        rec = self.mark_state.observe_flow(ft, flow_class, pkt.size_bytes, now)
 
         # handshake RTT: interval between the first two forward TCP packets
         if pkt.tcp is not None:
             if pkt.tcp.flags & SYN:
-                self._syn_seen[ft] = now
-            elif ft in self._syn_seen and ft not in self.mark_state.rtt_star:
-                self.mark_state.rtt_star[ft] = now - self._syn_seen[ft]
+                rec.syn_at = now
+            elif rec.syn_at is not None and rec.rtt_star is None:
+                rec.rtt_star = now - rec.syn_at
 
         if not has_room:
             return DownlinkOutcome(decision=MarkDecision.PASS, predicted_sojourn=None, sn=None)

@@ -45,9 +45,6 @@ class RlcQueue:
         self._dlv_expected = 1
         self._dlv_ooo: set[int] = set()
 
-    def __len__(self) -> int:
-        return len(self.sdus)
-
     @property
     def standing_bytes(self) -> int:
         return self._standing

@@ -389,7 +389,7 @@ class Simulator:
     """Builds the topology from a scenario and runs the event loop to horizon."""
 
     def __init__(self, scenario):
-        traces = scenario.validate()
+        scenario.validate()
         self.scn = scenario
         self.loop = EventLoop()
         self._pkt_id = 0
@@ -403,9 +403,10 @@ class Simulator:
         self.flows: list[_FlowRuntime] = []
         self.flow_by_tuple: dict[FiveTuple, _FlowRuntime] = {}
 
-        for ue, trace in zip(scenario.ues, traces):
+        for ue in scenario.ues:
             # PF averages are current up to the first slot, which run() puts at 0.0
-            ctx = UeContext(ue_id=ue.ue_id, trace=trace, ewma_at=0.0)
+            ctx = UeContext(ue_id=ue.ue_id, trace=ue.channel.build(scenario.horizon_secs),
+                            ewma_at=0.0)
             for drb in ue.drbs:
                 cfg = DrbConfig(ue_id=ue.ue_id, drb_id=drb.drb_id,
                                 rlc_mode=RlcMode(drb.rlc_mode),

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from l4span.harness.cli import _sweep_jobs, build_parser
 from l4span.harness.cli import main as cli_main
 from l4span.harness.metrics import (
     INTERVAL_FIELDS,
@@ -40,7 +41,7 @@ from l4span.harness.scenario import (
     scenario_to_dict,
 )
 from l4span.harness.acceptance import VARIANTS, variant_scenario
-from l4span.ransim.sim import run
+from l4span.ransim.sim import Simulator, run
 from test_golden import cached_run, golden_scenario, idle_return_scenario
 
 MINIMAL_YAML = """
@@ -197,22 +198,75 @@ def test_resolve_scenario_unknown():
         resolve_scenario("does-not-exist")
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
-def test_resolve_scenario_builds_each_channel_trace_once(name, monkeypatch):
-    # a derived builtin is validated by the override that builds it, and
-    # not again by resolve_scenario (16 traces for the 16-UE ablation, not 32)
+def _count_builds(monkeypatch) -> list:
+    """Every ``ChannelSpec.build`` call from here on, as (spec, horizon, trace)."""
     built = []
     real = ChannelSpec.build
 
     def counted(self, horizon):
-        built.append(self)
-        return real(self, horizon)
+        trace = real(self, horizon)
+        built.append((self, horizon, trace))
+        return trace
 
     monkeypatch.setattr(ChannelSpec, "build", counted)
-    scn = resolve_scenario(name)
-    assert len(built) == len(scn.ues)
-    if name == "ablation-no-shortcircuit":
-        assert len(built) == 16
+    return built
+
+
+def _assert_each_trace_built_once(make_scenarios, monkeypatch) -> None:
+    """From ``make_scenarios()`` to a built ``Simulator`` for each scenario
+    it returns, each UE's full-horizon trace is built exactly once, and it
+    is the trace the simulator runs on; everything else is a zero-horizon
+    check."""
+    built = _count_builds(monkeypatch)
+    scenarios = make_scenarios()
+    assert built and {horizon for _, horizon, _ in built} == {0.0}
+    for scn in scenarios:
+        built.clear()
+        sim = Simulator(scn)
+        full = [(spec, trace) for spec, horizon, trace in built if horizon == scn.horizon_secs]
+        assert len(full) + sum(horizon == 0.0 for _, horizon, _ in built) == len(built)
+        assert [spec for spec, _ in full] == [ue.channel for ue in scn.ues]
+        assert all(ctx.trace is trace for ctx, (_, trace) in zip(sim.ue_ctx, full, strict=True))
+
+
+def test_validate_checks_each_channel_over_a_zero_horizon(monkeypatch):
+    scn = BUILTIN_SCENARIOS["mobile-16ue"]()
+    built = _count_builds(monkeypatch)
+    assert scn.validate() is None
+    assert [(spec, horizon) for spec, horizon, _ in built] == [(ue.channel, 0.0) for ue in scn.ues]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_resolve_scenario_builds_each_channel_trace_once(name, monkeypatch):
+    # resolving only checks (a derived builtin twice: in its override and
+    # in resolve_scenario), so the Simulator's build is the only full one
+    _assert_each_trace_built_once(lambda: [resolve_scenario(name)], monkeypatch)
+
+
+def _from_file(tmp_path: Path) -> list:
+    path = tmp_path / "mobile-16ue.yaml"
+    save_scenario(BUILTIN_SCENARIOS["mobile-16ue"](), path)
+    return [load_scenario(path)]
+
+
+def _sweep_points(tmp_path: Path) -> list:
+    args = build_parser().parse_args(["sweep", "mobile-16ue", "--param", "aqm.kind=l4span,none",
+                                      "--seeds", "1,2", "--out", str(tmp_path / "out")])
+    return [scn for scn, _ in _sweep_jobs(args)]
+
+
+# the other ways to a runnable scenario; each gets a scratch directory
+ENTRY_POINTS = {
+    **{f"variant:{k}": lambda tmp_path, k=k: [variant_scenario(k)] for k in VARIANTS},
+    "file:mobile-16ue": _from_file,
+    "sweep:mobile-16ue": _sweep_points,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_each_channel_trace_is_built_once_from_entry_point_to_simulator(entry, tmp_path,
+                                                                        monkeypatch):
+    _assert_each_trace_built_once(lambda: ENTRY_POINTS[entry](tmp_path), monkeypatch)
 
 
 # -- the typed loader and overrides --------------------------------------------------
@@ -253,6 +307,16 @@ PROBES = [
     (("name",), 5, "scenario.name"),
     (FLOW + ("size_bytes",), 1.5, "scenario.ues[0].drbs[0].flows[0].size_bytes"),
     (FLOW + ("name",), None, "scenario.ues[0].drbs[0].flows[0].name"),
+    # a zero period divided by zero; a half-period or hold below the 0.5 ms
+    # slot adds breakpoints no slot reads, without bound as it shrinks
+    (("ues", 0, "channel"), {"kind": "fading", "period_secs": 0}, "ues[0].channel.period_secs"),
+    (("ues", 0, "channel"), {"kind": "step", "period_secs": 0.0004}, "ues[0].channel.period_secs"),
+    (("ues", 0, "channel"), {"kind": "fading", "fast_secs": 0.0004}, "ues[0].channel.fast_secs"),
+    # a full build rejected these two; the zero-horizon check must still see
+    # a negative capacity that the trace reaches only after t = 0
+    (("ues", 0, "channel"), {"kind": "step", "low_bps": -1}, "capacities must be >= 0"),
+    (("ues", 0, "channel"), {"kind": "sinusoid", "mean_bps": 10_000_000, "amplitude_bps": -20_000_000},
+     "amplitude may not exceed mean"),
 ]
 
 

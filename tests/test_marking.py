@@ -282,10 +282,13 @@ def test_decide_mark_deterministic_given_seed():
 
 
 def test_refresh_probabilities_updates_byte_threshold():
+    # the byte threshold r_hat * tau_thr is where p_l4s crosses 1/2
     state = DrbMarkState(mode=DrbMode.L4S_ONLY)
     params = MarkParams(tau_thr=0.010)
-    refresh_probabilities(state, params, _estimate(0, 5e6, 1e4))
-    assert state.n_l == pytest.approx(5e6 * 0.010)
+    refresh_probabilities(state, params, _estimate(5e6 * 0.010, 5e6, 1e4))
+    assert state.p_l4s == pytest.approx(0.5)
+    refresh_probabilities(state, params, _estimate(5e6 * 0.010, 6e6, 1e4))
+    assert state.p_l4s < 0.5
 
 
 def test_mode_transitions():

@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from l4span.core import (
+    SYN,
     DrbConfig,
     EcnCodepoint,
     FiveTuple,
     Packet,
     Proto,
     RlcMode,
+    TcpFields,
 )
 from l4span.harness.scenario import BUILTIN_SCENARIOS, ChannelSpec, FlowSpec
 from l4span.marking import MarkParams, p_l4s
@@ -311,14 +313,20 @@ def test_simulator_builds_each_channel_trace_once(monkeypatch):
 
     def counted(spec, horizon):
         trace = real(spec, horizon)
-        built.append((spec, trace))
+        built.append((spec, horizon, trace))
         return trace
 
     monkeypatch.setattr(ChannelSpec, "build", counted)
     sim = Simulator(scn)
-    assert [spec for spec, _ in built] == [ue.channel for ue in scn.ues]
-    assert len(sim.ue_ctx) == len(built)
-    assert all(ctx.trace is trace for ctx, (_, trace) in zip(sim.ue_ctx, built))
+    # validate() checks each channel over a zero horizon; the full traces
+    # are built once each
+    full = [(spec, trace) for spec, horizon, trace in built if horizon == scn.horizon_secs]
+    assert [(spec, horizon) for spec, horizon, _ in built if horizon == 0.0] == [
+        (ue.channel, 0.0) for ue in scn.ues]
+    assert len(built) == 2 * len(scn.ues)
+    assert [spec for spec, _ in full] == [ue.channel for ue in scn.ues]
+    assert len(sim.ue_ctx) == len(full)
+    assert all(ctx.trace is trace for ctx, (_, trace) in zip(sim.ue_ctx, full))
 
 
 def test_zero_traffic_terminates():
@@ -439,6 +447,31 @@ def test_am_delivery_delay_applied():
 
 
 # -- marking layer --------------------------------------------------------------
+
+
+def test_a_forgotten_flow_does_not_measure_its_handshake_again():
+    # flow a idles past IDLE_FLOW_FORGET_SECS while b keeps the bearer busy,
+    # so the layer forgets a; when a resumes it has no handshake RTT, rather
+    # than one measured from its old SYN (12 s here)
+    layer = DrbLayer(DrbConfig(ue_id=1, drb_id=1), MarkParams(), DEFAULT_WINDOW_SECS)
+    a, b = FiveTuple(1, 2, 10, 20, Proto.TCP), FiveTuple(1, 2, 11, 20, Proto.TCP)
+
+    def send(ft, now, flags=0):
+        pkt = Packet(pkt_id=0, five_tuple=ft, size_bytes=1500, ecn=EcnCodepoint.ECT0,
+                     created_at=now, tcp=TcpFields(flags=flags))
+        layer.on_dl_pkt(pkt, True, now)
+
+    for ft in (a, b):
+        send(ft, 0.0, SYN)
+        send(ft, 0.05)
+    state = layer.mark_state
+    assert state.weighted_rtt_star() == pytest.approx(0.05)
+    for t in range(1, 12):
+        send(b, float(t))
+    assert a not in state.flows
+    send(a, 12.0)
+    assert a in state.flows
+    assert state.weighted_rtt_star() == pytest.approx(0.05)
 
 
 def test_feedback_refreshes_only_on_new_input(monkeypatch):
