@@ -201,6 +201,12 @@ class Scenario:
                 raise ConfigError(f"{where}.fast_secs must be at least slot_secs")
             if ch.kind == "fading" and ch.period_secs <= 0:
                 raise ConfigError(f"{where}.period_secs must be positive")
+            # the shadowing hold is a whole number of jitter holds; any other
+            # fade_secs would be rounded to one and run as a different hold
+            if ch.kind == "fading":
+                holds = ch.fade_secs / ch.fast_secs
+                if holds < 1 or abs(holds - round(holds)) > 1e-9 * holds:
+                    raise ConfigError(f"{where}.fade_secs must be a whole multiple of fast_secs")
             try:
                 ch.build(0.0)
             except (ConfigError, ValueError, OSError) as exc:

@@ -5,9 +5,13 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..core import DrbConfig, Packet
+
+
+# what a transmit that completes no SDU returns; shared, never mutated
+_NO_SDUS: tuple = ()
 
 
 class EnqueueResult(enum.Enum):
@@ -41,13 +45,10 @@ class RlcQueue:
         self.transmitted_bytes = 0
         self.dropped_bytes = 0
         self.dropped_sdus = 0
-        self._standing = 0
+        # bytes queued and not yet transmitted, the head's unsent part included
+        self.standing_bytes = 0
         self._dlv_expected = 1
         self._dlv_ooo: set[int] = set()
-
-    @property
-    def standing_bytes(self) -> int:
-        return self._standing
 
     def has_room(self) -> bool:
         return len(self.sdus) < self.drb.max_queue_sdus
@@ -62,30 +63,44 @@ class RlcQueue:
             sdu.head_at = now
         self.sdus.append(sdu)
         self.admitted_bytes += pkt.size_bytes
-        self._standing += pkt.size_bytes
+        self.standing_bytes += pkt.size_bytes
         return EnqueueResult.QUEUED
 
-    def transmit(self, budget_bytes: float, now: float) -> tuple[list[Sdu], int]:
-        """Serve up to budget_bytes; one SDU may be sent partially and
-        completes in a later slot.  Returns completed SDUs and bytes used."""
+    def transmit(self, budget_bytes: float, now: float) -> tuple[Sequence[Sdu], int]:
+        """Serve up to ``budget_bytes`` (>= 0); one SDU may be sent partially
+        and completes in a later slot.  Returns completed SDUs and bytes used.
+
+        A budget that ends inside the head SDU (``int(budget_bytes)`` below
+        its unsent bytes) is counter arithmetic: it moves the head's
+        ``sent_bytes``, ``standing_bytes`` and ``transmitted_bytes`` and
+        returns a shared empty tuple.  The head's ``head_at`` is already
+        set, and no ``done_at`` or ``highest_tx_sn`` changes."""
+        budget = int(budget_bytes)
+        sdus = self.sdus
+        if sdus:
+            head = sdus[0]
+            if budget < head.pkt.size_bytes - head.sent_bytes:
+                head.sent_bytes += budget
+                self.standing_bytes -= budget
+                self.transmitted_bytes += budget
+                return _NO_SDUS, budget
         used = 0
         completed: list[Sdu] = []
-        budget = int(budget_bytes)
-        while budget > 0 and self.sdus:
-            head = self.sdus[0]
+        while budget > 0 and sdus:
+            head = sdus[0]
             need = head.pkt.size_bytes - head.sent_bytes
             take = min(need, budget)
             head.sent_bytes += take
             budget -= take
             used += take
-            self._standing -= take
+            self.standing_bytes -= take
             if head.sent_bytes == head.pkt.size_bytes:
-                self.sdus.popleft()
+                sdus.popleft()
                 head.done_at = now
                 completed.append(head)
                 self.highest_tx_sn = head.sn
-                if self.sdus:
-                    self.sdus[0].head_at = now
+                if sdus:
+                    sdus[0].head_at = now
         self.transmitted_bytes += used
         return completed, used
 

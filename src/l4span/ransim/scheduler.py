@@ -13,13 +13,20 @@ idle slot's PF update is ``(1 - alpha) * ewma + alpha * 0.0``, which equals
 the decays of the slots it missed, one multiplication per slot, when it is
 next backlogged.  The result is bit-identical to updating every UE every
 slot.  Round robin never reads the average and leaves it alone.
+
+A slot makes one pass over the UEs it is passed, computing each backlogged
+UE's standing bytes, capacity, need, PF catch-up and weight, then divides
+the slot and serves each UE.  A UE with one queue skips ``_queue_shares``:
+its share is ``min(budget, standing)``.  Most shares end inside a queue's
+head SDU, and ``RlcQueue.transmit`` serves those with counter arithmetic,
+so a slot's Python-level SDU work follows SDU completions.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .channel import ChannelTrace
 from .rlc import RlcQueue, Sdu
@@ -52,7 +59,7 @@ class SlotTransmissions(NamedTuple):
     """What one DRB transmitted during a slot."""
 
     queue: RlcQueue
-    completed: list[Sdu]
+    completed: Sequence[Sdu]
     used_bytes: int
 
 
@@ -85,12 +92,10 @@ def _water_fill(needs: list[float], weights: list[float], total: float) -> list[
 
 
 def _queue_shares(needs: list[float], budget: float) -> list[float]:
-    """Split a UE's budget equally over its backlogged queues.  One queue
-    gets min(budget, need), which is what ``_water_fill`` returns for it
-    whenever the budget is above its 1e-12 floor (budgets here are >= 1)."""
-    if len(needs) == 1:
-        need = needs[0]
-        return [budget if budget < need else need]
+    """Split a UE's budget equally over its backlogged queues.  The
+    scheduler gives a UE with one queue min(budget, need) without calling
+    this: that is what ``_water_fill`` returns for one queue whenever the
+    budget is above its 1e-12 floor (budgets here are >= 1)."""
     return _water_fill(needs, [1.0] * len(needs), budget)
 
 
@@ -119,46 +124,58 @@ def scheduler_slot(
     average brought up to date.  Under PF, each UE's ``ewma_at`` must start
     at the time of the caller's first slot."""
     pf = policy is SchedulerPolicy.PROPORTIONAL_FAIR
+    half_slot = slot_len_secs / 2
+    # one pass: standing bytes, capacity, need (in slot-fraction units),
+    # PF catch-up and weight of each backlogged UE
     backlogged = []  # (ue, capacity, standing bytes)
+    needs = []
+    weights = []
     for ue in ues:
-        standing = 0
-        for q in ue.queues:
-            standing += q.standing_bytes
+        queues = ue.queues
+        if len(queues) == 1:
+            standing = queues[0].standing_bytes
+        else:
+            standing = 0
+            for q in queues:
+                standing += q.standing_bytes
         if standing > 0:
             cap = ue.trace.rate_at(now)
             if cap > 0:
                 backlogged.append((ue, cap, standing))
+                need = standing / (cap * slot_len_secs)
+                needs.append(need if need < 1.0 else 1.0)
+                if pf:
+                    if now - ue.ewma_at > half_slot:  # idle for at least one slot
+                        pf_catch_up(ue, now, slot_len_secs)
+                    rate = ue.ewma_rate
+                    weights.append(cap / (_PF_RATE_FLOOR if _PF_RATE_FLOOR > rate else rate))
+                else:
+                    weights.append(1.0)
     reports: list[SlotTransmissions] = []
     if not backlogged:
         return reports
-    # needs and allocation in slot-fraction units
-    needs = []
-    weights = []
-    half_slot = slot_len_secs / 2
-    for ue, cap, standing in backlogged:
-        needs.append(min(1.0, standing / (cap * slot_len_secs)))
-        if pf:
-            if now - ue.ewma_at > half_slot:  # idle for at least one slot
-                pf_catch_up(ue, now, slot_len_secs)
-            weights.append(cap / max(ue.ewma_rate, _PF_RATE_FLOOR))
-        else:
-            weights.append(1.0)
     fractions = _water_fill(needs, weights, 1.0)
     alpha = slot_len_secs / PF_EWMA_HORIZON_SECS
-    for (ue, cap, _), fraction in zip(backlogged, fractions):
+    for (ue, cap, standing), fraction in zip(backlogged, fractions):
         budget = fraction * cap * slot_len_secs
         if budget < 1:
             continue
-        queues = [q for q in ue.queues if q.standing_bytes > 0]
-        served = 0
-        for q, share in zip(queues, _queue_shares([float(q.standing_bytes) for q in queues],
-                                                  budget)):
-            if share < 1:
-                continue
-            completed, used = q.transmit(share, now)
-            if used > 0:
-                served += used
-                reports.append(SlotTransmissions(q, completed, used))
+        if len(ue.queues) == 1:
+            # _queue_shares' one-queue share; it is >= 1, so bytes move
+            q = ue.queues[0]
+            completed, served = q.transmit(budget if budget < standing else standing, now)
+            reports.append(SlotTransmissions(q, completed, served))
+        else:
+            queues = [q for q in ue.queues if q.standing_bytes > 0]
+            served = 0
+            for q, share in zip(queues, _queue_shares([float(q.standing_bytes) for q in queues],
+                                                      budget)):
+                if share < 1:
+                    continue
+                completed, used = q.transmit(share, now)
+                if used > 0:
+                    served += used
+                    reports.append(SlotTransmissions(q, completed, used))
         if pf and served:
             # an unserved UE's update is an exact decay, applied lazily
             ue.ewma_rate = (1.0 - alpha) * ue.ewma_rate + alpha * (served / slot_len_secs)

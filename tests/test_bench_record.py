@@ -55,3 +55,33 @@ def test_wins_counts_ties_for_neither_side():
     out = bench_record.wins(change, parent, {"wall_s": "lower", "goodput_mbps": "higher"})
     assert out["wall_s"] == {"better": 1, "worse": 1, "pairs": 3}
     assert out["goodput_mbps"] == {"better": 1, "worse": 1, "pairs": 2}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--builtin", "static-1ue"], "--horizon"),
+    (["--builtin", "static-1ue", "--horizon", "0"], "--horizon"),
+    (["--builtin", "no-such-cell", "--horizon", "1"], "no-such-cell"),
+    (["--builtin", "static-1ue", "--horizon", "1", "--workloads", "bulk-1ue"], "--workloads"),
+    (["--horizon", "1"], "--builtin"),
+])
+def test_builtin_options_are_a_usage_error_before_any_run(argv, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--n", "0", "--seeds", "1"] + argv)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_builtin_times_run_on_both_sides_and_compares_them():
+    args = argparse.Namespace(builtin="static-1ue", horizon=0.3, seeds=[1, 2])
+    root = _PATH.parents[1]
+    record = {}
+    bench_record.record_builtin(args, {"change": root, "parent": root}, record)
+    entry = record["builtins"]["static-1ue@0.3s"]
+    assert entry["same_events_and_summary"] is True
+    for side in ("change", "parent"):
+        assert [r["seed"] for r in entry[side]["runs"]] == [1, 2]
+        assert all(r["events"] > 0 and r["metrics"]["run_cpu_s"] > 0 for r in entry[side]["runs"])
+        assert entry[side]["checkout"]["source_sha256"] == bench_record.source_sha256(root)
+    assert set(entry["change_better"]) == set(bench_record.BUILTIN_METRICS)
+    assert all(w["pairs"] == 2 for w in entry["change_better"].values())
+    assert entry["repeat_policy"]["horizon_secs"] == 0.3

@@ -312,6 +312,9 @@ PROBES = [
     (("ues", 0, "channel"), {"kind": "fading", "period_secs": 0}, "ues[0].channel.period_secs"),
     (("ues", 0, "channel"), {"kind": "step", "period_secs": 0.0004}, "ues[0].channel.period_secs"),
     (("ues", 0, "channel"), {"kind": "fading", "fast_secs": 0.0004}, "ues[0].channel.fast_secs"),
+    # the shadowing hold runs as a whole number of jitter holds, at least one
+    (("ues", 0, "channel"), {"kind": "fading", "fade_secs": 0.005}, "ues[0].channel.fade_secs"),
+    (("ues", 0, "channel"), {"kind": "fading", "fade_secs": 0.014}, "ues[0].channel.fade_secs"),
     # a full build rejected these two; the zero-horizon check must still see
     # a negative capacity that the trace reaches only after t = 0
     (("ues", 0, "channel"), {"kind": "step", "low_bps": -1}, "capacities must be >= 0"),

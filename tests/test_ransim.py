@@ -168,12 +168,49 @@ def test_delivery_pointer_in_order():
     assert q.highest_dlv_sn == 3
 
 
+class _NaiveRlc:
+    """A byte-level model of an RLC queue: per queued SDU its SN, its unsent
+    bytes and when it reached the head.  It shares no code with ``RlcQueue``."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.queued = []  # [sn, unsent bytes, head_at]
+        self.done_at = {}  # sn -> (head_at, done_at)
+        self.highest_tx_sn = None
+
+    def enqueue(self, sn, size, now):
+        if len(self.queued) < self.cap:
+            self.queued.append([sn, size, now if not self.queued else None])
+
+    def transmit(self, budget, now):
+        left = int(budget)
+        completed = []
+        while left and self.queued:
+            head = self.queued[0]
+            step = head[1] if head[1] < left else left
+            head[1] -= step
+            left -= step
+            if head[1] == 0:
+                self.queued.pop(0)
+                self.done_at[head[0]] = (head[2], now)
+                completed.append(head[0])
+                self.highest_tx_sn = head[0]
+                if self.queued:
+                    self.queued[0][2] = now
+        return completed, int(budget) - left
+
+
 @given(ops=st.lists(st.one_of(
     st.tuples(st.just("enqueue"), st.integers(40, 3000)),
+    # large budgets complete SDUs; small ones mostly end inside the head
     st.tuples(st.just("transmit"), st.floats(0.0, 10_000.0)),
+    st.tuples(st.just("transmit"), st.floats(0.0, 1500.0)),
+    # a budget a byte short of, equal to or a byte past the head's unsent bytes
+    st.tuples(st.just("head_end"), st.integers(-1, 1)),
 ), max_size=80), cap=st.integers(1, 12))
 def test_rlc_conserves_bytes_under_partial_transmits(ops, cap):
     q = RlcQueue(DrbConfig(ue_id=1, drb_id=1, max_queue_sdus=cap))
+    model = _NaiveRlc(cap)
     now, sn = 0.0, 0
     done = []
     for op, arg in ops:
@@ -181,12 +218,20 @@ def test_rlc_conserves_bytes_under_partial_transmits(ops, cap):
         if op == "enqueue":
             sn += 1
             q.enqueue(_pkt(sn, arg), sn, now)
+            model.enqueue(sn, arg, now)
         else:
+            if op == "head_end":
+                arg = max(0, (model.queued[0][1] if model.queued else 0) + arg)
             completed, used = q.transmit(arg, now)
             assert used <= arg
+            assert ([s.sn for s in completed], used) == model.transmit(arg, now)
+            assert all((s.head_at, s.done_at) == model.done_at[s.sn] for s in completed)
+            assert q.highest_tx_sn == model.highest_tx_sn
             done += completed
         assert q.admitted_bytes == q.transmitted_bytes + q.standing_bytes
         assert q.standing_bytes == sum(s.pkt.size_bytes - s.sent_bytes for s in q.sdus)
+        assert [(s.sn, s.pkt.size_bytes - s.sent_bytes, s.head_at, s.done_at) for s in q.sdus] \
+            == [(m_sn, unsent, head_at, None) for m_sn, unsent, head_at in model.queued]
         queued = list(q.sdus)
         # only the head may be partly sent, and it knows when it got there
         assert all(s.sent_bytes == 0 for s in queued[1:])
@@ -263,7 +308,9 @@ def test_water_fill_conserves_total_and_respects_caps(data, needs, total):
 
 @given(need=st.floats(1e-3, 1e7), budget=st.floats(1.0, 1e7))
 def test_one_queue_share_equals_water_fill(need, budget):
-    assert _queue_shares([need], budget) == _water_fill([need], [1.0], budget)
+    # the share scheduler_slot gives a UE with one queue, without _queue_shares
+    assert [budget if budget < need else need] == _queue_shares([need], budget) \
+        == _water_fill([need], [1.0], budget)
 
 
 # -- event loop ---------------------------------------------------------------

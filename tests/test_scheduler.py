@@ -118,6 +118,28 @@ _phases = st.lists(
 @given(channels=st.lists(st.tuples(_segments(), st.integers(1, 2)), min_size=1, max_size=6),
        policy=st.sampled_from(list(SchedulerPolicy)), phases=_phases)
 def test_scheduler_matches_eager_oracle(channels, policy, phases):
+    _compare_with_oracle(channels, policy, phases)
+
+
+# cell sizes: 16-64 one-queue UEs whose shares of a slot are tens to hundreds
+# of bytes, so most transmits end inside a head SDU
+_cell_burst = st.tuples(st.integers(0, 63), st.just(0), st.integers(500, 3000),
+                        st.integers(1, 20))
+_cell_phases = st.lists(
+    st.tuples(st.lists(_cell_burst, max_size=40), st.integers(1, 200), st.integers(0, 2**64 - 1),
+              st.booleans()),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(segments=st.lists(_segments(), min_size=16, max_size=64),
+       policy=st.sampled_from(list(SchedulerPolicy)), phases=_cell_phases)
+def test_scheduler_matches_eager_oracle_at_cell_sizes(segments, policy, phases):
+    _compare_with_oracle([(seg, 1) for seg in segments], policy, phases)
+
+
+def _compare_with_oracle(channels, policy, phases):
     oracle, lazy = _cell(channels), _cell(channels)
     n = 0
     pkt_id = 0
