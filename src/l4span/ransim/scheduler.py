@@ -131,13 +131,9 @@ def scheduler_slot(
     needs = []
     weights = []
     for ue in ues:
-        queues = ue.queues
-        if len(queues) == 1:
-            standing = queues[0].standing_bytes
-        else:
-            standing = 0
-            for q in queues:
-                standing += q.standing_bytes
+        standing = 0
+        for q in ue.queues:
+            standing += q.standing_bytes
         if standing > 0:
             cap = ue.trace.rate_at(now)
             if cap > 0:

@@ -58,11 +58,8 @@ def test_wins_counts_ties_for_neither_side():
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["--builtin", "static-1ue"], "--horizon"),
-    (["--builtin", "static-1ue", "--horizon", "0"], "--horizon"),
-    (["--builtin", "no-such-cell", "--horizon", "1"], "no-such-cell"),
-    (["--builtin", "static-1ue", "--horizon", "1", "--workloads", "bulk-1ue"], "--workloads"),
-    (["--horizon", "1"], "--builtin"),
+    (["--builtin", "no-such-cell"], "no-such-cell"),
+    (["--builtin", "static-1ue", "--workloads", "bulk-1ue"], "--workloads"),
 ])
 def test_builtin_options_are_a_usage_error_before_any_run(argv, named, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -72,16 +69,19 @@ def test_builtin_options_are_a_usage_error_before_any_run(argv, named, capsys):
 
 
 def test_builtin_times_run_on_both_sides_and_compares_them():
-    args = argparse.Namespace(builtin="static-1ue", horizon=0.3, seeds=[1, 2])
     root = _PATH.parents[1]
     record = {}
-    bench_record.record_builtin(args, {"change": root, "parent": root}, record)
-    entry = record["builtins"]["static-1ue@0.3s"]
+    bench_record.record_builtin("static-1ue", [1], {"change": root, "parent": root}, record)
+    entry = record["builtins"]["static-1ue"]
     assert entry["same_events_and_summary"] is True
+    # provenance is what the checkout's own perfbench/run.py reports
+    digest = entry["change"]["checkout"]["source_sha256"]
+    assert len(digest) == 64 and entry["parent"]["checkout"]["source_sha256"] == digest
     for side in ("change", "parent"):
-        assert [r["seed"] for r in entry[side]["runs"]] == [1, 2]
-        assert all(r["events"] > 0 and r["metrics"]["run_cpu_s"] > 0 for r in entry[side]["runs"])
-        assert entry[side]["checkout"]["source_sha256"] == bench_record.source_sha256(root)
+        assert "all_correct" not in entry[side]  # no output check ran
+        [run] = entry[side]["runs"]
+        assert run["seed"] == 1 and "correct" not in run
+        assert run["events"] > 0 and run["metrics"]["run_cpu_s"] > 0
     assert set(entry["change_better"]) == set(bench_record.BUILTIN_METRICS)
-    assert all(w["pairs"] == 2 for w in entry["change_better"].values())
-    assert entry["repeat_policy"]["horizon_secs"] == 0.3
+    assert all(w["pairs"] == 1 for w in entry["change_better"].values())
+    assert entry["repeat_policy"]["horizon_secs"] == bench_record.BUILTIN_HORIZON_SECS

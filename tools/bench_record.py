@@ -16,16 +16,17 @@ sides and, per metric, in how many pairs the change read better and worse.
 one.
 
     python3 tools/bench_record.py --n 13 --seeds 1-10 --builtin static-64ue \
-        --horizon 3 --baseline ../parent-checkout --merge
+        --baseline ../parent-checkout --merge
 
 ``--builtin NAME`` times ``Simulator.run`` on a bundled scenario instead,
-with its horizon cut to ``--horizon`` seconds, its warm-up to a third of
-that, and its seed set to each seed in turn.  Each run builds the simulator and
-times ``run()`` alone in a fresh interpreter that imports the package from
-the checkout's ``src/``, alternating sides as above.  The times go under
-``builtins`` in the file, keyed ``NAME@<horizon>s``, apart from the
-benchmark's workloads; each run also records its event count and a digest of
-its summary, and the entry says whether both sides agreed on them.
+with its horizon cut to 3 s, its warm-up to 1 s, and its seed set to each
+seed in turn.  Each run builds the simulator and times ``run()`` alone in a
+fresh interpreter that imports the package from the checkout's ``src/``,
+alternating sides as above.  The times go under ``builtins`` in the file,
+keyed by NAME, apart from the benchmark's workloads.  No output check runs
+on them, so they carry no ``correct`` field; each run records its event
+count and a digest of its summary instead, and the entry says whether both
+sides agreed on them.
 
 The file holds, per workload and side, the median and quartiles over seeds of
 each end-to-end metric ``BENCHMARK.json`` declares, every run's values, the
@@ -36,7 +37,6 @@ host) and the repeat policy.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
@@ -85,14 +85,20 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict
     }
 
 
-# times Simulator.run on a bundled scenario; argv: name, horizon, seed
+# the horizon and warm-up --builtin cuts a bundled scenario to
+BUILTIN_HORIZON_SECS = 3.0
+BUILTIN_WARMUP_SECS = 1.0
+# times Simulator.run on a bundled scenario, run in the checkout; argv: name, horizon,
+# warm-up, seed.  The provenance comes from the checkout's own perfbench/run.py.
 TIME_RUN = """
 import hashlib, json, os, platform, sys, time
 import numpy
+sys.path.insert(0, os.path.abspath("perfbench"))
+import run as perfbench_run
 from l4span.harness.scenario import BUILTIN_SCENARIOS, override
 from l4span.ransim.sim import Simulator
-name, horizon, seed = sys.argv[1:]
-changes = {"horizon_secs": float(horizon), "warmup_secs": float(horizon) / 3, "seed": int(seed)}
+name, horizon, warmup, seed = sys.argv[1:]
+changes = {"horizon_secs": float(horizon), "warmup_secs": float(warmup), "seed": int(seed)}
 sim = Simulator(override(BUILTIN_SCENARIOS[name](), changes))
 wall, cpu = time.perf_counter(), time.process_time()
 res = sim.run()
@@ -101,45 +107,27 @@ print(json.dumps({
     "metrics": {"run_s": wall, "run_cpu_s": cpu, "sim_s_per_cpu_s": float(horizon) / cpu},
     "events": res.events,
     "summary_sha256": hashlib.sha256(json.dumps(res.summary, sort_keys=True).encode()).hexdigest(),
-    "python": platform.python_version(), "numpy": numpy.__version__,
-    "cpu_count": os.cpu_count(), "platform": platform.platform(),
+    "checkout": {
+        "git_sha": perfbench_run.git_sha(), "source_sha256": perfbench_run.source_digest(),
+        "python": platform.python_version(), "numpy": numpy.__version__,
+        "cpu_count": os.cpu_count(), "platform": platform.platform(),
+    },
 }))
 """
 # what --builtin records per run, and which way is better
 BUILTIN_METRICS = {"run_s": "lower", "run_cpu_s": "lower", "sim_s_per_cpu_s": "higher"}
 
 
-def source_sha256(checkout: Path) -> str:
-    """The digest ``perfbench/run.py`` prints: every ``src/`` and ``perfbench/`` module."""
-    h = hashlib.sha256()
-    for path in sorted((checkout / "src").rglob("*.py")) + sorted(
-            (checkout / "perfbench").glob("*.py")):
-        h.update(str(path.relative_to(checkout)).encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()
-
-
-def git_sha(checkout: Path) -> str | None:
-    if not (checkout / ".git").exists():
-        return None
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
-                          text=True)
-    return proc.stdout.strip() or None
-
-
-def time_builtin(checkout: Path, name: str, horizon: float, seed: int) -> dict:
+def time_builtin(checkout: Path, name: str, seed: int) -> dict:
     """One timed ``Simulator.run`` of a bundled scenario, imported from ``checkout``."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    cmd = [sys.executable, "-c", TIME_RUN, name, str(horizon), str(seed)]
+    cmd = [sys.executable, "-c", TIME_RUN, name, str(BUILTIN_HORIZON_SECS),
+           str(BUILTIN_WARMUP_SECS), str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"timing {name} in {checkout} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    host = {k: out.pop(k) for k in ("python", "numpy", "cpu_count", "platform")}
-    return {"seed": seed, "correct": True, **out,
-            "checkout": {"git_sha": git_sha(checkout), "source_sha256": source_sha256(checkout),
-                         **host}}
+    return {"seed": seed, **json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
 def summarize(runs: list[dict], names: list[str]) -> dict:
@@ -152,13 +140,15 @@ def summarize(runs: list[dict], names: list[str]) -> dict:
         median[name] = statistics.median(values)
         quartiles[name] = (statistics.quantiles(values, n=4, method="inclusive")[::2]
                            if len(values) > 1 else [values[0], values[0]])
-    return {
+    out = {
         "median": median,
         "quartiles": quartiles,
-        "all_correct": all(r["correct"] for r in runs),
         "checkout": runs[0]["checkout"],
         "runs": [{k: v for k, v in r.items() if k != "checkout"} for r in runs],
     }
+    if "correct" in runs[0]:  # a benchmark run checks its output; a --builtin run does not
+        out["all_correct"] = all(r["correct"] for r in runs)
+    return out
 
 
 def wins(change: list[dict], parent: list[dict], better: dict[str, str]) -> dict:
@@ -174,20 +164,20 @@ def wins(change: list[dict], parent: list[dict], better: dict[str, str]) -> dict
     return out
 
 
-def record_builtin(args, sides: dict, record: dict) -> None:
-    """Time ``--builtin`` on each side over the seeds; add its entry to ``record``."""
+def record_builtin(name: str, seeds: list[int], sides: dict, record: dict) -> None:
+    """Time bundled scenario ``name`` on each side over the seeds; add its entry to ``record``."""
     runs = {side: [] for side in sides}
-    for i, seed in enumerate(args.seeds):
+    for i, seed in enumerate(seeds):
         for side in (list(sides) if i % 2 else list(reversed(sides))):
-            r = time_builtin(sides[side], args.builtin, args.horizon, seed)
+            r = time_builtin(sides[side], name, seed)
             runs[side].append(r)
-            print(f"{args.builtin} seed {seed} {side}: run_s {r['metrics']['run_s']:.4g}, "
+            print(f"{name} seed {seed} {side}: run_s {r['metrics']['run_s']:.4g}, "
                   f"run_cpu_s {r['metrics']['run_cpu_s']:.4g}, events {r['events']}", flush=True)
     entry = {side: summarize(rs, list(BUILTIN_METRICS)) for side, rs in runs.items()}
     entry["repeat_policy"] = {
-        "seeds": args.seeds,
-        "horizon_secs": args.horizon,
-        "warmup_secs": args.horizon / 3,
+        "seeds": seeds,
+        "horizon_secs": BUILTIN_HORIZON_SECS,
+        "warmup_secs": BUILTIN_WARMUP_SECS,
         "order": "one run per side per seed; the parent runs first on the 1st, 3rd, ... "
                  "seed" if "parent" in sides else "one run per seed",
         "statistic": "median and quartiles over seeds",
@@ -198,7 +188,7 @@ def record_builtin(args, sides: dict, record: dict) -> None:
         entry["same_events_and_summary"] = all(
             (c["events"], c["summary_sha256"]) == (p["events"], p["summary_sha256"])
             for c, p in zip(runs["change"], runs["parent"]))
-    record.setdefault("builtins", {})[f"{args.builtin}@{args.horizon:g}s"] = entry
+    record.setdefault("builtins", {})[name] = entry
 
 
 def main(argv=None) -> int:
@@ -208,9 +198,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default=None,
                     help="comma-separated (default: every workload in BENCHMARK.json)")
     ap.add_argument("--builtin", default=None,
-                    help="time Simulator.run on this bundled scenario instead of the workloads")
-    ap.add_argument("--horizon", type=float, default=None,
-                    help="with --builtin: the horizon in seconds (required)")
+                    help="time Simulator.run on this bundled scenario, cut to 3 s, "
+                         "instead of the workloads")
     ap.add_argument("--baseline", type=Path, default=None,
                     help="a checkout of the parent commit to pair each run with")
     ap.add_argument("--merge", action="store_true", help="add workloads to an existing file")
@@ -224,12 +213,8 @@ def main(argv=None) -> int:
         if args.builtin not in BUILTIN_SCENARIOS:
             ap.error(f"--builtin: no bundled scenario {args.builtin!r}; one of "
                      f"{', '.join(BUILTIN_SCENARIOS)}")
-        if args.horizon is None or args.horizon <= 0:
-            ap.error("--builtin needs a positive --horizon")
         if args.workloads is not None:
             ap.error("--builtin and --workloads do not combine")
-    elif args.horizon is not None:
-        ap.error("--horizon goes with --builtin")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -245,7 +230,7 @@ def main(argv=None) -> int:
     if args.baseline is not None:
         sides["parent"] = args.baseline.resolve()
     if args.builtin is not None:
-        record_builtin(args, sides, record)
+        record_builtin(args.builtin, args.seeds, sides, record)
         out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(f"wrote {out}")
         return 0
