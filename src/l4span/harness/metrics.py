@@ -3,7 +3,9 @@
 Three outputs per run, all recomputable from each other's inputs:
 
 * packets.jsonl: one record per delivered packet (one-way delay breakdown
-  plus the sojourn predicted for it at ingress);
+  plus the sojourn predicted for it at ingress).  In memory the collector
+  stores delivered packets by column, one flat ``array`` per field, and
+  ``collector.packets`` builds a ``PacketRecord`` on each access;
 * intervals.jsonl: per-flow records every 100 ms (throughput, rtt, cwnd,
   the flow's bearer gauges: queue depth, marking probabilities, r_hat and
   e_hat; mark/drop counts).  The stream is sparse: a flow has a record for
@@ -25,8 +27,9 @@ import json
 import math
 from array import array
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
+from itertools import starmap
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -47,6 +50,54 @@ class PacketRecord:
     retransmission: float
     predicted_sojourn: Optional[float]
     size_bytes: int
+
+
+class PacketColumns(Sequence):
+    """Delivered packets by column, in delivery order.
+
+    One ``array('d')`` per float field, ``array('q')`` for ``size_bytes``
+    and an unsigned index into ``flow_names`` for the flow: about 70 B a
+    packet, against about 290 B for a ``PacketRecord``, its boxed floats
+    and its list slot.  ``MetricsCollector.on_delivery`` fills the columns;
+    readers see a read-only sequence that builds a ``PacketRecord`` per
+    access.
+    """
+
+    def __init__(self, flow_names: list[str]):
+        self.flow_names = flow_names
+        self.t = array("d")
+        self.flow_index = array("I")
+        self.one_way = array("d")
+        self.propagation = array("d")
+        self.queuing = array("d")
+        self.scheduling = array("d")
+        self.retransmission = array("d")
+        # None is stored as NaN: the profile predicts a sojourn only by
+        # dividing by r_hat > 0 (inf otherwise), so it never yields NaN
+        self.predicted_sojourn = array("d")
+        self.size_bytes = array("q")
+
+    def rows(self) -> Iterator[tuple]:
+        """Each packet's field values, in ``PACKET_FIELDS`` order."""
+        names = self.flow_names
+        for t, f, one_way, prop, queuing, sched, retx, pred, size in zip(
+                self.t, self.flow_index, self.one_way, self.propagation, self.queuing,
+                self.scheduling, self.retransmission, self.predicted_sojourn, self.size_bytes):
+            yield (t, names[f], one_way, prop, queuing, sched, retx,
+                   None if pred != pred else pred, size)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self) -> Iterator[PacketRecord]:
+        return starmap(PacketRecord, self.rows())
+
+    def __getitem__(self, i: int) -> PacketRecord:
+        pred = self.predicted_sojourn[i]
+        return PacketRecord(self.t[i], self.flow_names[self.flow_index[i]], self.one_way[i],
+                            self.propagation[i], self.queuing[i], self.scheduling[i],
+                            self.retransmission[i], None if pred != pred else pred,
+                            self.size_bytes[i])
 
 
 @dataclass(slots=True)
@@ -89,7 +140,8 @@ class MetricsCollector:
         self.drb_of_flow = dict(drb_of_flow)
         self.warmup_secs = warmup_secs
         self.flow_starts = dict(flow_starts)
-        self.packets: list[PacketRecord] = []
+        self._flow_index = {f: i for i, f in enumerate(self.flow_names)}
+        self.packets = PacketColumns(self.flow_names)
         self.intervals: list[IntervalRecord] = []
         # RTT samples per flow in time order, and how many of them precede warm-up
         self.rtt_samples: dict[str, array] = {f: array("d") for f in flow_names}
@@ -112,13 +164,25 @@ class MetricsCollector:
 
     # -- event hooks --------------------------------------------------------
 
-    def on_delivery(self, rec: PacketRecord, payload_bytes: int) -> None:
-        self.packets.append(rec)
-        self.delivered_payload[rec.flow] += payload_bytes
-        if rec.t >= self.warmup_secs:
-            self.delivered_payload_steady[rec.flow] += payload_bytes
-        acc = self._acc[rec.flow]
-        acc.delivered_payload += payload_bytes
+    def on_delivery(self, t: float, flow: str, one_way: float, propagation: float,
+                    queuing: float, scheduling: float, retransmission: float,
+                    predicted_sojourn: Optional[float], size_bytes: int,
+                    payload_bytes: int) -> None:
+        """One delivered packet: its ``PacketRecord`` fields in order, then its payload."""
+        p = self.packets
+        p.t.append(t)
+        p.flow_index.append(self._flow_index[flow])
+        p.one_way.append(one_way)
+        p.propagation.append(propagation)
+        p.queuing.append(queuing)
+        p.scheduling.append(scheduling)
+        p.retransmission.append(retransmission)
+        p.predicted_sojourn.append(math.nan if predicted_sojourn is None else predicted_sojourn)
+        p.size_bytes.append(size_bytes)
+        self.delivered_payload[flow] += payload_bytes
+        if t >= self.warmup_secs:
+            self.delivered_payload_steady[flow] += payload_bytes
+        self._acc[flow].delivered_payload += payload_bytes
 
     def on_rtt(self, t: float, flow: str, rtt: float) -> None:
         """One RTT sample; samples arrive in time order, as every hook's do."""
@@ -198,18 +262,17 @@ class MetricsCollector:
         return np.array(self.rtt_samples[flow][self._rtt_warmup_n[flow]:], dtype=float)
 
     def summarize(self, horizon: float, utilization: dict[int, dict]) -> dict:
-        # steady-state delays and queuing by flow, in delivery order, in one pass
-        delays_of: dict[str, list[float]] = {f: [] for f in self.flow_names}
-        queuing_of: dict[str, list[float]] = {f: [] for f in self.flow_names}
-        for r in self.packets:
-            if r.t >= self.warmup_secs:
-                delays_of[r.flow].append(r.one_way)
-                queuing_of[r.flow].append(r.queuing)
+        # steady-state packets grouped by flow, each flow's in delivery order
+        p = self.packets
+        flow_index = np.frombuffer(p.flow_index, dtype=np.uint32)
+        steady = np.flatnonzero(np.frombuffer(p.t) >= self.warmup_secs)
+        steady = steady[np.argsort(flow_index[steady], kind="stable")]
+        bounds = np.cumsum(np.bincount(flow_index[steady], minlength=len(self.flow_names)))[:-1]
+        delays_of = np.split(np.frombuffer(p.one_way)[steady], bounds)
+        queuing_of = np.split(np.frombuffer(p.queuing)[steady], bounds)
         flows = {}
         span = max(horizon - self.warmup_secs, 1e-9)
-        for flow in self.flow_names:
-            delays = np.array(delays_of[flow], dtype=float)
-            queuing = np.array(queuing_of[flow], dtype=float)
+        for flow, delays, queuing in zip(self.flow_names, delays_of, queuing_of):
             rtts = self.steady_rtts(flow)
             lats = self._steady(self.feedback_latency[flow])
             completion = self.completion.get(flow)
@@ -262,11 +325,18 @@ _interval_values = attrgetter(*INTERVAL_FIELDS)
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 
+def _packet_rows(packets: Iterable[PacketRecord]) -> Iterator[tuple]:
+    """Each packet's field values, read straight from the columns when it has them."""
+    if isinstance(packets, PacketColumns):
+        return packets.rows()
+    return map(_packet_values, packets)
+
+
 def packet_lines(packets: Iterable[PacketRecord]) -> Iterator[str]:
     """One sorted-key JSON line per packet record."""
     encode = _ENCODER.encode
-    for r in packets:
-        yield encode(dict(zip(PACKET_FIELDS, _packet_values(r)))) + "\n"
+    for row in _packet_rows(packets):
+        yield encode(dict(zip(PACKET_FIELDS, row))) + "\n"
 
 
 def interval_lines(intervals: Iterable[IntervalRecord]) -> Iterator[str]:
@@ -309,7 +379,7 @@ def _write_csvs(result, out: Path) -> None:
     with open(out / "packets.csv", "w", newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(PACKET_FIELDS)
-        w.writerows(map(_packet_values, result.collector.packets))
+        w.writerows(_packet_rows(result.collector.packets))
     with open(out / "intervals.csv", "w", newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(INTERVAL_FIELDS)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 
 
@@ -11,8 +12,10 @@ class ChannelTrace:
     """Piecewise-constant capacity (bytes/s) over strictly increasing breakpoints.
 
     The last segment extends to infinity, so evaluation is defined for any
-    t >= 0.  Lookups keep a cursor on the last segment they hit, so the
-    simulator's monotone slot-by-slot queries skip the binary search.
+    t >= 0.  The breakpoints are stored as flat ``array('d')`` columns of
+    segment starts, ends and capacities, not as pairs.  Lookups keep a
+    cursor on the last segment they hit, so the simulator's monotone
+    slot-by-slot queries skip the binary search.
     """
 
     def __init__(self, breakpoints: list[tuple[float, float]]):
@@ -27,10 +30,10 @@ class ChannelTrace:
             last = t
         if breakpoints[0][0] > 0:
             raise ValueError("first breakpoint must be at t=0")
-        self._times = [t for t, _ in breakpoints]
-        self._caps = [c for _, c in breakpoints]
+        self._times = array("d", [t for t, _ in breakpoints])
+        self._caps = array("d", [c for _, c in breakpoints])
         # segment i covers [_times[i], _ends[i])
-        self._ends = self._times[1:] + [math.inf]
+        self._ends = self._times[1:] + array("d", [math.inf])
         self._cursor = 0
 
     @property

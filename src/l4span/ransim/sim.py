@@ -52,7 +52,7 @@ from ..core import (
     RlcMode,
     TcpFields,
 )
-from ..harness.metrics import INTERVAL_SECS, MetricsCollector, PacketRecord
+from ..harness.metrics import INTERVAL_SECS, MetricsCollector
 from ..marking import MarkDecision, MarkParams
 from ..senders import (
     CubicState,
@@ -554,18 +554,11 @@ class Simulator:
         pkt = sdu.pkt
         if flow.bearer.am:
             flow.bearer.mark_delivered(sdu.sn)
-        rec = PacketRecord(
-            t=now,
-            flow=flow.spec.name,
-            one_way=now - pkt.created_at,
-            propagation=self.scn.delays.dl_prop_secs,
-            queuing=sdu.head_at - sdu.enq_at,
-            scheduling=sdu.done_at - sdu.head_at,
-            retransmission=now - sdu.done_at,
-            predicted_sojourn=pkt.pred_sojourn,
-            size_bytes=pkt.size_bytes,
-        )
-        self.metrics.on_delivery(rec, pkt.payload_bytes)
+        # the PacketRecord fields in order, then the payload
+        self.metrics.on_delivery(now, flow.spec.name, now - pkt.created_at,
+                                 self.scn.delays.dl_prop_secs, sdu.head_at - sdu.enq_at,
+                                 sdu.done_at - sdu.head_at, now - sdu.done_at,
+                                 pkt.pred_sojourn, pkt.size_bytes, pkt.payload_bytes)
         ack = receiver_on_data(flow.receiver, pkt, now, self.next_pkt_id())
         if ack is not None:
             self.loop.schedule(now + self.scn.delays.ran_ul_secs, EventKind.ARRIVE_UPLINK,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,7 @@ def test_builtin_times_run_on_both_sides_and_compares_them():
     # provenance is what the checkout's own perfbench/run.py reports
     digest = entry["change"]["checkout"]["source_sha256"]
     assert len(digest) == 64 and entry["parent"]["checkout"]["source_sha256"] == digest
+    assert entry["change"]["checkout"]["dirty"] == bench_record.tree_dirty(root)
     for side in ("change", "parent"):
         assert "all_correct" not in entry[side]  # no output check ran
         [run] = entry[side]["runs"]
@@ -85,3 +87,25 @@ def test_builtin_times_run_on_both_sides_and_compares_them():
     assert set(entry["change_better"]) == set(bench_record.BUILTIN_METRICS)
     assert all(w["pairs"] == 1 for w in entry["change_better"].values())
     assert entry["repeat_policy"]["horizon_secs"] == bench_record.BUILTIN_HORIZON_SECS
+
+
+def test_tree_dirty_reads_src_and_perfbench_against_the_commit(tmp_path, monkeypatch):
+    # git must not find a repository above the temporary one
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    assert bench_record.tree_dirty(tmp_path) is None  # not a git work tree
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    for rel in ("src/a.py", "perfbench/b.py", "notes.md"):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    assert bench_record.tree_dirty(tmp_path) is False
+    (tmp_path / "notes.md").write_text("outside the benchmarked code\n")
+    assert bench_record.tree_dirty(tmp_path) is False
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    assert bench_record.tree_dirty(tmp_path) is True

@@ -1,14 +1,19 @@
 import functools
+import gc
 import importlib.util
 import json
 import math
 import re
 import tracemalloc
 from collections import defaultdict
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from l4span.harness.cli import _sweep_jobs, build_parser
 from l4span.harness.cli import main as cli_main
@@ -645,8 +650,8 @@ def test_stream_lines_match_per_record_json_dumps(records, lines, dumps, keys):
 def test_interval_record_reads_like_the_dict_it_replaced():
     c = MetricsCollector(["a", "b"], {"a": (1, 1), "b": (1, 2)}, warmup_secs=0.0,
                          flow_starts={"a": 0.0, "b": 0.0})
-    c.on_delivery(PacketRecord(0.01, "a", 0.02, 0.01, 0.005, 0.005, 0.0, 0.004, 1540), 1500)
-    c.on_delivery(PacketRecord(0.02, "a", 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540), 1500)
+    c.on_delivery(0.01, "a", 0.02, 0.01, 0.005, 0.005, 0.0, 0.004, 1540, 1500)
+    c.on_delivery(0.02, "a", 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540, 1500)
     c.on_rtt(0.05, "a", 0.02)
     c.on_rtt(0.06, "a", 0.05)
     c.on_mark(0.07, "a")
@@ -689,7 +694,7 @@ def test_close_interval_keeps_anchor_live_and_counting_flows():
     c.on_completion("c", 0.12)
     c.close_interval(0.2, [0.0] * 3, gauges)
     c.close_interval(0.3, [0.0] * 3, gauges)
-    c.on_delivery(PacketRecord(0.35, "c", 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540), 1500)
+    c.on_delivery(0.35, "c", 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540, 1500)
     c.close_interval(0.4, [0.0] * 3, gauges)
     c.close_interval(0.5, [0.0] * 3, gauges)
     assert [(r.t, r.flow) for r in c.intervals] == [
@@ -716,8 +721,7 @@ def test_write_run_holds_no_whole_stream_in_memory(tmp_path):
     cwnd = [1500.0 * (i + 1) for i in range(len(flows))]
     gauges = {(i, 1): (i, i / 500, None, 1e6 + i, None) for i in range(len(flows))}
     for k in range(100):
-        c.on_delivery(PacketRecord(k * 0.1, flows[k], 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540),
-                      1500)
+        c.on_delivery(k * 0.1, flows[k], 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540, 1500)
         c.close_interval((k + 1) * 0.1, cwnd, gauges)
     assert len(c.intervals) == 50_000
     result = SimpleNamespace(
@@ -733,3 +737,83 @@ def test_write_run_holds_no_whole_stream_in_memory(tmp_path):
     size = (tmp_path / "intervals.jsonl").stat().st_size
     assert size > 5_000_000
     assert peak < size / 4, f"traced peak {peak} B for a {size} B stream"
+
+
+# -- the collector's packet columns against the records they replaced ------------
+
+ORACLE_FLOWS = ["a", "b", EDGE_NAME]
+ORACLE_WARMUP = 1.0
+_delay = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _packet_record(draw) -> PacketRecord:
+    return PacketRecord(
+        t=draw(st.just(ORACLE_WARMUP) | st.floats(0.0, 2 * ORACLE_WARMUP)),
+        flow=draw(st.sampled_from(ORACLE_FLOWS)),
+        one_way=draw(_delay), propagation=draw(_delay), queuing=draw(_delay),
+        scheduling=draw(_delay), retransmission=draw(_delay),
+        predicted_sojourn=draw(st.none() | st.floats(0.0, allow_infinity=True)),
+        size_bytes=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+def _oracle_stats(values: list[float]) -> dict:
+    if not values:
+        return {"count": 0}
+    a = np.array(values)
+    p50, p90, p99 = np.percentile(a, [50, 90, 99])
+    return {"count": len(values), "mean": float(np.mean(a)),
+            "p50": float(p50), "p90": float(p90), "p99": float(p99)}
+
+
+# one steady packet exactly at warm-up, and enough packets per flow, each
+# delay of its own magnitude, that the mean depends on their order
+_MANY = [PacketRecord(ORACLE_WARMUP + (k % 7) * 0.1, ORACLE_FLOWS[k % 3], 10.0 ** (k % 9 - 4) * k,
+                      0.014, (k * 0.37) % 1.3, 1e-4, 0.0, None if k % 4 else k * 1e-3, 1500)
+         for k in range(120)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(_MANY)
+@given(st.lists(_packet_record(), max_size=60))
+def test_packet_columns_match_the_records_they_store(records):
+    c = MetricsCollector(ORACLE_FLOWS, {f: (1, i) for i, f in enumerate(ORACLE_FLOWS)},
+                         warmup_secs=ORACLE_WARMUP, flow_starts=dict.fromkeys(ORACLE_FLOWS, 0.0))
+    for r in records:
+        c.on_delivery(r.t, r.flow, r.one_way, r.propagation, r.queuing, r.scheduling,
+                      r.retransmission, r.predicted_sojourn, r.size_bytes, 100)
+
+    assert len(c.packets) == len(records)
+    assert list(c.packets) == records
+    for i, r in enumerate(records):
+        assert c.packets[i] == r
+    if records:
+        assert c.packets[-1] == records[-1]
+    assert dumps_packets(c.packets) == "".join(
+        json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)
+
+    flows = c.summarize(2 * ORACLE_WARMUP, {})["flows"]
+    for flow in ORACLE_FLOWS:
+        steady = [r for r in records if r.flow == flow and r.t >= ORACLE_WARMUP]
+        assert flows[flow]["delay"] == _oracle_stats([r.one_way for r in steady])
+        assert flows[flow]["queuing"] == _oracle_stats([r.queuing for r in steady])
+
+
+def test_collector_keeps_under_100_bytes_per_delivered_packet():
+    # 8 columns of 8 B and a 4-B flow index, plus the arrays' spare growth room;
+    # a slotted PacketRecord, its boxed floats and its list slot took 288 B
+    scn = override(BUILTIN_SCENARIOS["static-1ue"](), {"horizon_secs": 2.0, "warmup_secs": 1.0})
+    tracemalloc.start()
+    try:
+        res = run(scn)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        n = len(res.collector.packets)
+        res.collector.packets = None
+        gc.collect()
+        per_packet = (held - tracemalloc.get_traced_memory()[0]) / n
+    finally:
+        tracemalloc.stop()
+    assert n > 1000
+    assert per_packet <= 100, f"{per_packet:.1f} B per delivered packet"

@@ -16,8 +16,7 @@ RANSIM = sorted(f"ransim/{p.name}" for p in (PKG / "ransim").glob("*.py"))
 # surface (ROADMAP item 1)
 HARNESS_EDGES = {
     "ransim/sim.py": ["l4span.harness.metrics", "l4span.harness.metrics.INTERVAL_SECS",
-                      "l4span.harness.metrics.MetricsCollector",
-                      "l4span.harness.metrics.PacketRecord"],
+                      "l4span.harness.metrics.MetricsCollector"],
 }
 
 

@@ -31,7 +31,8 @@ sides agreed on them.
 The file holds, per workload and side, the median and quartiles over seeds of
 each end-to-end metric ``BENCHMARK.json`` declares, every run's values, the
 provenance the benchmark printed (commit, source digest, Python, numpy,
-host) and the repeat policy.
+host), whether the checkout's ``src/`` or ``perfbench/`` differed from its
+commit (``dirty``; null outside a git work tree) and the repeat policy.
 """
 
 from __future__ import annotations
@@ -64,6 +65,21 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def tree_dirty(checkout: Path) -> bool | None:
+    """Whether ``src/`` or ``perfbench/`` in ``checkout`` differs from its commit.
+
+    None when the checkout is not a git work tree, as a copy made with
+    ``git archive`` is not; its ``git_sha`` is null too.
+    """
+    if not (checkout / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
+                          cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return None
+    return bool(proc.stdout.strip())
+
+
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``checkout``; its final record and provenance."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -81,7 +97,7 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict
         "failed": final["failed"],
         "metrics": {k: v["value"] for k, v in final["metrics"].items()},
         "repeat_policy": prov["repeat_policy"],
-        "checkout": {k: prov[k] for k in CHECKOUT_KEYS},
+        "checkout": {**{k: prov[k] for k in CHECKOUT_KEYS}, "dirty": tree_dirty(checkout)},
     }
 
 
@@ -127,7 +143,9 @@ def time_builtin(checkout: Path, name: str, seed: int) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"timing {name} in {checkout} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
-    return {"seed": seed, **json.loads(proc.stdout.strip().splitlines()[-1])}
+    run = json.loads(proc.stdout.strip().splitlines()[-1])
+    run["checkout"]["dirty"] = tree_dirty(checkout)
+    return {"seed": seed, **run}
 
 
 def summarize(runs: list[dict], names: list[str]) -> dict:
