@@ -107,20 +107,14 @@ class AcceptanceRunner:
 
     def result(self, key: str):
         if key not in self._cache:
-            from ..ransim import layer
             from ..ransim.sim import run as sim_run
 
             scn = variant_scenario(key)
             if self.verbose:
                 print(f"... running {key} ({scn.horizon_secs:.0f} s horizon)", flush=True)
             t0 = time.time()
-            original = layer.decide_mark
-            if key == "static-1ue-step":  # C2's twin: the reference rule decides
-                layer.decide_mark = reference_step_mark
-            try:
-                res = sim_run(scn)
-            finally:
-                layer.decide_mark = original
+            # C2's twin: the reference rule decides in place of decide_mark
+            res = sim_run(scn, reference_step_mark if key == "static-1ue-step" else None)
             if self.verbose:
                 print(f"    done in {time.time() - t0:.1f} s ({res.events} events)", flush=True)
             if self.save_dir:
@@ -131,11 +125,6 @@ class AcceptanceRunner:
         return self._cache[key]
 
     # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _steady_packets(res, flow: str):
-        warmup = res.collector.warmup_secs
-        return [r for r in res.collector.packets if r.flow == flow and r.t >= warmup]
 
     @staticmethod
     def _flow(res, name: str) -> dict:
@@ -219,8 +208,7 @@ class AcceptanceRunner:
     def c3_l4s_latency_utilization(self) -> CriterionResult:
         res = self.result("static-1ue")
         base = self.result("static-1ue-noaqm")
-        queuing = np.array([r.queuing for r in self._steady_packets(res, "prague-1")])
-        med_q = float(np.median(queuing))
+        med_q = self._flow(res, "prague-1")["queuing"]["p50"]
         util = res.summary["ues"][1]["utilization"]
         med_delay = self._flow(res, "prague-1")["delay"]["p50"]
         med_delay_base = self._flow(base, "prague-1")["delay"]["p50"]
@@ -253,8 +241,8 @@ class AcceptanceRunner:
         qs = [r["queue_bytes"] for r in res.collector.intervals if r["t"] >= res.collector.warmup_secs]
         nonzero = sum(1 for q in qs if q > 0) / len(qs)
         util = res.summary["ues"][1]["utilization"]
-        med_q = float(np.median([r.queuing for r in self._steady_packets(res, "cubic-1")]))
-        med_q_base = float(np.median([r.queuing for r in self._steady_packets(base, "cubic-1")]))
+        med_q = self._flow(res, "cubic-1")["queuing"]["p50"]
+        med_q_base = self._flow(base, "cubic-1")["queuing"]["p50"]
         passed = nonzero >= 0.99 and util >= 0.90 and med_q <= 0.25 * med_q_base
         return CriterionResult(
             5, "classic flow keeps a standing queue without bufferbloat", passed,
@@ -353,13 +341,12 @@ class AcceptanceRunner:
 
         # prediction vs realized sojourn on the mobile run
         res = self.result("mobile-1ue")
-        rel_errs = []
-        for r in res.collector.packets:
-            if r.t < res.collector.warmup_secs or r.predicted_sojourn is None:
-                continue
-            actual = r.queuing + r.scheduling
-            if actual > 1e-4:
-                rel_errs.append(abs(r.predicted_sojourn - actual) / actual)
+        p = res.collector.packets
+        predicted = np.frombuffer(p.predicted_sojourn)  # NaN: no prediction
+        actual = np.frombuffer(p.queuing) + np.frombuffer(p.scheduling)
+        keep = ((np.frombuffer(p.t) >= res.collector.warmup_secs) & ~np.isnan(predicted)
+                & (actual > 1e-4))
+        rel_errs = np.abs(predicted[keep] - actual[keep]) / actual[keep]
         med = float(np.median(rel_errs))
         passed = worst_mean_err <= 0.05 and med <= 0.30
         return CriterionResult(

@@ -24,7 +24,7 @@ from typing import Any, Optional
 from ..core import TCP_HEADER_BYTES, RlcMode
 from ..marking import SHARED_POLICIES
 from ..profile import DEFAULT_COHERENCE_SECS
-from ..ransim.channel import ChannelTrace
+from ..ransim.channel import SINUSOID_SAMPLE_SECS, ChannelTrace
 from ..ransim.scheduler import SchedulerPolicy
 from .metrics import INTERVAL_SECS
 
@@ -35,6 +35,9 @@ DEFAULT_MSS = 1500
 DEFAULT_QUEUE_SDUS = 16384
 DEFAULT_DELIVERY_DELAY = 0.008
 DEFAULT_ARQ_DELAY = 0.020
+# the most breakpoints one UE's channel trace may hold: 10,000 s of a fading
+# channel's 10 ms jitter holds, about 144 MB at the build's peak and 25 MB kept
+MAX_TRACE_BREAKPOINTS = 1_000_000
 
 SENDER_KINDS = ("prague", "cubic", "reno", "udp")
 FEEDBACK_KINDS = ("accecn", "classic", "none")
@@ -207,6 +210,13 @@ class Scenario:
                 holds = ch.fade_secs / ch.fast_secs
                 if holds < 1 or abs(holds - round(holds)) > 1e-9 * holds:
                     raise ConfigError(f"{where}.fade_secs must be a whole multiple of fast_secs")
+            # the generator's own count, one breakpoint per hold over the horizon
+            hold = {"step": ch.period_secs / 2, "sinusoid": SINUSOID_SAMPLE_SECS,
+                    "fading": ch.fast_secs}.get(ch.kind)
+            if hold is not None and self.horizon_secs / hold + 2 > MAX_TRACE_BREAKPOINTS:
+                raise ConfigError(f"{where}: horizon_secs {self.horizon_secs:g} needs about "
+                                  f"{self.horizon_secs / hold:.3g} {ch.kind} breakpoints, more "
+                                  f"than the {MAX_TRACE_BREAKPOINTS:,} a trace may hold")
             try:
                 ch.build(0.0)
             except (ConfigError, ValueError, OSError) as exc:

@@ -13,9 +13,15 @@ Three regimes, selected by the mix of flow classes observed on the bearer:
   with the coupled probability (2/K) * sqrt(p_classic), which equalizes the
   two throughput models at equal RTT.
 
-The wired fixed-step baseline (``dualpi2_step_mark``) needs no estimator: it
-estimates sojourn by subtracting the ingress timestamps of the queue head
-and tail packets and marks everything while that exceeds a threshold.
+``decide_mark`` turns the bearer's latest probabilities into one packet's
+decision; a bearer's marking layer calls it, or another rule with its
+signature, for every admitted packet.
+
+The wired fixed-step baseline needs no estimator.  ``dualpi2_step_mark`` is
+its predicate: the sojourn is the gap between the ingress times of the queue
+head and the arriving tail packet, and every packet is marked while that
+gap exceeds a threshold.  Only the simulator owns the queue, so it applies
+the predicate to the realized RLC head.
 """
 
 from __future__ import annotations
@@ -56,15 +62,16 @@ def p_l4s(n_queue: float, r_hat: float, e_hat: float, tau_thr: float) -> float:
     return 0.5 * math.erfc(-x / (e_hat * _SQRT2))
 
 
-def dualpi2_step_mark(head_ingress: float, tail_ingress: float, threshold_secs: float) -> bool:
-    """Step-mark predicate on the realized head/tail ingress spread.
+def dualpi2_step_mark(head_at: float, tail_at: float, threshold_secs: float) -> bool:
+    """Step-mark predicate on the realized spread of the head's and the
+    tail's ingress times.
 
     True marks every packet while the oldest queued packet is more than
     ``threshold_secs`` older than the newest.
     """
-    if tail_ingress < head_ingress:
+    if tail_at < head_at:
         raise ValueError("tail packet cannot predate the head packet")
-    return (tail_ingress - head_ingress) > threshold_secs
+    return (tail_at - head_at) > threshold_secs
 
 
 def p_classic(mss: float, k: float, rtt_hat: float, r_hat: float) -> float:

@@ -7,6 +7,9 @@ import random
 from array import array
 from bisect import bisect_right
 
+# the sinusoid's sampling step
+SINUSOID_SAMPLE_SECS = 0.025
+
 
 class ChannelTrace:
     """Piecewise-constant capacity (bytes/s) over strictly increasing breakpoints.
@@ -89,7 +92,7 @@ class ChannelTrace:
         amplitude: float,
         period: float,
         horizon: float,
-        sample_secs: float = 0.025,
+        sample_secs: float = SINUSOID_SAMPLE_SECS,
         phase: float = 0.0,
     ) -> "ChannelTrace":
         if period <= 0 or sample_secs <= 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ..core import (
     FLOW_CLASS_OF_ECN,
@@ -26,8 +26,6 @@ from ..marking import (
     MarkDecision,
     MarkParams,
     decide_mark,
-    dualpi2_step_mark,
-    map_mark_outcome,
     refresh_probabilities,
 )
 from ..profile import EgressEstimate, ProfileTable
@@ -43,6 +41,9 @@ from ..shortcircuit import (
 GC_FEEDBACK_PERIOD = 512
 GC_KEEP_HORIZON_SECS = 1.0
 
+# a marking rule is called as decide_mark is: (state, params, pkt, flow_class, rng, now)
+MarkRule = Callable[..., MarkDecision]
+
 
 @dataclass
 class DownlinkOutcome:
@@ -52,22 +53,20 @@ class DownlinkOutcome:
 
 
 class DrbLayer:
-    """Marking, profiling, and feedback state for one bearer."""
+    """Marking, profiling, and feedback state for one bearer.  Its marking
+    rule is fixed at construction: ``mark_rule``, or else this module's
+    ``decide_mark`` as it is bound then (a wrapper put there first sees every call)."""
 
     def __init__(
         self,
         drb: DrbConfig,
         params: MarkParams,
         window_secs: float,
-        enabled: bool = True,
-        realized_step: bool = False,
+        mark_rule: Optional[MarkRule] = None,
     ):
         self.drb = drb
         self.params = params
-        self.enabled = enabled
-        # wired-baseline mode: mark everything while the realized head/tail
-        # ingress spread of the queue exceeds the threshold, no estimator
-        self.realized_step = realized_step
+        self.mark_rule = decide_mark if mark_rule is None else mark_rule
         self.profile = ProfileTable(drb, window_secs=window_secs)
         self.mark_state = DrbMarkState()
         self.rng = random.Random(params.rng_seed)
@@ -85,9 +84,8 @@ class DrbLayer:
 
     # -- downlink ----------------------------------------------------------
 
-    def on_dl_pkt(
-        self, pkt: Packet, has_room: bool, now: float, head_ingress: Optional[float] = None
-    ) -> DownlinkOutcome:
+    def on_dl_pkt(self, pkt: Packet, has_room: bool, now: float) -> DownlinkOutcome:
+        """Mark an admitted packet by the rule fixed at construction and give it an SN."""
         self._dl_since_refresh = True
         ft = pkt.five_tuple
         flow_class = FLOW_CLASS_OF_ECN[pkt.ecn]
@@ -108,14 +106,7 @@ class DrbLayer:
         if est is not None and est.r_hat > 0 and now - est.at <= self.params.freshness_secs:
             predicted = self.profile.queued_bytes / est.r_hat
 
-        decision = MarkDecision.PASS
-        if self.enabled and self.realized_step:
-            marked = head_ingress is not None and dualpi2_step_mark(
-                head_ingress, now, self.params.tau_thr
-            )
-            decision = map_mark_outcome(marked, pkt, flow_class, self.params)
-        elif self.enabled:
-            decision = decide_mark(self.mark_state, self.params, pkt, flow_class, self.rng, now)
+        decision = self.mark_rule(self.mark_state, self.params, pkt, flow_class, self.rng, now)
         if decision is MarkDecision.DROP:
             # never entered the RLC, so it never enters the profile either
             return DownlinkOutcome(decision=decision, predicted_sojourn=predicted, sn=None)
@@ -183,7 +174,7 @@ class DrbLayer:
                 fb = FlowFeedbackState(mode=classify_feedback_mode(pkt))
                 self.flow_feedback[ft] = fb
             self._feedback_of_ack[pkt.five_tuple] = fb
-        if not self.enabled or not self.params.short_circuit:
+        if not self.params.short_circuit:
             return pkt
         if fb.mode is FeedbackMode.DOWNLINK_FALLBACK:
             return pkt

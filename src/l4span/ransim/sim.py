@@ -53,7 +53,7 @@ from ..core import (
     TcpFields,
 )
 from ..harness.metrics import INTERVAL_SECS, MetricsCollector
-from ..marking import MarkDecision, MarkParams
+from ..marking import MarkDecision, MarkParams, dualpi2_step_mark, map_mark_outcome
 from ..senders import (
     CubicState,
     PragueState,
@@ -66,7 +66,7 @@ from ..senders import (
 )
 from ..shortcircuit import FeedbackMode
 from .events import EventKind, EventLoop
-from .layer import DrbLayer
+from .layer import DrbLayer, MarkRule
 from .rlc import RlcQueue
 from .scheduler import SchedulerPolicy, UeContext, scheduler_slot
 
@@ -349,19 +349,30 @@ class UdpEndpoint:
                                UdpEndpoint._tick, self)
 
 
+def _pass_every_packet(state, params, pkt, flow_class, rng, now) -> MarkDecision:
+    """The rule of ``aqm.kind: none``: no AQM marks anything."""
+    return MarkDecision.PASS
+
+
 class _Bearer(RlcQueue):
     """A bearer's RLC queue, linked at build time to what the slot path
     needs of it: its marking layer, its spec, its loss RNG and its UE's
     index in ``Simulator.ue_ctx``."""
 
-    def __init__(self, cfg: DrbConfig, spec, layer: DrbLayer, loss_rng: random.Random,
-                 ue_index: int):
+    layer: DrbLayer
+
+    def __init__(self, cfg: DrbConfig, spec, loss_rng: random.Random, ue_index: int):
         super().__init__(cfg)
         self.spec = spec
-        self.layer = layer
         self.am = cfg.rlc_mode is RlcMode.AM
         self.loss_rng = loss_rng
         self.ue_index = ue_index
+
+    def step_mark(self, state, params, pkt, flow_class, rng, now) -> MarkDecision:
+        """The rule of ``aqm.kind: dualpi2step``: the wired fixed-step marker, applied
+        to this queue's realized head (queued more than ``tau_thr`` before ``now``)."""
+        marked = bool(self.sdus) and dualpi2_step_mark(self.sdus[0].enq_at, now, params.tau_thr)
+        return map_mark_outcome(marked, pkt, flow_class, params)
 
 
 @dataclass
@@ -386,9 +397,11 @@ class SimResult:
 
 
 class Simulator:
-    """Builds the topology from a scenario and runs the event loop to horizon."""
+    """Builds the topology from a scenario and runs the event loop to horizon.
+    Each bearer's marking rule is chosen once, by ``aqm.kind``: ``mark_rule``
+    (None: ``decide_mark``), ``_Bearer.step_mark`` or ``_pass_every_packet``."""
 
-    def __init__(self, scenario):
+    def __init__(self, scenario, mark_rule: Optional[MarkRule] = None):
         scenario.validate()
         self.scn = scenario
         self.loop = EventLoop()
@@ -418,22 +431,19 @@ class Simulator:
                     mss_bytes=drb.mss_bytes,
                     beta=aqm.beta,
                     rng_seed=seed,
-                    short_circuit=aqm.short_circuit,
+                    short_circuit=aqm.short_circuit and aqm.kind != "none",
                     drop_fallback=aqm.drop_fallback,
                     freshness_secs=2 * scenario.window_secs,
                     force_zero_error=aqm.force_zero_error or aqm.kind == "dualpi2step",
                     shared_policy=aqm.shared_policy,
                 )
-                layer = DrbLayer(
-                    cfg, params, scenario.window_secs,
-                    enabled=aqm.kind != "none",
-                    realized_step=aqm.kind == "dualpi2step",
-                )
-                bearer = _Bearer(cfg, drb, layer, random.Random(seed + 7777777),
-                                 len(self.ue_ctx))
+                bearer = _Bearer(cfg, drb, random.Random(seed + 7777777), len(self.ue_ctx))
+                rule = (mark_rule if aqm.kind == "l4span" else
+                        bearer.step_mark if aqm.kind == "dualpi2step" else _pass_every_packet)
+                bearer.layer = DrbLayer(cfg, params, scenario.window_secs, rule)
                 ctx.queues.append(bearer)
                 self.queues[key] = bearer
-                self.layers[key] = layer
+                self.layers[key] = bearer.layer
                 for i, fspec in enumerate(drb.flows):
                     ft = FiveTuple(
                         src_addr=SERVER_ADDR_BASE + len(self.flows),
@@ -486,8 +496,7 @@ class Simulator:
     def _arrive_downlink(self, data, now: float) -> None:
         flow, pkt = data
         q = flow.bearer
-        head_ingress = q.sdus[0].enq_at if q.sdus else None
-        outcome = q.layer.on_dl_pkt(pkt, q.has_room(), now, head_ingress=head_ingress)
+        outcome = q.layer.on_dl_pkt(pkt, q.has_room(), now)
         if outcome.decision is MarkDecision.DROP:
             self.metrics.on_aqm_drop(now, flow.spec.name)
             return
@@ -651,6 +660,7 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
-def run(scenario) -> SimResult:
-    """Validate and execute a scenario; deterministic given its seed."""
-    return Simulator(scenario).run()
+def run(scenario, mark_rule: Optional[MarkRule] = None) -> SimResult:
+    """Validate and execute a scenario; deterministic given its seed.
+    ``mark_rule`` replaces ``decide_mark`` on ``l4span`` bearers."""
+    return Simulator(scenario, mark_rule).run()

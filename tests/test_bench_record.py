@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -56,6 +57,67 @@ def test_wins_counts_ties_for_neither_side():
     out = bench_record.wins(change, parent, {"wall_s": "lower", "goodput_mbps": "higher"})
     assert out["wall_s"] == {"better": 1, "worse": 1, "pairs": 3}
     assert out["goodput_mbps"] == {"better": 1, "worse": 1, "pairs": 2}
+
+
+BOUNDED = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+           {"name": "goodput_mbps", "better": "higher", "bound": 0.05}]
+
+
+def _sides(change: dict[str, list[float]], parent: dict[str, list[float]]):
+    def side(values):
+        n = len(next(iter(values.values())))
+        return bench_record.summarize(
+            [_run(i, **{k: v[i] for k, v in values.items()}) for i in range(n)], list(values))
+    return side(change), side(parent)
+
+
+def test_bound_check_reads_worse_unresolved_and_within():
+    # parent wall_s median 2.0, quartiles [1.95, 2.05]: a 5 % spread
+    parent = {"wall_s": [1.9, 1.95, 2.0, 2.05, 2.1], "goodput_mbps": [10.0] * 5}
+    cases = [
+        ({"wall_s": [2.6] * 5, "goodput_mbps": [9.4] * 5}, "worse", "worse"),     # +30 %, -6 %
+        ({"wall_s": [2.4] * 5, "goodput_mbps": [9.6] * 5}, "within", "within"),   # +20 %, -4 %
+        ({"wall_s": [1.0] * 5, "goodput_mbps": [20.0] * 5}, "within", "within"),  # better
+    ]
+    for change, wall, goodput in cases:
+        out = bench_record.bound_checks(*_sides(change, parent), BOUNDED)
+        assert (out["wall_s"]["verdict"], out["goodput_mbps"]["verdict"]) == (wall, goodput)
+    out = bench_record.bound_checks(*_sides({"wall_s": [2.6] * 5, "goodput_mbps": [9.4] * 5},
+                                            parent), BOUNDED)
+    assert out["wall_s"]["worse_by"] == pytest.approx(0.3)
+    assert out["wall_s"]["parent_spread"] == pytest.approx(0.05)
+    assert out["goodput_mbps"]["worse_by"] == pytest.approx(0.06)
+    # a parent whose quartiles span more than the bound cannot tell a change
+    # within it; quartiles [1.5, 2.5] around 2.0 are a 50 % spread
+    wide = {"wall_s": [1.0, 1.5, 2.0, 2.5, 3.0], "goodput_mbps": [10.0] * 5}
+    out = bench_record.bound_checks(*_sides({"wall_s": [2.1] * 5, "goodput_mbps": [10.0] * 5},
+                                            wide), BOUNDED)
+    assert out["wall_s"] == {"verdict": "unresolved", "bound": 0.25,
+                             "worse_by": pytest.approx(0.05), "parent_spread": pytest.approx(0.5)}
+    assert out["goodput_mbps"]["verdict"] == "within"
+    # a metric one side lacks gets no verdict
+    out = bench_record.bound_checks(*_sides({"wall_s": [2.0] * 5}, {"wall_s": [2.0] * 5}), BOUNDED)
+    assert set(out) == {"wall_s"}
+
+
+def test_bound_check_of_a_zero_parent_median():
+    metric = [{"name": "fct_p50_s", "better": "lower", "bound": 0.1}]
+    for change, parent, verdict in [([0.0] * 3, [0.0] * 3, "within"),
+                                    ([0.1] * 3, [0.0] * 3, "worse"),
+                                    ([0.0] * 3, [0.0, 0.0, 1.0], "unresolved")]:
+        out = bench_record.bound_checks(*_sides({"fct_p50_s": change}, {"fct_p50_s": parent}),
+                                        metric)
+        assert out["fct_p50_s"]["verdict"] == verdict
+
+
+def test_bound_check_reads_the_recorded_setup_s_of_bench_13_as_unresolved():
+    # parent quartiles 0.801..1.381 ms around 1.231 ms: a 47 % spread, over the 25 % bound
+    root = _PATH.parents[1]
+    entry = json.loads((root / "BENCH_13.json").read_text())["workloads"]["bulk-1ue"]
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    check = bench_record.bound_checks(entry["change"], entry["parent"], metrics)["setup_s"]
+    assert check["verdict"] == "unresolved"
+    assert check["parent_spread"] == pytest.approx(0.471, abs=1e-3)
 
 
 @pytest.mark.parametrize("argv, named", [

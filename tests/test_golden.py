@@ -11,7 +11,9 @@ one of its intervals stream, so any change to event order or arithmetic
 anywhere on the slot path shows here, and a change to which interval
 records are kept shows apart from one to what the run computed.  A change
 that reorders events on purpose updates the digests and says so in
-CHANGES.md.  The interval stream is sparse, and each bearer still reports
+CHANGES.md.  Both runs are pinned under each marking rule a bearer can
+run: L4Span's (``aqm.kind: l4span``), the wired fixed-step marker on the
+realized RLC head (``dualpi2step``) and no AQM (``none``).  The interval stream is sparse, and each bearer still reports
 its gauges once per interval; that contract is checked here too.  The
 events dispatched per kind, and the handlers each kind runs, are pinned
 too: the benchmark's per-kind figures count events by that label.  A
@@ -42,6 +44,8 @@ from l4span.harness.scenario import (
 )
 import pytest
 
+from l4span.core import Packet
+from l4span.ransim import layer as layer_mod
 from l4span.ransim import sim as sim_mod
 from l4span.ransim.sim import Simulator, run
 
@@ -172,6 +176,71 @@ def test_idle_return_streams_are_pinned():
     assert len(finite) == 13
     assert packets_summary_digest(result) == IDLE_GOLDEN_PACKETS_SUMMARY_SHA256
     assert intervals_digest(result) == IDLE_GOLDEN_INTERVALS_SHA256
+
+
+def with_aqm_kind(make, kind: str) -> Scenario:
+    scn = make()
+    scn.aqm = AqmSpec(kind=kind)
+    return scn
+
+
+@functools.cache
+def cached_rule_run(make, kind: str):
+    return run(with_aqm_kind(make, kind))
+
+
+# (packets+summary, intervals) digests of each run under the other two rules
+RULE_PINS = {
+    (golden_scenario, "dualpi2step"): (
+        "c8df31dfa7557ad670207316c415af9355cdf561f57d8513f39ee09dbeffb82b",
+        "2323176afc043fe860eff1d7394465ea6926ec192e01dd51d0222697795a9510"),
+    (golden_scenario, "none"): (
+        "aa0f7d4bc0a7262b1b72f147ddd2036a5d3e2d78c64df5c064c26d5d9920b070",
+        "4fea2db4a2f0932df51ec0af826f431679dfce3a0c8fe945d07b0813a9fc39be"),
+    (idle_return_scenario, "dualpi2step"): (
+        "c1edbd43e936c248b96d6b6eb4a373728103ae8b2b205a1c09a496bafb7dc722",
+        "84940a59b46f66ff61a4be799dfcaa01760a0eb0f2b53ca8b2a35fbcdc5131d6"),
+    (idle_return_scenario, "none"): (
+        "cf9344edd74bc3ce374e465037883f07f8a3975b2aa53b94f6b3313882ae846e",
+        "759fb09c284d634c3a616371ecd69a99901d42b8aec0f67e131008fa288567fc"),
+}
+
+
+@pytest.mark.parametrize("make, kind", list(RULE_PINS),
+                         ids=[f"{make.__name__}-{kind}" for make, kind in RULE_PINS])
+def test_streams_under_the_step_and_no_aqm_rules_are_pinned(make, kind):
+    result = cached_rule_run(make, kind)
+    marks = sum(f["marks"] for f in result.summary["flows"].values())
+    latencies = sum(len(v) for v in result.collector.feedback_latency.values())
+    # each run exercises its rule: the step marks (818 and 139 marks), and
+    # with no AQM nothing is marked and no mark is fed back
+    if kind == "dualpi2step":
+        assert marks > 0 and latencies > 0
+    else:
+        assert marks == 0 and latencies == 0
+    assert (packets_summary_digest(result), intervals_digest(result)) == RULE_PINS[make, kind]
+
+
+# calls to l4span.ransim.layer.decide_mark in the golden run, per aqm.kind
+DECIDE_MARK_CALLS = {"l4span": 1377, "dualpi2step": 0, "none": 0}
+
+
+@pytest.mark.parametrize("kind", list(DECIDE_MARK_CALLS))
+def test_a_decide_mark_wrapped_before_the_build_sees_every_call(kind, monkeypatch):
+    # the benchmark's traced run wraps the layer module's decide_mark before
+    # it builds the simulator, counts each call and reads the packet from
+    # the call's third argument
+    calls = []
+    real = layer_mod.decide_mark
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(layer_mod, "decide_mark", counted)
+    Simulator(with_aqm_kind(golden_scenario, kind)).run()
+    assert len(calls) == DECIDE_MARK_CALLS[kind]
+    assert all(isinstance(pkt, Packet) for pkt in calls)
 
 
 @pytest.mark.parametrize("make", [golden_scenario, idle_return_scenario])

@@ -325,19 +325,31 @@ PROBES = [
     (("ues", 0, "channel"), {"kind": "step", "low_bps": -1}, "capacities must be >= 0"),
     (("ues", 0, "channel"), {"kind": "sinusoid", "mean_bps": 10_000_000, "amplitude_bps": -20_000_000},
      "amplitude may not exceed mean"),
+    # a horizon whose trace cannot be built (Simulator raised MemoryError)
+    *[({("horizon_secs",): 1e12, ("ues", 0, "channel"): {"kind": kind}}, None,
+       "ues[0].channel: horizon_secs") for kind in ("step", "sinusoid", "fading")],
 ]
 
 
+def _probe_changes(path, value) -> list:
+    """A row's (path, value) pairs: a row whose path is a mapping sets each of its paths."""
+    return list(path.items()) if isinstance(path, dict) else [(path, value)]
+
+
+def _probe_id(probe) -> str:
+    return "+".join(f"{'.'.join(map(str, p))}={v!r}" for p, v in _probe_changes(*probe[:2]))
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("path, value, named", PROBES,
-                         ids=[f"{'.'.join(map(str, p[0]))}={p[1]!r}" for p in PROBES])
+@pytest.mark.parametrize("path, value, named", PROBES, ids=list(map(_probe_id, PROBES)))
 def test_malformed_scenario_is_one_named_config_error(tmp_path, capsys, command, path, value,
                                                       named):
     data = _probe_base()
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    for p, v in _probe_changes(path, value):
+        node = data
+        for key in p[:-1]:
+            node = node[key]
+        node[p[-1]] = v
     sfile = tmp_path / "probe.json"
     sfile.write_text(json.dumps(data))
     argv = [command, str(sfile)] + (["--out", str(tmp_path / "out")] if command == "run" else [])

@@ -11,7 +11,9 @@ the benchmark prints (its metrics and its provenance).  With ``--baseline``
 it also runs the same command in that checkout (a copy of the parent
 commit), alternating which side runs first from one seed to the next, so
 both sides see the same stretch of host speed; the file then holds both
-sides and, per metric, in how many pairs the change read better and worse.
+sides and, per metric, in how many pairs the change read better and worse,
+and a ``bound_check`` verdict against the metric's ``bound`` (see
+``bound_checks``).
 ``--merge`` adds workloads to an existing file instead of starting a new
 one.
 
@@ -182,6 +184,39 @@ def wins(change: list[dict], parent: list[dict], better: dict[str, str]) -> dict
     return out
 
 
+def bound_checks(change: dict, parent: dict, metrics: list[dict]) -> dict:
+    """Per metric of ``BENCHMARK.json``'s ``end_to_end`` list, a verdict on
+    the change's median against the parent's, each side a ``summarize`` entry.
+
+    ``worse``: the change's median is worse than the parent's by more than
+    ``bound``, as a fraction of the parent median.  ``unresolved``: the
+    parent's quartile spread, as a fraction of its median, exceeds the bound,
+    so the runs cannot tell a change that small.  ``within``: otherwise.
+    """
+    out = {}
+    for m in metrics:
+        name, bound = m["name"], m["bound"]
+        if name not in change["median"] or name not in parent["median"]:
+            continue
+        c, p = change["median"][name], parent["median"][name]
+        lo, hi = parent["quartiles"][name]
+        worse_by = c - p if m["better"] == "lower" else p - c
+        scale = abs(p)  # a zero parent median makes any worsening or spread exceed the bound
+        if worse_by > bound * scale:
+            verdict = "worse"
+        elif hi - lo > bound * scale:
+            verdict = "unresolved"
+        else:
+            verdict = "within"
+        out[name] = {
+            "verdict": verdict,
+            "bound": bound,
+            "worse_by": worse_by / scale if scale else None,
+            "parent_spread": (hi - lo) / scale if scale else None,
+        }
+    return out
+
+
 def record_builtin(name: str, seeds: list[int], sides: dict, record: dict) -> None:
     """Time bundled scenario ``name`` on each side over the seeds; add its entry to ``record``."""
     runs = {side: [] for side in sides}
@@ -276,6 +311,8 @@ def main(argv=None) -> int:
         }
         if "parent" in sides:
             entry["change_better"] = wins(runs["change"], runs["parent"], better)
+            entry["bound_check"] = bound_checks(entry["change"], entry["parent"],
+                                                bench["end_to_end"])
         record["workloads"][workload] = entry
         out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
