@@ -221,26 +221,26 @@ def test_streams_under_the_step_and_no_aqm_rules_are_pinned(make, kind):
     assert (packets_summary_digest(result), intervals_digest(result)) == RULE_PINS[make, kind]
 
 
-# calls to l4span.ransim.layer.decide_mark in the golden run, per aqm.kind
-DECIDE_MARK_CALLS = {"l4span": 1377, "dualpi2step": 0, "none": 0}
+# per aqm.kind, the golden run's calls to l4span.ransim.layer's decide_mark
+# and rewrite_ack: only l4span decides by decide_mark, and no AQM rewrites no ACK
+LAYER_CALLS = {"l4span": (1377, 716), "dualpi2step": (0, 592), "none": (0, 0)}
 
 
-@pytest.mark.parametrize("kind", list(DECIDE_MARK_CALLS))
+@pytest.mark.parametrize("kind", list(LAYER_CALLS))
 def test_a_decide_mark_wrapped_before_the_build_sees_every_call(kind, monkeypatch):
-    # the benchmark's traced run wraps the layer module's decide_mark before
-    # it builds the simulator, counts each call and reads the packet from
-    # the call's third argument
-    calls = []
-    real = layer_mod.decide_mark
+    # the benchmark's traced run wraps the layer module's functions before it
+    # builds the simulator, counts each call and reads decide_mark's packet
+    # from its third argument
+    calls = {"decide_mark": [], "rewrite_ack": []}
+    for name, seen in calls.items():
+        def counted(*args, real=getattr(layer_mod, name), seen=seen):
+            seen.append(args)
+            return real(*args)
 
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(layer_mod, "decide_mark", counted)
+        monkeypatch.setattr(layer_mod, name, counted)
     Simulator(with_aqm_kind(golden_scenario, kind)).run()
-    assert len(calls) == DECIDE_MARK_CALLS[kind]
-    assert all(isinstance(pkt, Packet) for pkt in calls)
+    assert (len(calls["decide_mark"]), len(calls["rewrite_ack"])) == LAYER_CALLS[kind]
+    assert all(isinstance(args[2], Packet) for args in calls["decide_mark"])
 
 
 @pytest.mark.parametrize("make", [golden_scenario, idle_return_scenario])
