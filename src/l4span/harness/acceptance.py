@@ -238,8 +238,10 @@ class AcceptanceRunner:
     def c5_classic_non_starvation(self) -> CriterionResult:
         res = self.result("static-1ue-cubic")
         base = self.result("static-1ue-cubic-noaqm")
-        qs = [r["queue_bytes"] for r in res.collector.intervals if r["t"] >= res.collector.warmup_secs]
-        nonzero = sum(1 for q in qs if q > 0) / len(qs)
+        iv = res.collector.intervals
+        qs = np.frombuffer(iv.queue_bytes, dtype=np.int64)[
+            np.frombuffer(iv.t) >= res.collector.warmup_secs]
+        nonzero = int(np.count_nonzero(qs > 0)) / len(qs)
         util = res.summary["ues"][1]["utilization"]
         med_q = self._flow(res, "cubic-1")["queuing"]["p50"]
         med_q_base = self._flow(base, "cubic-1")["queuing"]["p50"]

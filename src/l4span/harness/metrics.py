@@ -3,9 +3,7 @@
 Three outputs per run, all recomputable from each other's inputs:
 
 * packets.jsonl: one record per delivered packet (one-way delay breakdown
-  plus the sojourn predicted for it at ingress).  In memory the collector
-  stores delivered packets by column, one flat ``array`` per field, and
-  ``collector.packets`` builds a ``PacketRecord`` on each access;
+  plus the sojourn predicted for it at ingress);
 * intervals.jsonl: per-flow records every 100 ms (throughput, rtt, cwnd,
   the flow's bearer gauges: queue depth, marking probabilities, r_hat and
   e_hat; mark/drop counts).  The stream is sparse: a flow has a record for
@@ -19,6 +17,16 @@ Three outputs per run, all recomputable from each other's inputs:
 
 Streams are line-delimited JSON with sorted keys so identical runs are
 byte-identical.
+
+In memory the collector keeps what grows with a run in ``RecordColumns``:
+one flat ``array`` per record field.  ``collector.packets`` and
+``collector.intervals`` are read-only sequences over those columns that
+build a ``PacketRecord`` or an ``IntervalRecord`` on each access, and the
+feedback-latency samples are columns too, read per flow through
+``collector.feedback_latency``.  ``write_run`` writes every output as it is
+encoded: the record streams line by line from the columns, and
+``meta.json`` and ``summary.json`` chunk by chunk, so no output is held
+whole in memory.
 """
 
 from __future__ import annotations
@@ -27,12 +35,13 @@ import json
 import math
 from array import array
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
-from itertools import starmap
+from functools import cache
+from itertools import islice, repeat, starmap
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -50,54 +59,6 @@ class PacketRecord:
     retransmission: float
     predicted_sojourn: Optional[float]
     size_bytes: int
-
-
-class PacketColumns(Sequence):
-    """Delivered packets by column, in delivery order.
-
-    One ``array('d')`` per float field, ``array('q')`` for ``size_bytes``
-    and an unsigned index into ``flow_names`` for the flow: about 70 B a
-    packet, against about 290 B for a ``PacketRecord``, its boxed floats
-    and its list slot.  ``MetricsCollector.on_delivery`` fills the columns;
-    readers see a read-only sequence that builds a ``PacketRecord`` per
-    access.
-    """
-
-    def __init__(self, flow_names: list[str]):
-        self.flow_names = flow_names
-        self.t = array("d")
-        self.flow_index = array("I")
-        self.one_way = array("d")
-        self.propagation = array("d")
-        self.queuing = array("d")
-        self.scheduling = array("d")
-        self.retransmission = array("d")
-        # None is stored as NaN: the profile predicts a sojourn only by
-        # dividing by r_hat > 0 (inf otherwise), so it never yields NaN
-        self.predicted_sojourn = array("d")
-        self.size_bytes = array("q")
-
-    def rows(self) -> Iterator[tuple]:
-        """Each packet's field values, in ``PACKET_FIELDS`` order."""
-        names = self.flow_names
-        for t, f, one_way, prop, queuing, sched, retx, pred, size in zip(
-                self.t, self.flow_index, self.one_way, self.propagation, self.queuing,
-                self.scheduling, self.retransmission, self.predicted_sojourn, self.size_bytes):
-            yield (t, names[f], one_way, prop, queuing, sched, retx,
-                   None if pred != pred else pred, size)
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __iter__(self) -> Iterator[PacketRecord]:
-        return starmap(PacketRecord, self.rows())
-
-    def __getitem__(self, i: int) -> PacketRecord:
-        pred = self.predicted_sojourn[i]
-        return PacketRecord(self.t[i], self.flow_names[self.flow_index[i]], self.one_way[i],
-                            self.propagation[i], self.queuing[i], self.scheduling[i],
-                            self.retransmission[i], None if pred != pred else pred,
-                            self.size_bytes[i])
 
 
 @dataclass(slots=True)
@@ -125,6 +86,135 @@ class IntervalRecord:
 
 
 @dataclass(slots=True)
+class FeedbackLatency:
+    """One feedback-latency sample: a mark's delay until its flow's sender learns of it."""
+
+    t: float
+    flow: str
+    latency: float
+
+
+_TYPECODES = {float: "d", int: "q", str: "I", Optional[float]: "d"}
+
+
+@cache
+def _layout(record: type) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Optional[int], ...]]:
+    """Per field of ``record``, in field order: its column's name, its column's
+    typecode and its kind (None for the name, the field's bit in the ``none``
+    column when it is optional, else 0).  Worked out once per record type."""
+    names, typecodes, kinds = [], [], []
+    bit = 1
+    for name, hint in get_type_hints(record).items():
+        if hint is str:
+            kind, name = None, f"{name}_index"
+        elif hint is float or hint is int:
+            kind = 0
+        else:
+            kind, bit = bit, bit << 1
+        names.append(name)
+        typecodes.append(_TYPECODES[hint])
+        kinds.append(kind)
+    return tuple(names), tuple(typecodes), tuple(kinds)
+
+
+def _none_where(value, none: int, bit: int):
+    return None if none & bit else value
+
+
+class RecordColumns(Sequence):
+    """Records of one slotted dataclass by column, in the order they were appended.
+
+    Each field has one flat ``array``, an attribute of the same name: ``'d'``
+    for a float, ``'q'`` for an int and, for the ``str`` field, an unsigned
+    index into ``flow_names`` named ``<field>_index``.  An ``Optional[float]``
+    field may hold any float, NaN included, so its ``None`` is a set bit in
+    the ``none`` column (one byte per record, a bit per optional field in
+    field order, so up to eight of them); its value column holds NaN there.  A float field takes
+    8 B a record, against 32 B for a boxed float and its slot in a record.
+
+    ``append`` stores one record from its field values in field order, and
+    stores nothing when a value does not fit its column (an int outside
+    64 bits raises ``OverflowError``, a ``None`` in a field that is not
+    optional ``TypeError``).  Readers see a read-only sequence (``len``,
+    iteration, integer indexing) that builds a record on each access;
+    ``rows`` yields the field values without building records.
+    """
+
+    def __init__(self, record: type, flow_names: list[str], flow_index: dict[str, int]):
+        self.record = record
+        self.flow_names = flow_names
+        self._flow_index = flow_index
+        self.none = array("B")
+        names, typecodes, self._kinds = _layout(record)
+        self._columns = [array(typecode) for typecode in typecodes]
+        for name, column in zip(names, self._columns):
+            setattr(self, name, column)
+
+    def append(self, *values) -> None:
+        """Store one record, its field values given in field order."""
+        none = 0
+        try:
+            for column, kind, value in zip(self._columns, self._kinds, values):
+                if kind is None:
+                    value = self._flow_index[value]
+                elif value is None and kind:
+                    none |= kind
+                    value = math.nan
+                column.append(value)
+        except (OverflowError, TypeError, KeyError):
+            n = len(self.none)
+            for column in self._columns:
+                del column[n:]
+            raise
+        self.none.append(none)
+
+    def rows(self) -> Iterator[tuple]:
+        """Each record's field values, in field order."""
+        none = self.none
+        return zip(*[
+            map(self.flow_names.__getitem__, column) if kind is None
+            else map(_none_where, column, none, repeat(kind)) if kind
+            else column
+            for column, kind in zip(self._columns, self._kinds)])
+
+    def __len__(self) -> int:
+        return len(self.none)
+
+    def __iter__(self) -> Iterator:
+        return starmap(self.record, self.rows())
+
+    def __getitem__(self, i: int):
+        none = self.none[i]
+        return self.record(*[
+            self.flow_names[column[i]] if kind is None
+            else None if none & kind
+            else column[i]
+            for column, kind in zip(self._columns, self._kinds)])
+
+
+class _PairsByFlow(Mapping):
+    """A column store of ``(t, flow, value)`` records read as a mapping from each
+    flow name, in ``flow_names`` order, to that flow's ``(t, value)`` pairs in
+    time order, built on each access."""
+
+    def __init__(self, samples: RecordColumns, value: str):
+        self._samples = samples
+        self._value = value
+
+    def __getitem__(self, flow: str) -> list[tuple[float, float]]:
+        s = self._samples
+        mine = np.frombuffer(s.flow_index, dtype=np.uint32) == s._flow_index[flow]
+        return list(zip(np.frombuffer(s.t)[mine].tolist(),
+                        np.frombuffer(getattr(s, self._value))[mine].tolist()))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._samples.flow_names)
+
+    def __len__(self) -> int:
+        return len(self._samples.flow_names)
+
+
+@dataclass(slots=True)
 class _IntervalAcc:
     delivered_payload: int = 0
     marks: int = 0
@@ -141,12 +231,14 @@ class MetricsCollector:
         self.warmup_secs = warmup_secs
         self.flow_starts = dict(flow_starts)
         self._flow_index = {f: i for i, f in enumerate(self.flow_names)}
-        self.packets = PacketColumns(self.flow_names)
-        self.intervals: list[IntervalRecord] = []
+        self.packets = RecordColumns(PacketRecord, self.flow_names, self._flow_index)
+        self.intervals = RecordColumns(IntervalRecord, self.flow_names, self._flow_index)
         # RTT samples per flow in time order, and how many of them precede warm-up
         self.rtt_samples: dict[str, array] = {f: array("d") for f in flow_names}
         self._rtt_warmup_n: dict[str, int] = dict.fromkeys(flow_names, 0)
-        self.feedback_latency: dict[str, list[tuple[float, float]]] = {f: [] for f in flow_names}
+        self._feedback = RecordColumns(FeedbackLatency, self.flow_names, self._flow_index)
+        self.feedback_latency: Mapping[str, list[tuple[float, float]]] = _PairsByFlow(
+            self._feedback, "latency")
         self.completion: dict[str, float] = {}
         self.delivered_payload: dict[str, int] = defaultdict(int)
         self.delivered_payload_steady: dict[str, int] = defaultdict(int)
@@ -169,16 +261,8 @@ class MetricsCollector:
                     predicted_sojourn: Optional[float], size_bytes: int,
                     payload_bytes: int) -> None:
         """One delivered packet: its ``PacketRecord`` fields in order, then its payload."""
-        p = self.packets
-        p.t.append(t)
-        p.flow_index.append(self._flow_index[flow])
-        p.one_way.append(one_way)
-        p.propagation.append(propagation)
-        p.queuing.append(queuing)
-        p.scheduling.append(scheduling)
-        p.retransmission.append(retransmission)
-        p.predicted_sojourn.append(math.nan if predicted_sojourn is None else predicted_sojourn)
-        p.size_bytes.append(size_bytes)
+        self.packets.append(t, flow, one_way, propagation, queuing, scheduling, retransmission,
+                            predicted_sojourn, size_bytes)
         self.delivered_payload[flow] += payload_bytes
         if t >= self.warmup_secs:
             self.delivered_payload_steady[flow] += payload_bytes
@@ -206,7 +290,7 @@ class MetricsCollector:
         self._acc[flow].drops += 1
 
     def on_feedback_latency(self, t: float, flow: str, latency: float) -> None:
-        self.feedback_latency[flow].append((t, latency))
+        self._feedback.append(t, flow, latency)
 
     def on_completion(self, flow: str, t: float) -> None:
         self.completion.setdefault(flow, t)
@@ -227,54 +311,40 @@ class MetricsCollector:
         t = round(t_end, 6)
         began = t_end - INTERVAL_SECS
         completion = self.completion
+        append = self.intervals.append
         for (flow, acc, start, key, anchor), window in zip(self._rows, cwnd):
             if not (anchor or acc.delivered_payload or acc.rtt_n or acc.marks or acc.drops
                     or (start < t_end and completion.get(flow, math.inf) >= began)):
                 continue
             queue_bytes, p_l4s, p_classic, r_hat, e_hat = bearer_gauges[key]
-            # positional, in field order: keywords cost twice as much per record
-            self.intervals.append(
-                IntervalRecord(
-                    t,
-                    flow,
-                    acc.delivered_payload * 8.0 / INTERVAL_SECS,
-                    (acc.rtt_sum / acc.rtt_n) if acc.rtt_n else None,
-                    window,
-                    queue_bytes,
-                    p_l4s,
-                    p_classic,
-                    r_hat,
-                    e_hat,
-                    acc.marks,
-                    acc.drops,
-                )
-            )
+            append(t, flow, acc.delivered_payload * 8.0 / INTERVAL_SECS,
+                   (acc.rtt_sum / acc.rtt_n) if acc.rtt_n else None, window, queue_bytes,
+                   p_l4s, p_classic, r_hat, e_hat, acc.marks, acc.drops)
             acc.delivered_payload = acc.marks = acc.drops = acc.rtt_n = 0
             acc.rtt_sum = 0.0
 
     # -- aggregation --------------------------------------------------------
 
-    def _steady(self, pairs: list[tuple[float, float]]) -> np.ndarray:
-        return np.array([v for t, v in pairs if t >= self.warmup_secs], dtype=float)
+    def _steady_by_flow(self, records: RecordColumns, *names: str) -> list[list[np.ndarray]]:
+        """Per float column named, each flow's values from warm-up on, in append order."""
+        flow_index = np.frombuffer(records.flow_index, dtype=np.uint32)
+        steady = np.flatnonzero(np.frombuffer(records.t) >= self.warmup_secs)
+        steady = steady[np.argsort(flow_index[steady], kind="stable")]
+        bounds = np.cumsum(np.bincount(flow_index[steady], minlength=len(self.flow_names)))[:-1]
+        return [np.split(np.frombuffer(getattr(records, name))[steady], bounds) for name in names]
 
     def steady_rtts(self, flow: str) -> np.ndarray:
         """The flow's RTT samples taken from warm-up on."""
         return np.array(self.rtt_samples[flow][self._rtt_warmup_n[flow]:], dtype=float)
 
     def summarize(self, horizon: float, utilization: dict[int, dict]) -> dict:
-        # steady-state packets grouped by flow, each flow's in delivery order
-        p = self.packets
-        flow_index = np.frombuffer(p.flow_index, dtype=np.uint32)
-        steady = np.flatnonzero(np.frombuffer(p.t) >= self.warmup_secs)
-        steady = steady[np.argsort(flow_index[steady], kind="stable")]
-        bounds = np.cumsum(np.bincount(flow_index[steady], minlength=len(self.flow_names)))[:-1]
-        delays_of = np.split(np.frombuffer(p.one_way)[steady], bounds)
-        queuing_of = np.split(np.frombuffer(p.queuing)[steady], bounds)
+        delays_of, queuing_of = self._steady_by_flow(self.packets, "one_way", "queuing")
+        [latencies_of] = self._steady_by_flow(self._feedback, "latency")
         flows = {}
         span = max(horizon - self.warmup_secs, 1e-9)
-        for flow, delays, queuing in zip(self.flow_names, delays_of, queuing_of):
+        for flow, delays, queuing, lats in zip(self.flow_names, delays_of, queuing_of,
+                                               latencies_of):
             rtts = self.steady_rtts(flow)
-            lats = self._steady(self.feedback_latency[flow])
             completion = self.completion.get(flow)
             flows[flow] = {
                 "delivered_bytes": self.delivered_payload[flow],
@@ -319,31 +389,37 @@ def _dist_stats(values: np.ndarray, p999: bool = False) -> dict:
 
 PACKET_FIELDS = tuple(f.name for f in fields(PacketRecord))
 INTERVAL_FIELDS = tuple(f.name for f in fields(IntervalRecord))
-_packet_values = attrgetter(*PACKET_FIELDS)
-_interval_values = attrgetter(*INTERVAL_FIELDS)
-# the same encoder json.dumps(obj, sort_keys=True) builds for every call
+# the same encoders json.dumps(obj, sort_keys=True) and json.dumps(obj, indent=2,
+# sort_keys=True) build for every call
 _ENCODER = json.JSONEncoder(sort_keys=True)
+_DOCUMENT_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+# An indented document comes out in chunks of a few characters, and a text
+# file keeps up to 8 KB of pending writes as separate strings (about 90 KB
+# for a summary), so chunks are joined this many at a time before writing.
+_DOCUMENT_BATCH_CHUNKS = 256
 
 
-def _packet_rows(packets: Iterable[PacketRecord]) -> Iterator[tuple]:
-    """Each packet's field values, read straight from the columns when it has them."""
-    if isinstance(packets, PacketColumns):
-        return packets.rows()
-    return map(_packet_values, packets)
+def _rows(records: Iterable, keys: tuple[str, ...]) -> Iterator[tuple]:
+    """Each record's field values, read straight from the columns when it has them."""
+    if isinstance(records, RecordColumns):
+        return records.rows()
+    return map(attrgetter(*keys), records)
+
+
+def _lines(records: Iterable, keys: tuple[str, ...]) -> Iterator[str]:
+    encode = _ENCODER.encode
+    for row in _rows(records, keys):
+        yield encode(dict(zip(keys, row))) + "\n"
 
 
 def packet_lines(packets: Iterable[PacketRecord]) -> Iterator[str]:
     """One sorted-key JSON line per packet record."""
-    encode = _ENCODER.encode
-    for row in _packet_rows(packets):
-        yield encode(dict(zip(PACKET_FIELDS, row))) + "\n"
+    return _lines(packets, PACKET_FIELDS)
 
 
 def interval_lines(intervals: Iterable[IntervalRecord]) -> Iterator[str]:
     """One sorted-key JSON line per interval record."""
-    encode = _ENCODER.encode
-    for r in intervals:
-        yield encode(dict(zip(INTERVAL_FIELDS, _interval_values(r)))) + "\n"
+    return _lines(intervals, INTERVAL_FIELDS)
 
 
 def dumps_packets(packets: Iterable[PacketRecord]) -> str:
@@ -357,46 +433,53 @@ def dumps_intervals(intervals: Iterable[IntervalRecord]) -> str:
 def write_run(result, outdir: str | Path, csv: bool = False) -> None:
     """Write meta.json, packets.jsonl, intervals.jsonl, summary.json (+ CSVs).
 
-    The two record streams are written line by line as they are formatted,
-    so writing holds no more than one line of stream text at a time.
+    Every output is written as it is encoded: the record streams line by
+    line, the JSON documents chunk by chunk, so writing holds no output
+    whole in memory.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "meta.json").write_text(json.dumps(result.meta, indent=2, sort_keys=True) + "\n")
+    _dump_document(result.meta, out / "meta.json")
     with open(out / "packets.jsonl", "w") as fh:
         fh.writelines(packet_lines(result.collector.packets))
     with open(out / "intervals.jsonl", "w") as fh:
         fh.writelines(interval_lines(result.collector.intervals))
-    (out / "summary.json").write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
-    (out / "summary.txt").write_text(render_summary_text(result))
+    _dump_document(result.summary, out / "summary.json")
+    with open(out / "summary.txt", "w") as fh:
+        fh.writelines(summary_text_lines(result))
     if csv:
         _write_csvs(result, out)
+
+
+def _dump_document(obj, path: Path) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` as it is encoded."""
+    chunks = _DOCUMENT_ENCODER.iterencode(obj)
+    with open(path, "w") as fh:
+        while batch := "".join(islice(chunks, _DOCUMENT_BATCH_CHUNKS)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 def _write_csvs(result, out: Path) -> None:
     import csv as _csv
 
-    with open(out / "packets.csv", "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(PACKET_FIELDS)
-        w.writerows(_packet_rows(result.collector.packets))
-    with open(out / "intervals.csv", "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(INTERVAL_FIELDS)
-        w.writerows(map(_interval_values, result.collector.intervals))
+    for name, records, keys in (("packets.csv", result.collector.packets, PACKET_FIELDS),
+                                ("intervals.csv", result.collector.intervals, INTERVAL_FIELDS)):
+        with open(out / name, "w", newline="") as fh:
+            w = _csv.writer(fh)
+            w.writerow(keys)
+            w.writerows(_rows(records, keys))
 
 
-def render_summary_text(result) -> str:
-    lines = [f"scenario: {result.meta['scenario']['name']}"]
-    lines.append(f"horizon: {result.meta['scenario']['horizon_secs']} s, seed {result.meta['scenario']['seed']}")
+def summary_text_lines(result) -> Iterator[str]:
+    """The lines of ``summary.txt``: the scenario, then one per flow and one per UE."""
+    yield f"scenario: {result.meta['scenario']['name']}\n"
+    yield f"horizon: {result.meta['scenario']['horizon_secs']} s, seed {result.meta['scenario']['seed']}\n"
     for name, f in result.summary["flows"].items():
         d = f["delay"]
         delay = f"median delay {d['p50'] * 1e3:.2f} ms" if d.get("count") else "no deliveries"
         comp = f", completed in {f['completion_secs']:.3f} s" if f["completion_secs"] else ""
-        lines.append(
-            f"  flow {name}: {f['throughput_bps'] / 1e6:.2f} Mbit/s, {delay}, "
-            f"{f['marks']} marks{comp}"
-        )
+        yield (f"  flow {name}: {f['throughput_bps'] / 1e6:.2f} Mbit/s, {delay}, "
+               f"{f['marks']} marks{comp}\n")
     for ue, u in result.summary["ues"].items():
-        lines.append(f"  ue {ue}: utilization {u['utilization'] * 100:.1f}%")
-    return "\n".join(lines) + "\n"
+        yield f"  ue {ue}: utilization {u['utilization'] * 100:.1f}%\n"

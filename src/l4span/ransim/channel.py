@@ -6,6 +6,7 @@ import math
 import random
 from array import array
 from bisect import bisect_right
+from itertools import islice
 
 # the sinusoid's sampling step
 SINUSOID_SAMPLE_SECS = 0.025
@@ -15,8 +16,9 @@ class ChannelTrace:
     """Piecewise-constant capacity (bytes/s) over strictly increasing breakpoints.
 
     The last segment extends to infinity, so evaluation is defined for any
-    t >= 0.  The breakpoints are stored as flat ``array('d')`` columns of
-    segment starts, ends and capacities, not as pairs.  Lookups keep a
+    t >= 0.  The breakpoints are stored as two flat ``array('d')`` columns,
+    not as pairs: segment starts followed by an ``inf`` sentinel, so segment
+    i covers ``[_times[i], _times[i + 1])``, and capacities.  Lookups keep a
     cursor on the last segment they hit, so the simulator's monotone
     slot-by-slot queries skip the binary search.
     """
@@ -34,9 +36,8 @@ class ChannelTrace:
         if breakpoints[0][0] > 0:
             raise ValueError("first breakpoint must be at t=0")
         self._times = array("d", [t for t, _ in breakpoints])
+        self._times.append(math.inf)
         self._caps = array("d", [c for _, c in breakpoints])
-        # segment i covers [_times[i], _ends[i])
-        self._ends = self._times[1:] + array("d", [math.inf])
         self._cursor = 0
 
     @property
@@ -48,8 +49,9 @@ class ChannelTrace:
         if t < 0:
             raise ValueError("t must be >= 0")
         i = self._cursor
-        if not self._times[i] <= t < self._ends[i]:
-            i = self._cursor = bisect_right(self._times, t) - 1
+        if not self._times[i] <= t < self._times[i + 1]:
+            # the sentinel is no segment start, so search the starts alone
+            i = self._cursor = bisect_right(self._times, t, 0, len(self._caps)) - 1
         return self._caps[i]
 
     def integral(self, t0: float, t1: float) -> float:
@@ -57,7 +59,7 @@ class ChannelTrace:
         if t1 <= t0:
             return 0.0
         total = 0.0
-        for seg0, seg1, cap in zip(self._times, self._ends, self._caps):
+        for seg0, seg1, cap in zip(self._times, islice(self._times, 1, None), self._caps):
             lo, hi = max(t0, seg0), min(t1, seg1)
             if hi > lo:
                 total += cap * (hi - lo)

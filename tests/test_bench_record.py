@@ -110,6 +110,51 @@ def test_bound_check_of_a_zero_parent_median():
         assert out["fct_p50_s"]["verdict"] == verdict
 
 
+def test_gain_check_needs_nine_pairs_in_ten_and_a_gap_past_the_parent_spread():
+    # parent peak_rss_mb 46.0..46.9 over ten seeds: median 46.45, quartiles [46.225, 46.675]
+    parent = [46.0 + 0.1 * i for i in range(10)]
+    metric = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+              {"name": "sim_s_per_s", "better": "higher", "bound": 0.25}]
+
+    def check(change, parent_values=parent, name="peak_rss_mb"):
+        return bench_record.gain_checks(*_sides({name: change}, {name: parent_values}),
+                                        metric)[name]
+
+    out = check([v - 3.0 for v in parent])  # 10/10 pairs, 3.0 below with a 0.45 spread
+    assert out == {"verdict": "gain", "better": 10, "pairs": 10,
+                   "gain_by": pytest.approx(3.0 / 46.45), "parent_spread": pytest.approx(0.45 / 46.45)}
+    nine = [v - 3.0 for v in parent[:9]] + [parent[9] + 1.0]
+    assert (check(nine)["verdict"], check(nine)["better"]) == ("gain", 9)
+    eight = [v - 3.0 for v in parent[:8]] + parent[8:]  # ties count for neither side
+    assert (check(eight)["verdict"], check(eight)["better"]) == ("none", 8)
+    # every pair better, but the medians differ by less than the parent's spread
+    assert check([v - 0.3 for v in parent])["verdict"] == "none"
+    # a higher-is-better metric
+    assert check([v + 3.0 for v in parent], name="sim_s_per_s")["verdict"] == "gain"
+    assert check([v - 3.0 for v in parent], name="sim_s_per_s")["verdict"] == "none"
+    # a zero parent median has no relative gain, and a metric one side lacks no verdict
+    assert check([-1.0] * 10, [0.0] * 10)["gain_by"] is None
+    out = bench_record.gain_checks(*_sides({"peak_rss_mb": parent}, {"wall_s": parent}), metric)
+    assert out == {}
+
+
+@pytest.mark.parametrize("n, gains", [
+    # the claims the two files back: cell-16ue speed, and peak RSS on every workload
+    (13, {"cell-16ue": {"wall_s", "sim_s_per_s"}}),
+    (15, {"bulk-1ue": {"peak_rss_mb"}, "cell-16ue": {"peak_rss_mb"},
+          "short-flows": {"peak_rss_mb"}}),
+    (17, {}),
+])
+def test_gain_check_reads_the_recorded_bench_files(n, gains):
+    root = _PATH.parents[1]
+    record = json.loads((root / f"BENCH_{n}.json").read_text())
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    for workload, entry in record["workloads"].items():
+        checks = bench_record.gain_checks(entry["change"], entry["parent"], metrics)
+        assert {k for k, v in checks.items() if v["verdict"] == "gain"} == gains.get(
+            workload, set()), workload
+
+
 def test_bound_check_reads_the_recorded_setup_s_of_bench_13_as_unresolved():
     # parent quartiles 0.801..1.381 ms around 1.231 ms: a 47 % spread, over the 25 % bound
     root = _PATH.parents[1]

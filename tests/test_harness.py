@@ -6,13 +6,13 @@ import math
 import re
 import tracemalloc
 from collections import defaultdict
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from l4span.harness.cli import _sweep_jobs, build_parser
@@ -20,6 +20,7 @@ from l4span.harness.cli import main as cli_main
 from l4span.harness.metrics import (
     INTERVAL_FIELDS,
     PACKET_FIELDS,
+    FeedbackLatency,
     IntervalRecord,
     MetricsCollector,
     PacketRecord,
@@ -634,12 +635,12 @@ def _edge_packets() -> list[PacketRecord]:
     ]
 
 
-def _edge_intervals() -> list[IntervalRecord]:
+def _edge_intervals(ints: list[int] = EDGE_INT) -> list[IntervalRecord]:
     return [
         IntervalRecord(t=x, flow=EDGE_NAME, throughput_bps=x, rtt=None if i % 2 else x,
                        cwnd=-x, queue_bytes=n, p_l4s=None, p_classic=x, r_hat=math.nan,
                        e_hat=None, marks=n, drops=-n)
-        for i, (x, n) in enumerate(zip(EDGE_FLOAT, EDGE_INT * 2))
+        for i, (x, n) in enumerate(zip(EDGE_FLOAT, ints * 2))
     ]
 
 
@@ -733,12 +734,17 @@ def test_write_run_holds_no_whole_stream_in_memory(tmp_path):
     cwnd = [1500.0 * (i + 1) for i in range(len(flows))]
     gauges = {(i, 1): (i, i / 500, None, 1e6 + i, None) for i in range(len(flows))}
     for k in range(100):
-        c.on_delivery(k * 0.1, flows[k], 0.02, 0.01, 0.005, 0.005, 0.0, None, 1540, 1500)
+        for f, flow in enumerate(flows[5 * k:5 * k + 5]):
+            c.on_delivery(k * 0.1, flow, 0.02 + f * 1e-3, 0.01, 0.005, 0.005, 0.0, None,
+                          1540, 1500)
+            c.on_rtt(k * 0.1, flow, 0.03 + f * 1e-3)
+            c.on_feedback_latency(k * 0.1, flow, 0.015)
         c.close_interval((k + 1) * 0.1, cwnd, gauges)
     assert len(c.intervals) == 50_000
+    # every flow's summary has its full delay, queuing, RTT and feedback statistics
     result = SimpleNamespace(
         meta={"scenario": {"name": "synthetic", "horizon_secs": 10.0, "seed": 0}},
-        summary={"flows": {}, "ues": {}}, collector=c)
+        summary=c.summarize(10.0, {}), collector=c)
 
     tracemalloc.start()
     try:
@@ -749,25 +755,50 @@ def test_write_run_holds_no_whole_stream_in_memory(tmp_path):
     size = (tmp_path / "intervals.jsonl").stat().st_size
     assert size > 5_000_000
     assert peak < size / 4, f"traced peak {peak} B for a {size} B stream"
+    summary = (tmp_path / "summary.json").read_text()
+    assert summary == json.dumps(result.summary, indent=2, sort_keys=True) + "\n"
+    assert len(summary) > 200_000
+    assert peak < len(summary) / 4, f"traced peak {peak} B for a {len(summary)} B summary"
 
 
-# -- the collector's packet columns against the records they replaced ------------
+# -- the collector's record columns against the records they replaced -----------
 
 ORACLE_FLOWS = ["a", "b", EDGE_NAME]
 ORACLE_WARMUP = 1.0
 _delay = st.floats(-1e3, 1e3)
+_t = st.just(ORACLE_WARMUP) | st.floats(0.0, 2 * ORACLE_WARMUP)
+_flow = st.sampled_from(ORACLE_FLOWS)
+# any float (NaN, infinities, -0.0 and subnormals too), and ints on both
+# sides of the 64-bit range the int columns hold
+_any_float = st.floats()
+_count = st.integers(-(2**64), 2**64)
+_OPTIONAL = st.none() | _any_float
 
 
 @st.composite
 def _packet_record(draw) -> PacketRecord:
     return PacketRecord(
-        t=draw(st.just(ORACLE_WARMUP) | st.floats(0.0, 2 * ORACLE_WARMUP)),
-        flow=draw(st.sampled_from(ORACLE_FLOWS)),
+        t=draw(_t), flow=draw(_flow),
         one_way=draw(_delay), propagation=draw(_delay), queuing=draw(_delay),
         scheduling=draw(_delay), retransmission=draw(_delay),
         predicted_sojourn=draw(st.none() | st.floats(0.0, allow_infinity=True)),
         size_bytes=draw(st.integers(0, 2**63 - 1)),
     )
+
+
+@st.composite
+def _interval_record(draw) -> IntervalRecord:
+    return IntervalRecord(
+        t=draw(_any_float), flow=draw(_flow), throughput_bps=draw(_any_float),
+        rtt=draw(_OPTIONAL), cwnd=draw(_any_float), queue_bytes=draw(_count),
+        p_l4s=draw(_OPTIONAL), p_classic=draw(_OPTIONAL), r_hat=draw(_OPTIONAL),
+        e_hat=draw(_OPTIONAL), marks=draw(_count), drops=draw(_count),
+    )
+
+
+@st.composite
+def _feedback_sample(draw) -> FeedbackLatency:
+    return FeedbackLatency(t=draw(_t), flow=draw(_flow), latency=draw(_any_float))
 
 
 def _oracle_stats(values: list[float]) -> dict:
@@ -784,32 +815,79 @@ def _oracle_stats(values: list[float]) -> dict:
 _MANY = [PacketRecord(ORACLE_WARMUP + (k % 7) * 0.1, ORACLE_FLOWS[k % 3], 10.0 ** (k % 9 - 4) * k,
                       0.014, (k * 0.37) % 1.3, 1e-4, 0.0, None if k % 4 else k * 1e-3, 1500)
          for k in range(120)]
+# the edge interval records with ints that n and -n both fit in 64 bits
+EDGE_INT64 = [0, -(2**63) + 1, 2**63 - 1, 1]
 
 
+def _values(rec) -> tuple:
+    return tuple(getattr(rec, f.name) for f in fields(rec))
+
+
+def _spelled(rec) -> tuple:
+    """Each field's type and repr: tells -0.0 from 0.0, NaN equals NaN."""
+    return tuple((type(v), repr(v)) for v in _values(rec))
+
+
+def _fits_columns(rec) -> bool:
+    return all(-(2**63) <= v < 2**63 for v in _values(rec) if type(v) is int)
+
+
+# per record kind: how the collector is handed one, and the stream writer
+_STORE = {
+    PacketRecord: lambda c, r: c.on_delivery(*_values(r), 100),
+    IntervalRecord: lambda c, r: c.intervals.append(*_values(r)),
+    FeedbackLatency: lambda c, r: c.on_feedback_latency(*_values(r)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_STORE), ids=lambda k: k.__name__)
 @settings(max_examples=200, deadline=None)
 @example(_MANY)
-@given(st.lists(_packet_record(), max_size=60))
-def test_packet_columns_match_the_records_they_store(records):
+@example(_edge_packets())
+@example(_edge_intervals())
+@example(_edge_intervals(EDGE_INT64))
+@given(st.lists(_packet_record(), max_size=60) | st.lists(_interval_record(), max_size=60)
+       | st.lists(_feedback_sample(), max_size=60))
+def test_packet_columns_match_the_records_they_store(kind, records):
+    assume(all(type(r) is kind for r in records))
     c = MetricsCollector(ORACLE_FLOWS, {f: (1, i) for i, f in enumerate(ORACLE_FLOWS)},
                          warmup_secs=ORACLE_WARMUP, flow_starts=dict.fromkeys(ORACLE_FLOWS, 0.0))
+    kept = []
     for r in records:
-        c.on_delivery(r.t, r.flow, r.one_way, r.propagation, r.queuing, r.scheduling,
-                      r.retransmission, r.predicted_sojourn, r.size_bytes, 100)
-
-    assert len(c.packets) == len(records)
-    assert list(c.packets) == records
-    for i, r in enumerate(records):
-        assert c.packets[i] == r
-    if records:
-        assert c.packets[-1] == records[-1]
-    assert dumps_packets(c.packets) == "".join(
-        json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)
-
+        if _fits_columns(r):
+            _STORE[kind](c, r)
+            kept.append(r)
+        else:  # an int past 64 bits is refused whole, and the earlier records stay
+            with pytest.raises(OverflowError):
+                _STORE[kind](c, r)
     flows = c.summarize(2 * ORACLE_WARMUP, {})["flows"]
-    for flow in ORACLE_FLOWS:
-        steady = [r for r in records if r.flow == flow and r.t >= ORACLE_WARMUP]
-        assert flows[flow]["delay"] == _oracle_stats([r.one_way for r in steady])
-        assert flows[flow]["queuing"] == _oracle_stats([r.queuing for r in steady])
+
+    if kind is FeedbackLatency:
+        assert list(c.feedback_latency) == ORACLE_FLOWS
+        for flow in ORACLE_FLOWS:
+            mine = [r for r in kept if r.flow == flow]
+            assert [(type(t), repr(t), type(v), repr(v)) for t, v in c.feedback_latency[flow]] \
+                == [(float, repr(r.t), float, repr(r.latency)) for r in mine]
+            lats = np.array([r.latency for r in mine if r.t >= ORACLE_WARMUP])
+            assert json.dumps(flows[flow]["feedback_latency"]) == json.dumps(
+                {"mean": float(np.mean(lats)) if lats.size else None, "count": lats.size})
+        return
+
+    store, dumps = (c.packets, dumps_packets) if kind is PacketRecord else (c.intervals,
+                                                                           dumps_intervals)
+    assert len(store) == len(kept)
+    assert [_spelled(r) for r in store] == [_spelled(r) for r in kept]
+    assert [_spelled(store[i]) for i in range(len(kept))] == [_spelled(r) for r in kept]
+    if kept:
+        assert _spelled(store[-1]) == _spelled(kept[-1])
+    assert dumps(store) == "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in kept)
+    if kind is PacketRecord:
+        for flow in ORACLE_FLOWS:
+            steady = [r for r in kept if r.flow == flow and r.t >= ORACLE_WARMUP]
+            for key in ("one_way", "queuing"):
+                stats = _oracle_stats([getattr(r, key) for r in steady])
+                name = "delay" if key == "one_way" else key
+                assert json.dumps(flows[flow][name]) == json.dumps(stats)
 
 
 def test_collector_keeps_under_100_bytes_per_delivered_packet():
@@ -829,3 +907,29 @@ def test_collector_keeps_under_100_bytes_per_delivered_packet():
         tracemalloc.stop()
     assert n > 1000
     assert per_packet <= 100, f"{per_packet:.1f} B per delivered packet"
+
+    # 11 columns of 8 B, a 4-B flow index and a 1-B none mask per interval
+    # record; a slotted IntervalRecord, its boxed values and its list slot took 290 B
+    flows = [f"flow-{i}" for i in range(500)]
+    tracemalloc.start()
+    try:
+        c = MetricsCollector(flows, {f: (i, 1) for i, f in enumerate(flows)}, warmup_secs=0.0,
+                             flow_starts=dict.fromkeys(flows, 0.0))
+        for k in range(20):
+            cwnd = [1500.0 * (i + k) for i in range(len(flows))]
+            gauges = {(i, 1): (1000 + i * k, i / 500, None if i % 2 else 0.5, 1e6 + i + k,
+                               1e5 + k) for i in range(len(flows))}
+            for f in flows[k::20]:
+                c.on_rtt(k * 0.1, f, 0.03)
+            c.close_interval((k + 1) * 0.1, cwnd, gauges)
+            del cwnd, gauges
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        n = len(c.intervals)
+        c.intervals = None
+        gc.collect()
+        per_interval = (held - tracemalloc.get_traced_memory()[0]) / n
+    finally:
+        tracemalloc.stop()
+    assert n == 10_000
+    assert per_interval <= 110, f"{per_interval:.1f} B per interval record"

@@ -49,6 +49,7 @@ def test_trace_static_eval():
         st.one_of(
             st.integers(0, 12),                    # exactly on a breakpoint
             st.floats(0.0, 200.0),                 # anywhere, past the last one too
+            st.just(math.inf),                     # the end of time
             st.floats(-5.0, -1e-9),                # before zero: must raise
         ),
         max_size=40,
@@ -58,7 +59,11 @@ def test_trace_cursor_matches_bisect_oracle(gaps, caps, picks):
     times = [0.0]
     for g in gaps:
         times.append(times[-1] + g)
+    caps = caps[:len(times)]
     tr = ChannelTrace(list(zip(times, caps)))
+    assert tr.breakpoints == list(zip(times, caps))
+    ends = times[1:] + [math.inf]
+    instants = []
     for pick in picks:
         t = times[pick % len(times)] if isinstance(pick, int) else pick
         if t < 0:
@@ -66,6 +71,16 @@ def test_trace_cursor_matches_bisect_oracle(gaps, caps, picks):
                 tr.rate_at(t)
         else:
             assert tr.rate_at(t) == caps[bisect_right(times, t) - 1]
+            instants.append(t)
+    # the integral sums each segment's share with the same arithmetic (repr:
+    # a zero capacity up to t = inf gives NaN on both sides)
+    for t0, t1 in zip(instants, instants[1:]):
+        expected = 0.0
+        for seg0, seg1, cap in zip(times, ends, caps):
+            lo, hi = max(t0, seg0), min(t1, seg1)
+            if hi > lo:
+                expected += cap * (hi - lo)
+        assert repr(tr.integral(t0, t1)) == repr(expected if t1 > t0 else 0.0)
 
 
 def test_trace_validation():

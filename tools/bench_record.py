@@ -12,8 +12,9 @@ it also runs the same command in that checkout (a copy of the parent
 commit), alternating which side runs first from one seed to the next, so
 both sides see the same stretch of host speed; the file then holds both
 sides and, per metric, in how many pairs the change read better and worse,
-and a ``bound_check`` verdict against the metric's ``bound`` (see
-``bound_checks``).
+a ``bound_check`` verdict against the metric's ``bound`` (see
+``bound_checks``) and a ``gain_check`` verdict on whether the runs show a
+gain (see ``gain_checks``).
 ``--merge`` adds workloads to an existing file instead of starting a new
 one.
 
@@ -217,6 +218,36 @@ def bound_checks(change: dict, parent: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def gain_checks(change: dict, parent: dict, metrics: list[dict]) -> dict:
+    """Per metric of ``BENCHMARK.json``'s ``end_to_end`` list, whether the runs
+    show a gain, each side a ``summarize`` entry whose runs pair up by seed.
+
+    ``gain``: the change read better in at least nine tenths of the pairs,
+    ties counting for neither side, and its median is better than the
+    parent's by more than the parent's quartile spread.  ``none``: otherwise.
+    ``gain_by`` and ``parent_spread`` are fractions of the parent median.
+    """
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        if name not in change["median"] or name not in parent["median"]:
+            continue
+        pairs = wins(change["runs"], parent["runs"], {name: m["better"]})[name]
+        c, p = change["median"][name], parent["median"][name]
+        lo, hi = parent["quartiles"][name]
+        gain_by = p - c if m["better"] == "lower" else c - p
+        scale = abs(p)
+        won = pairs["pairs"] > 0 and 10 * pairs["better"] >= 9 * pairs["pairs"]
+        out[name] = {
+            "verdict": "gain" if won and gain_by > hi - lo else "none",
+            "better": pairs["better"],
+            "pairs": pairs["pairs"],
+            "gain_by": gain_by / scale if scale else None,
+            "parent_spread": (hi - lo) / scale if scale else None,
+        }
+    return out
+
+
 def record_builtin(name: str, seeds: list[int], sides: dict, record: dict) -> None:
     """Time bundled scenario ``name`` on each side over the seeds; add its entry to ``record``."""
     runs = {side: [] for side in sides}
@@ -313,6 +344,8 @@ def main(argv=None) -> int:
             entry["change_better"] = wins(runs["change"], runs["parent"], better)
             entry["bound_check"] = bound_checks(entry["change"], entry["parent"],
                                                 bench["end_to_end"])
+            entry["gain_check"] = gain_checks(entry["change"], entry["parent"],
+                                              bench["end_to_end"])
         record["workloads"][workload] = entry
         out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
