@@ -129,8 +129,9 @@ class RecordColumns(Sequence):
     index into ``flow_names`` named ``<field>_index``.  An ``Optional[float]``
     field may hold any float, NaN included, so its ``None`` is a set bit in
     the ``none`` column (one byte per record, a bit per optional field in
-    field order, so up to eight of them); its value column holds NaN there.  A float field takes
-    8 B a record, against 32 B for a boxed float and its slot in a record.
+    field order, so up to eight of them); its value column holds NaN there.
+    A float field takes 8 B a record, against 32 B for a boxed float and its
+    slot in a record.
 
     ``append`` stores one record from its field values in field order, and
     stores nothing when a value does not fit its column (an int outside
@@ -192,20 +193,19 @@ class RecordColumns(Sequence):
             for column, kind in zip(self._columns, self._kinds)])
 
 
-class _PairsByFlow(Mapping):
-    """A column store of ``(t, flow, value)`` records read as a mapping from each
-    flow name, in ``flow_names`` order, to that flow's ``(t, value)`` pairs in
-    time order, built on each access."""
+class _LatenciesByFlow(Mapping):
+    """Feedback-latency columns read as a mapping from each flow name, in
+    ``flow_names`` order, to that flow's ``(t, latency)`` pairs in time order,
+    built on each access."""
 
-    def __init__(self, samples: RecordColumns, value: str):
+    def __init__(self, samples: RecordColumns):
         self._samples = samples
-        self._value = value
 
     def __getitem__(self, flow: str) -> list[tuple[float, float]]:
         s = self._samples
         mine = np.frombuffer(s.flow_index, dtype=np.uint32) == s._flow_index[flow]
         return list(zip(np.frombuffer(s.t)[mine].tolist(),
-                        np.frombuffer(getattr(s, self._value))[mine].tolist()))
+                        np.frombuffer(s.latency)[mine].tolist()))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._samples.flow_names)
@@ -237,8 +237,8 @@ class MetricsCollector:
         self.rtt_samples: dict[str, array] = {f: array("d") for f in flow_names}
         self._rtt_warmup_n: dict[str, int] = dict.fromkeys(flow_names, 0)
         self._feedback = RecordColumns(FeedbackLatency, self.flow_names, self._flow_index)
-        self.feedback_latency: Mapping[str, list[tuple[float, float]]] = _PairsByFlow(
-            self._feedback, "latency")
+        self.feedback_latency: Mapping[str, list[tuple[float, float]]] = _LatenciesByFlow(
+            self._feedback)
         self.completion: dict[str, float] = {}
         self.delivered_payload: dict[str, int] = defaultdict(int)
         self.delivered_payload_steady: dict[str, int] = defaultdict(int)
@@ -473,8 +473,9 @@ def _write_csvs(result, out: Path) -> None:
 
 def summary_text_lines(result) -> Iterator[str]:
     """The lines of ``summary.txt``: the scenario, then one per flow and one per UE."""
-    yield f"scenario: {result.meta['scenario']['name']}\n"
-    yield f"horizon: {result.meta['scenario']['horizon_secs']} s, seed {result.meta['scenario']['seed']}\n"
+    scn = result.meta["scenario"]
+    yield f"scenario: {scn['name']}\n"
+    yield f"horizon: {scn['horizon_secs']} s, seed {scn['seed']}\n"
     for name, f in result.summary["flows"].items():
         d = f["delay"]
         delay = f"median delay {d['p50'] * 1e3:.2f} ms" if d.get("count") else "no deliveries"

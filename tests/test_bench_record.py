@@ -122,7 +122,8 @@ def test_gain_check_needs_nine_pairs_in_ten_and_a_gap_past_the_parent_spread():
 
     out = check([v - 3.0 for v in parent])  # 10/10 pairs, 3.0 below with a 0.45 spread
     assert out == {"verdict": "gain", "better": 10, "pairs": 10,
-                   "gain_by": pytest.approx(3.0 / 46.45), "parent_spread": pytest.approx(0.45 / 46.45)}
+                   "gain_by": pytest.approx(3.0 / 46.45),
+                   "parent_spread": pytest.approx(0.45 / 46.45)}
     nine = [v - 3.0 for v in parent[:9]] + [parent[9] + 1.0]
     assert (check(nine)["verdict"], check(nine)["better"]) == ("gain", 9)
     eight = [v - 3.0 for v in parent[:8]] + parent[8:]  # ties count for neither side
@@ -139,7 +140,7 @@ def test_gain_check_needs_nine_pairs_in_ten_and_a_gap_past_the_parent_spread():
 
 
 @pytest.mark.parametrize("n, gains", [
-    # the claims the two files back: cell-16ue speed, and peak RSS on every workload
+    # what the two files recorded: cell-16ue speed, and peak RSS on every workload
     (13, {"cell-16ue": {"wall_s", "sim_s_per_s"}}),
     (15, {"bulk-1ue": {"peak_rss_mb"}, "cell-16ue": {"peak_rss_mb"},
           "short-flows": {"peak_rss_mb"}}),
