@@ -2,6 +2,7 @@
 5G RAN bottleneck, with closed-loop congestion-controlled senders."""
 
 from .core import (
+    FLOW_CLASS_OF_ECN,
     DrbConfig,
     EcnCodepoint,
     EstimateUnavailable,
@@ -11,7 +12,6 @@ from .core import (
     Proto,
     ProtocolError,
     RlcMode,
-    classify_flow,
     reverse_tuple,
 )
 from .marking import (
@@ -39,6 +39,7 @@ from .shortcircuit import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "FLOW_CLASS_OF_ECN",
     "DrbConfig",
     "DrbMarkState",
     "EcnCodepoint",
@@ -57,7 +58,6 @@ __all__ = [
     "ProtocolError",
     "RlcMode",
     "classify_feedback_mode",
-    "classify_flow",
     "coupled_probabilities",
     "decide_mark",
     "error_cost_bounds",

@@ -6,7 +6,7 @@ objects can be copied or shared freely.
 The per-packet path hashes and tests only C-level values: a ``FiveTuple``
 is a ``NamedTuple`` whose ``Proto`` hashes as its ``str`` value, and
 ``TcpFields.flags`` is a plain ``int`` tested with the ``SYN``/``ACK``/
-``ECE``/``CWR`` masks.  ``TcpFlags`` names the same bits for callers.
+``ECE``/``CWR`` masks.
 """
 
 from __future__ import annotations
@@ -59,24 +59,11 @@ ECE = 0x4
 CWR = 0x8
 
 
-class TcpFlags(enum.IntFlag):
-    NONE = 0
-    SYN = SYN
-    ACK = ACK
-    ECE = ECE
-    CWR = CWR
-
-
 # indexed by the 2-bit codepoint: ECT(1) identifies scalable low-latency
 # flows, ECT(0) classic ECN flows, and Not-ECT flows cannot receive ECN
 # feedback at all.  CE on arrival is treated as low-latency (the dual-queue
 # convention of routing CE traffic to the low-latency queue).
 FLOW_CLASS_OF_ECN = (FlowClass.NON_ECN, FlowClass.L4S, FlowClass.CLASSIC_ECN, FlowClass.L4S)
-
-
-def classify_flow(ecn: EcnCodepoint) -> FlowClass:
-    """Map a packet's ECN codepoint to its congestion-signaling class."""
-    return FLOW_CLASS_OF_ECN[ecn]
 
 
 class FiveTuple(NamedTuple):

@@ -7,6 +7,7 @@ memoized per scenario variant so overlapping criteria reuse them.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from ..core import DrbConfig, FlowClass, Packet
 from ..marking import DrbMarkState, MarkDecision, MarkParams, map_mark_outcome
 from ..profile import DEFAULT_WINDOW_SECS, ProfileTable
-from .metrics import dumps_intervals, dumps_packets
+from .metrics import RecordColumns, record_lines
 from .scenario import BUILTIN_SCENARIOS, Scenario, override
 
 
@@ -99,24 +100,26 @@ def reference_step_mark(
     return map_mark_outcome(est.sojourn_hat >= params.tau_thr, pkt, flow_class, params)
 
 
+def _same_stream(a: RecordColumns, b: RecordColumns) -> bool:
+    """Whether two stores write the same stream, compared line by line."""
+    return len(a) == len(b) and all(map(operator.eq, record_lines(a), record_lines(b)))
+
+
 class AcceptanceRunner:
-    def __init__(self, save_dir: Optional[str] = None, verbose: bool = False):
+    def __init__(self, save_dir: Optional[str] = None):
         self._cache: dict[str, object] = {}
         self.save_dir = save_dir
-        self.verbose = verbose
 
     def result(self, key: str):
         if key not in self._cache:
             from ..ransim.sim import run as sim_run
 
             scn = variant_scenario(key)
-            if self.verbose:
-                print(f"... running {key} ({scn.horizon_secs:.0f} s horizon)", flush=True)
+            print(f"... running {key} ({scn.horizon_secs:.0f} s horizon)", flush=True)
             t0 = time.time()
             # C2's twin: the reference rule decides in place of decide_mark
             res = sim_run(scn, reference_step_mark if key == "static-1ue-step" else None)
-            if self.verbose:
-                print(f"    done in {time.time() - t0:.1f} s ({res.events} events)", flush=True)
+            print(f"    done in {time.time() - t0:.1f} s ({res.events} events)", flush=True)
             if self.save_dir:
                 from .metrics import write_run
 
@@ -195,14 +198,14 @@ class AcceptanceRunner:
         """Zero error width makes the run event-identical to the reference step marker."""
         a = self.result("static-1ue-e0")
         b = self.result("static-1ue-step")
-        pk_a, pk_b = dumps_packets(a.collector.packets), dumps_packets(b.collector.packets)
-        iv_a, iv_b = dumps_intervals(a.collector.intervals), dumps_intervals(b.collector.intervals)
-        passed = pk_a == pk_b and iv_a == iv_b
+        same_pk = _same_stream(a.collector.packets, b.collector.packets)
+        same_iv = _same_stream(a.collector.intervals, b.collector.intervals)
+        passed = same_pk and same_iv
         return CriterionResult(
             2, "zero-error reduction is event-identical to the reference step marker", passed,
-            f"packet streams {'identical' if pk_a == pk_b else 'differ'} "
+            f"packet streams {'identical' if same_pk else 'differ'} "
             f"({len(a.collector.packets)} records), "
-            f"interval streams {'identical' if iv_a == iv_b else 'differ'}",
+            f"interval streams {'identical' if same_iv else 'differ'}",
         )
 
     def c3_l4s_latency_utilization(self) -> CriterionResult:
@@ -416,10 +419,8 @@ class AcceptanceRunner:
                                     {"horizon_secs": 6.0, "warmup_secs": 2.0}))
 
         a, b = short_run(), short_run()
-        same = (
-            dumps_packets(a.collector.packets) == dumps_packets(b.collector.packets)
-            and dumps_intervals(a.collector.intervals) == dumps_intervals(b.collector.intervals)
-        )
+        same = (_same_stream(a.collector.packets, b.collector.packets)
+                and _same_stream(a.collector.intervals, b.collector.intervals))
         import json
 
         same_summary = json.dumps(a.summary, sort_keys=True) == json.dumps(b.summary, sort_keys=True)
@@ -446,8 +447,7 @@ class AcceptanceRunner:
         ]
         results = []
         for fn in fns:
-            results.append(fn())
-            if self.verbose:
-                r = results[-1]
-                print(f"[{'PASS' if r.passed else 'FAIL'}] {r.cid}: {r.name} -- {r.detail}", flush=True)
+            r = fn()
+            results.append(r)
+            print(f"[{'PASS' if r.passed else 'FAIL'}] {r.cid}: {r.name} -- {r.detail}", flush=True)
         return results

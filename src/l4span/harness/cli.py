@@ -94,7 +94,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     from .acceptance import AcceptanceRunner, render_table
 
-    runner = AcceptanceRunner(save_dir=args.dir, verbose=True)
+    runner = AcceptanceRunner(save_dir=args.dir)
     results = runner.run_all()
     table = render_table(results)
     print(table)

@@ -23,10 +23,12 @@ one flat ``array`` per record field.  ``collector.packets`` and
 ``collector.intervals`` are read-only sequences over those columns that
 build a ``PacketRecord`` or an ``IntervalRecord`` on each access, and the
 feedback-latency samples are columns too, read per flow through
-``collector.feedback_latency``.  ``write_run`` writes every output as it is
-encoded: the record streams line by line from the columns, and
-``meta.json`` and ``summary.json`` chunk by chunk, so no output is held
-whole in memory.
+``collector.feedback_latency``.  A store's record type is its stream's only
+schema: ``record_lines(store)`` yields one line per record, its keys the
+record's field names, and the CSVs take their header from the same names.
+``write_run`` writes every output as it is encoded: the record streams line
+by line from the columns, and ``meta.json`` and ``summary.json`` chunk by
+chunk, so no output is held whole in memory.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections import defaultdict, deque
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import islice, repeat, starmap
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -98,23 +99,25 @@ _TYPECODES = {float: "d", int: "q", str: "I", Optional[float]: "d"}
 
 
 @cache
-def _layout(record: type) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Optional[int], ...]]:
-    """Per field of ``record``, in field order: its column's name, its column's
-    typecode and its kind (None for the name, the field's bit in the ``none``
-    column when it is optional, else 0).  Worked out once per record type."""
-    names, typecodes, kinds = [], [], []
-    bit = 1
-    for name, hint in get_type_hints(record).items():
+def _layout(record: type) -> tuple[tuple[str, ...], tuple[str, ...], int,
+                                   tuple[tuple[int, int], ...]]:
+    """The column names and typecodes of ``record``'s fields in field order,
+    the position of its ``str`` field, and each optional field's position
+    with its bit in the ``none`` column.  Worked out once per record type."""
+    names, typecodes, optional = [], [], []
+    flow_at = None
+    for i, (name, hint) in enumerate(get_type_hints(record).items()):
         if hint is str:
-            kind, name = None, f"{name}_index"
-        elif hint is float or hint is int:
-            kind = 0
-        else:
-            kind, bit = bit, bit << 1
+            flow_at, name = i, f"{name}_index"
+        elif hint is not float and hint is not int:
+            optional.append((i, 1 << len(optional)))
         names.append(name)
         typecodes.append(_TYPECODES[hint])
-        kinds.append(kind)
-    return tuple(names), tuple(typecodes), tuple(kinds)
+    return tuple(names), tuple(typecodes), flow_at, tuple(optional)
+
+
+# runs an iterator to its end, keeping nothing: appends every value in C
+_consume = deque(maxlen=0).extend
 
 
 def _none_where(value, none: int, bit: int):
@@ -146,22 +149,22 @@ class RecordColumns(Sequence):
         self.flow_names = flow_names
         self._flow_index = flow_index
         self.none = array("B")
-        names, typecodes, self._kinds = _layout(record)
+        names, typecodes, self._flow_at, self._optional = _layout(record)
         self._columns = [array(typecode) for typecode in typecodes]
         for name, column in zip(names, self._columns):
             setattr(self, name, column)
 
     def append(self, *values) -> None:
         """Store one record, its field values given in field order."""
+        values = list(values)
         none = 0
+        for i, bit in self._optional:
+            if values[i] is None:
+                values[i] = math.nan
+                none |= bit
         try:
-            for column, kind, value in zip(self._columns, self._kinds, values):
-                if kind is None:
-                    value = self._flow_index[value]
-                elif value is None and kind:
-                    none |= kind
-                    value = math.nan
-                column.append(value)
+            values[self._flow_at] = self._flow_index[values[self._flow_at]]
+            _consume(map(array.append, self._columns, values))
         except (OverflowError, TypeError, KeyError):
             n = len(self.none)
             for column in self._columns:
@@ -171,12 +174,11 @@ class RecordColumns(Sequence):
 
     def rows(self) -> Iterator[tuple]:
         """Each record's field values, in field order."""
-        none = self.none
-        return zip(*[
-            map(self.flow_names.__getitem__, column) if kind is None
-            else map(_none_where, column, none, repeat(kind)) if kind
-            else column
-            for column, kind in zip(self._columns, self._kinds)])
+        columns = list(self._columns)
+        columns[self._flow_at] = map(self.flow_names.__getitem__, columns[self._flow_at])
+        for i, bit in self._optional:
+            columns[i] = map(_none_where, columns[i], self.none, repeat(bit))
+        return zip(*columns)
 
     def __len__(self) -> int:
         return len(self.none)
@@ -186,11 +188,12 @@ class RecordColumns(Sequence):
 
     def __getitem__(self, i: int):
         none = self.none[i]
-        return self.record(*[
-            self.flow_names[column[i]] if kind is None
-            else None if none & kind
-            else column[i]
-            for column, kind in zip(self._columns, self._kinds)])
+        values = [column[i] for column in self._columns]
+        values[self._flow_at] = self.flow_names[values[self._flow_at]]
+        for j, bit in self._optional:
+            if none & bit:
+                values[j] = None
+        return self.record(*values)
 
 
 class _LatenciesByFlow(Mapping):
@@ -387,8 +390,6 @@ def _dist_stats(values: np.ndarray, p999: bool = False) -> dict:
 
 # -- writers ------------------------------------------------------------------
 
-PACKET_FIELDS = tuple(f.name for f in fields(PacketRecord))
-INTERVAL_FIELDS = tuple(f.name for f in fields(IntervalRecord))
 # the same encoders json.dumps(obj, sort_keys=True) and json.dumps(obj, indent=2,
 # sort_keys=True) build for every call
 _ENCODER = json.JSONEncoder(sort_keys=True)
@@ -399,35 +400,12 @@ _DOCUMENT_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 _DOCUMENT_BATCH_CHUNKS = 256
 
 
-def _rows(records: Iterable, keys: tuple[str, ...]) -> Iterator[tuple]:
-    """Each record's field values, read straight from the columns when it has them."""
-    if isinstance(records, RecordColumns):
-        return records.rows()
-    return map(attrgetter(*keys), records)
-
-
-def _lines(records: Iterable, keys: tuple[str, ...]) -> Iterator[str]:
+def record_lines(store: RecordColumns) -> Iterator[str]:
+    """One sorted-key JSON line per record in ``store``, in append order."""
+    keys = [f.name for f in fields(store.record)]
     encode = _ENCODER.encode
-    for row in _rows(records, keys):
+    for row in store.rows():
         yield encode(dict(zip(keys, row))) + "\n"
-
-
-def packet_lines(packets: Iterable[PacketRecord]) -> Iterator[str]:
-    """One sorted-key JSON line per packet record."""
-    return _lines(packets, PACKET_FIELDS)
-
-
-def interval_lines(intervals: Iterable[IntervalRecord]) -> Iterator[str]:
-    """One sorted-key JSON line per interval record."""
-    return _lines(intervals, INTERVAL_FIELDS)
-
-
-def dumps_packets(packets: Iterable[PacketRecord]) -> str:
-    return "".join(packet_lines(packets))
-
-
-def dumps_intervals(intervals: Iterable[IntervalRecord]) -> str:
-    return "".join(interval_lines(intervals))
 
 
 def write_run(result, outdir: str | Path, csv: bool = False) -> None:
@@ -441,9 +419,9 @@ def write_run(result, outdir: str | Path, csv: bool = False) -> None:
     out.mkdir(parents=True, exist_ok=True)
     _dump_document(result.meta, out / "meta.json")
     with open(out / "packets.jsonl", "w") as fh:
-        fh.writelines(packet_lines(result.collector.packets))
+        fh.writelines(record_lines(result.collector.packets))
     with open(out / "intervals.jsonl", "w") as fh:
-        fh.writelines(interval_lines(result.collector.intervals))
+        fh.writelines(record_lines(result.collector.intervals))
     _dump_document(result.summary, out / "summary.json")
     with open(out / "summary.txt", "w") as fh:
         fh.writelines(summary_text_lines(result))
@@ -463,12 +441,12 @@ def _dump_document(obj, path: Path) -> None:
 def _write_csvs(result, out: Path) -> None:
     import csv as _csv
 
-    for name, records, keys in (("packets.csv", result.collector.packets, PACKET_FIELDS),
-                                ("intervals.csv", result.collector.intervals, INTERVAL_FIELDS)):
+    for name, store in (("packets.csv", result.collector.packets),
+                        ("intervals.csv", result.collector.intervals)):
         with open(out / name, "w", newline="") as fh:
             w = _csv.writer(fh)
-            w.writerow(keys)
-            w.writerows(_rows(records, keys))
+            w.writerow(f.name for f in fields(store.record))
+            w.writerows(store.rows())
 
 
 def summary_text_lines(result) -> Iterator[str]:

@@ -465,8 +465,7 @@ class Simulator:
                     flow.endpoint = (
                         UdpEndpoint(self, flow) if fspec.kind == "udp" else TcpEndpoint(self, flow)
                     )
-                    flow.receiver = ReceiverState(flow=ft, mode=flow.feedback_mode,
-                                                  mss=drb.mss_bytes)
+                    flow.receiver = ReceiverState(flow=ft, mode=flow.feedback_mode)
                     self.flows.append(flow)
                     self.flow_by_tuple[ft] = flow
             self.ue_ctx.append(ctx)

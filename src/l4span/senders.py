@@ -188,7 +188,6 @@ class ReceiverState:
 
     flow: FiveTuple                 # downlink tuple (server -> client)
     mode: FeedbackMode
-    mss: int = 1500
     recv_next: int = 0
     ce_pkts: int = 0
     ce_bytes: int = 0

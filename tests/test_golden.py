@@ -33,7 +33,7 @@ import json
 import pstats
 from collections import Counter, defaultdict
 
-from l4span.harness.metrics import dumps_intervals, dumps_packets
+from l4span.harness.metrics import record_lines
 from l4span.harness.scenario import (
     AqmSpec,
     ChannelSpec,
@@ -147,13 +147,17 @@ def cached_run(make):
 
 def packets_summary_digest(result) -> str:
     h = hashlib.sha256()
-    h.update(dumps_packets(result.collector.packets).encode())
+    for line in record_lines(result.collector.packets):
+        h.update(line.encode())
     h.update((json.dumps(result.summary, indent=2, sort_keys=True) + "\n").encode())
     return h.hexdigest()
 
 
 def intervals_digest(result) -> str:
-    return hashlib.sha256(dumps_intervals(result.collector.intervals).encode()).hexdigest()
+    h = hashlib.sha256()
+    for line in record_lines(result.collector.intervals):
+        h.update(line.encode())
+    return h.hexdigest()
 
 
 def test_golden_streams_are_pinned():

@@ -1,3 +1,4 @@
+import csv
 import functools
 import gc
 import importlib.util
@@ -18,16 +19,11 @@ from hypothesis import strategies as st
 from l4span.harness.cli import _sweep_jobs, build_parser
 from l4span.harness.cli import main as cli_main
 from l4span.harness.metrics import (
-    INTERVAL_FIELDS,
-    PACKET_FIELDS,
     FeedbackLatency,
     IntervalRecord,
     MetricsCollector,
     PacketRecord,
-    dumps_intervals,
-    dumps_packets,
-    interval_lines,
-    packet_lines,
+    record_lines,
     write_run,
 )
 from l4span.harness.scenario import (
@@ -544,8 +540,15 @@ def test_cli_run_csv_export(tmp_path):
     save_scenario(scn, sfile)
     out = tmp_path / "runcsv"
     assert cli_main(["run", str(sfile), "--out", str(out), "--csv"]) == 0
-    assert (out / "packets.csv").exists()
-    assert (out / "intervals.csv").exists()
+    stored = run(load_scenario(sfile)).collector
+    # the run has packets with no prediction and intervals with no gauge
+    assert any(r.predicted_sojourn is None for r in stored.packets)
+    assert any(r.p_classic is None for r in stored.intervals)
+    for name, store in (("packets.csv", stored.packets), ("intervals.csv", stored.intervals)):
+        with open(out / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == [f.name for f in fields(store.record)]
+        assert rows == [["" if v is None else str(v) for v in _values(r)] for r in store]
 
 
 def test_cli_sweep(tmp_path, monkeypatch):
@@ -644,22 +647,6 @@ def _edge_intervals(ints: list[int] = EDGE_INT) -> list[IntervalRecord]:
     ]
 
 
-def _as_dict(rec, keys) -> dict:
-    return {k: getattr(rec, k) for k in keys}
-
-
-@pytest.mark.parametrize("records, lines, dumps, keys", [
-    (_edge_packets, packet_lines, dumps_packets, PACKET_FIELDS),
-    (_edge_intervals, interval_lines, dumps_intervals, INTERVAL_FIELDS),
-])
-def test_stream_lines_match_per_record_json_dumps(records, lines, dumps, keys):
-    recs = records()
-    expected = [json.dumps(_as_dict(r, keys), sort_keys=True) + "\n" for r in recs]
-    assert list(lines(recs)) == expected
-    assert dumps(recs) == "".join(expected)
-    assert all(line.isascii() and line.count("\n") == 1 for line in expected)
-
-
 def test_interval_record_reads_like_the_dict_it_replaced():
     c = MetricsCollector(["a", "b"], {"a": (1, 1), "b": (1, 2)}, warmup_secs=0.0,
                          flow_starts={"a": 0.0, "b": 0.0})
@@ -690,7 +677,7 @@ def test_interval_record_reads_like_the_dict_it_replaced():
     ]
     assert len(c.intervals) == len(expected)
     for rec, old in zip(c.intervals, expected):
-        assert set(INTERVAL_FIELDS) == set(old) and len(old) == 12
+        assert {f.name for f in fields(IntervalRecord)} == set(old) and len(old) == 12
         for key, value in old.items():
             assert rec[key] == value and type(rec[key]) is type(value), key
     with pytest.raises(KeyError):
@@ -832,7 +819,7 @@ def _fits_columns(rec) -> bool:
     return all(-(2**63) <= v < 2**63 for v in _values(rec) if type(v) is int)
 
 
-# per record kind: how the collector is handed one, and the stream writer
+# per record kind: how the collector is handed one
 _STORE = {
     PacketRecord: lambda c, r: c.on_delivery(*_values(r), 100),
     IntervalRecord: lambda c, r: c.intervals.append(*_values(r)),
@@ -873,14 +860,15 @@ def test_packet_columns_match_the_records_they_store(kind, records):
                 {"mean": float(np.mean(lats)) if lats.size else None, "count": lats.size})
         return
 
-    store, dumps = (c.packets, dumps_packets) if kind is PacketRecord else (c.intervals,
-                                                                           dumps_intervals)
+    store = c.packets if kind is PacketRecord else c.intervals
     assert len(store) == len(kept)
     assert [_spelled(r) for r in store] == [_spelled(r) for r in kept]
     assert [_spelled(store[i]) for i in range(len(kept))] == [_spelled(r) for r in kept]
     if kept:
         assert _spelled(store[-1]) == _spelled(kept[-1])
-    assert dumps(store) == "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in kept)
+    lines = list(record_lines(store))
+    assert lines == [json.dumps(asdict(r), sort_keys=True) + "\n" for r in kept]
+    assert all(line.isascii() and line.count("\n") == 1 for line in lines)
     if kind is PacketRecord:
         for flow in ORACLE_FLOWS:
             steady = [r for r in kept if r.flow == flow and r.t >= ORACLE_WARMUP]

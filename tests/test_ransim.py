@@ -434,11 +434,11 @@ def test_single_packet_delay_breakdown():
 
 
 def test_same_seed_identical_metrics():
-    from l4span.harness.metrics import dumps_intervals, dumps_packets
+    from l4span.harness.metrics import record_lines
 
     a, b = run(_short_scenario()), run(_short_scenario())
-    assert dumps_packets(a.collector.packets) == dumps_packets(b.collector.packets)
-    assert dumps_intervals(a.collector.intervals) == dumps_intervals(b.collector.intervals)
+    assert list(record_lines(a.collector.packets)) == list(record_lines(b.collector.packets))
+    assert list(record_lines(a.collector.intervals)) == list(record_lines(b.collector.intervals))
 
 
 def test_sim_byte_conservation_and_causality():

@@ -4,12 +4,14 @@ import random
 import pytest
 
 from l4span.core import (
+    ACK,
+    CWR,
+    ECE,
     EcnCodepoint,
     FiveTuple,
     Packet,
     Proto,
     TcpFields,
-    TcpFlags,
 )
 from l4span.marking import k_constant
 from l4span.senders import (
@@ -192,7 +194,7 @@ def test_reno_matches_throughput_model():
 FT = FiveTuple(1, 2, 10, 20, Proto.TCP)
 
 
-def _data(seq, payload=1460, ecn=EcnCodepoint.ECT1, flags=TcpFlags.ACK):
+def _data(seq, payload=1460, ecn=EcnCodepoint.ECT1, flags=ACK):
     return Packet(
         pkt_id=1, five_tuple=FT, size_bytes=payload + 40, ecn=ecn,
         created_at=0.0,
@@ -203,14 +205,14 @@ def _data(seq, payload=1460, ecn=EcnCodepoint.ECT1, flags=TcpFlags.ACK):
 def test_receiver_classic_ce_sets_ece():
     st = ReceiverState(flow=FT, mode=FeedbackMode.CLASSIC_ECN)
     ack = receiver_on_data(st, _data(0, ecn=EcnCodepoint.CE), 1.0, 100)
-    assert ack.tcp.flags & TcpFlags.ECE
+    assert ack.tcp.flags & ECE
     assert ack.tcp.ack_no == 1460
     # stays latched until CWR
     ack2 = receiver_on_data(st, _data(1460, ecn=EcnCodepoint.ECT0), 1.1, 101)
-    assert ack2.tcp.flags & TcpFlags.ECE
+    assert ack2.tcp.flags & ECE
     ack3 = receiver_on_data(st, _data(2920, ecn=EcnCodepoint.ECT0,
-                                      flags=TcpFlags.ACK | TcpFlags.CWR), 1.2, 102)
-    assert not (ack3.tcp.flags & TcpFlags.ECE)
+                                      flags=ACK | CWR), 1.2, 102)
+    assert not (ack3.tcp.flags & ECE)
 
 
 def test_receiver_counts_by_codepoint():

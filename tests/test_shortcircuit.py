@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l4span.core import (
+    ACK,
+    CWR,
+    ECE,
     AccEcnFields,
     EcnCodepoint,
     FiveTuple,
     Packet,
     Proto,
     TcpFields,
-    TcpFlags,
 )
 from l4span.marking import MarkDecision
 from l4span.shortcircuit import (
@@ -29,7 +31,7 @@ FT = FiveTuple(1, 2, 10, 20, Proto.TCP)
 FT_UDP = FiveTuple(1, 2, 10, 20, Proto.UDP)
 
 
-def _data(ecn=EcnCodepoint.ECT1, payload=1500, flags=TcpFlags.ACK):
+def _data(ecn=EcnCodepoint.ECT1, payload=1500, flags=ACK):
     return Packet(
         pkt_id=1, five_tuple=FT, size_bytes=payload + 40, ecn=ecn,
         created_at=0.0,
@@ -37,7 +39,7 @@ def _data(ecn=EcnCodepoint.ECT1, payload=1500, flags=TcpFlags.ACK):
     )
 
 
-def _ack(ack_no, flags=TcpFlags.ACK, accecn=None):
+def _ack(ack_no, flags=ACK, accecn=None):
     return Packet(
         pkt_id=2, five_tuple=FiveTuple(2, 1, 20, 10, Proto.TCP), size_bytes=40,
         ecn=EcnCodepoint.NOT_ECT, created_at=0.0,
@@ -47,7 +49,7 @@ def _ack(ack_no, flags=TcpFlags.ACK, accecn=None):
 
 def test_classify_feedback_mode():
     assert classify_feedback_mode(_ack(0, accecn=AccEcnFields())) is FeedbackMode.ACC_ECN
-    assert classify_feedback_mode(_ack(0, flags=TcpFlags.ACK | TcpFlags.ECE)) is FeedbackMode.CLASSIC_ECN
+    assert classify_feedback_mode(_ack(0, flags=ACK | ECE)) is FeedbackMode.CLASSIC_ECN
     udp = Packet(
         pkt_id=3, five_tuple=FT_UDP, size_bytes=28, ecn=EcnCodepoint.NOT_ECT,
         created_at=0.0,
@@ -106,7 +108,7 @@ def test_rewrite_accecn_ratio_zero():
     acc = ack.tcp.accecn
     assert acc.ce_bytes == 0
     assert acc.ect1_bytes == 4000
-    assert ack.tcp.flags & TcpFlags.ECE == 0
+    assert ack.tcp.flags & ECE == 0
 
 
 def test_rewrite_accecn_split_ratio():
@@ -147,17 +149,17 @@ def test_classic_latch_protocol():
     acked = 1500
     for _ in range(5):
         ack = rewrite_ack(st, _ack(acked))
-        assert ack.tcp.flags & TcpFlags.ECE
+        assert ack.tcp.flags & ECE
         acked += 1500
-    record_tentative_mark(st, _data(ecn=EcnCodepoint.ECT0, flags=TcpFlags.ACK | TcpFlags.CWR),
+    record_tentative_mark(st, _data(ecn=EcnCodepoint.ECT0, flags=ACK | CWR),
                           MarkDecision.PASS)
     for _ in range(5):
         ack = rewrite_ack(st, _ack(acked))
-        assert not (ack.tcp.flags & TcpFlags.ECE)
+        assert not (ack.tcp.flags & ECE)
         acked += 1500
     record_tentative_mark(st, _data(ecn=EcnCodepoint.ECT0), MarkDecision.TENTATIVE_MARK)
     ack = rewrite_ack(st, _ack(acked))
-    assert ack.tcp.flags & TcpFlags.ECE
+    assert ack.tcp.flags & ECE
     assert st.ece_latched
 
 
@@ -249,7 +251,7 @@ def test_rewrite_ack_matches_counter_oracle(mode, ops):
     for op in ops:
         if op[0] == "data":
             _, payload, ecn, mark, cwr = op
-            flags = TcpFlags.ACK | (TcpFlags.CWR if cwr else 0)
+            flags = ACK | (CWR if cwr else 0)
             decision = MarkDecision.TENTATIVE_MARK if mark else MarkDecision.PASS
             record_tentative_mark(state, _data(ecn=ecn, payload=payload, flags=flags), decision)
             oracle.data(payload, ecn, mark, cwr)
@@ -279,7 +281,7 @@ def test_rewrite_ack_matches_counter_oracle(mode, ops):
                 oracle.ce_pkts % 8, *reported)
         else:
             assert out.tcp.accecn is None
-            assert bool(out.tcp.flags & TcpFlags.ECE) == oracle.latched
+            assert bool(out.tcp.flags & ECE) == oracle.latched
         # the same ACK again is a repeat: same fields, same state
         rewritten, after_state = _fields(out), copy.deepcopy(state)
         again = rewrite_ack(state, out)

@@ -248,30 +248,47 @@ def gain_checks(change: dict, parent: dict, metrics: list[dict]) -> dict:
     return out
 
 
-def record_builtin(name: str, seeds: list[int], sides: dict, record: dict) -> None:
-    """Time bundled scenario ``name`` on each side over the seeds; add its entry to ``record``."""
+def paired_entry(sides: dict, seeds: list[int], run_one, better: dict[str, str], label: str,
+                 shown: tuple[str, ...]) -> dict:
+    """Run ``run_one(checkout, seed)`` once per side per seed, the parent first
+    on every other seed, printing the ``shown`` metrics of each run.
+
+    Returns each side's ``summarize`` entry over the metrics of ``better``,
+    a ``repeat_policy`` with the seeds and the order, and, with a parent,
+    ``change_better``.
+    """
     runs = {side: [] for side in sides}
     for i, seed in enumerate(seeds):
         for side in (list(sides) if i % 2 else list(reversed(sides))):
-            r = time_builtin(sides[side], name, seed)
+            r = run_one(sides[side], seed)
             runs[side].append(r)
-            print(f"{name} seed {seed} {side}: run_s {r['metrics']['run_s']:.4g}, "
-                  f"run_cpu_s {r['metrics']['run_cpu_s']:.4g}, events {r['events']}", flush=True)
-    entry = {side: summarize(rs, list(BUILTIN_METRICS)) for side, rs in runs.items()}
+            print(f"{label} seed {seed} {side}: " + ", ".join(
+                f"{k} {r['metrics'][k]:.4g}" for k in shown if k in r["metrics"]), flush=True)
+    entry = {side: summarize(rs, list(better)) for side, rs in runs.items()}
     entry["repeat_policy"] = {
         "seeds": seeds,
-        "horizon_secs": BUILTIN_HORIZON_SECS,
-        "warmup_secs": BUILTIN_WARMUP_SECS,
         "order": "one run per side per seed; the parent runs first on the 1st, 3rd, ... "
                  "seed" if "parent" in sides else "one run per seed",
-        "statistic": "median and quartiles over seeds",
-        "per_run": "Simulator.run alone, built beforehand, in a fresh interpreter",
     }
     if "parent" in sides:
-        entry["change_better"] = wins(runs["change"], runs["parent"], BUILTIN_METRICS)
+        entry["change_better"] = wins(runs["change"], runs["parent"], better)
+    return entry
+
+
+def record_builtin(name: str, seeds: list[int], sides: dict, record: dict) -> None:
+    """Time bundled scenario ``name`` on each side over the seeds; add its entry to ``record``."""
+    entry = paired_entry(sides, seeds, lambda checkout, seed: time_builtin(checkout, name, seed),
+                         BUILTIN_METRICS, name, ("run_s", "run_cpu_s"))
+    entry["repeat_policy"].update({
+        "horizon_secs": BUILTIN_HORIZON_SECS,
+        "warmup_secs": BUILTIN_WARMUP_SECS,
+        "statistic": "median and quartiles over seeds",
+        "per_run": "Simulator.run alone, built beforehand, in a fresh interpreter",
+    })
+    if "parent" in sides:
         entry["same_events_and_summary"] = all(
             (c["events"], c["summary_sha256"]) == (p["events"], p["summary_sha256"])
-            for c, p in zip(runs["change"], runs["parent"]))
+            for c, p in zip(entry["change"]["runs"], entry["parent"]["runs"]))
     record.setdefault("builtins", {})[name] = entry
 
 
@@ -321,27 +338,17 @@ def main(argv=None) -> int:
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
     for workload in workloads:
-        runs = {side: [] for side in sides}
-        for i, seed in enumerate(args.seeds):
-            order = list(sides) if i % 2 else list(reversed(sides))
-            for side in order:
-                r = bench_once(sides[side], workload, seed, seconds)
-                runs[side].append(r)
-                print(f"{workload} seed {seed} {side}: " + ", ".join(
-                    f"{k} {r['metrics'][k]:.4g}" for k in ("wall_s", "sim_s_per_s", "peak_rss_mb")
-                    if k in r["metrics"]), flush=True)
-        entry = {side: summarize(rs, list(better)) for side, rs in runs.items()}
-        entry["repeat_policy"] = {
-            "seeds": args.seeds,
+        entry = paired_entry(
+            sides, args.seeds,
+            lambda checkout, seed: bench_once(checkout, workload, seed, seconds),
+            better, workload, ("wall_s", "sim_s_per_s", "peak_rss_mb"))
+        entry["repeat_policy"].update({
             "seconds": seconds,
-            "order": "one run per side per seed; the parent runs first on the 1st, 3rd, ... "
-                     "seed" if "parent" in sides else "one run per seed",
             "statistic": "median and quartiles over seeds of each run's end-to-end value",
             "per_run": "perfbench/run.py's own policy: each distinct scenario once, the "
                        "first repeated while the seconds last; host metrics are medians",
-        }
+        })
         if "parent" in sides:
-            entry["change_better"] = wins(runs["change"], runs["parent"], better)
             entry["bound_check"] = bound_checks(entry["change"], entry["parent"],
                                                 bench["end_to_end"])
             entry["gain_check"] = gain_checks(entry["change"], entry["parent"],
