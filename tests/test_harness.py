@@ -629,12 +629,12 @@ EDGE_INT = [0, -(2**63), 2**64 + 1, 10**30]
 EDGE_NAME = "flöw-✓ 流 \"q\""
 
 
-def _edge_packets() -> list[PacketRecord]:
+def _edge_packets(ints: list[int] = EDGE_INT) -> list[PacketRecord]:
     return [
         PacketRecord(t=x, flow=EDGE_NAME, one_way=-x, propagation=0.0, queuing=x,
                      scheduling=1e-9, retransmission=math.inf,
                      predicted_sojourn=None if i % 2 else x, size_bytes=n)
-        for i, (x, n) in enumerate(zip(EDGE_FLOAT, EDGE_INT * 2))
+        for i, (x, n) in enumerate(zip(EDGE_FLOAT, ints * 2))
     ]
 
 
@@ -876,6 +876,22 @@ def test_packet_columns_match_the_records_they_store(kind, records):
                 stats = _oracle_stats([getattr(r, key) for r in steady])
                 name = "delay" if key == "one_way" else key
                 assert json.dumps(flows[flow][name]) == json.dumps(stats)
+
+
+@pytest.mark.parametrize("records", [_edge_packets, _edge_intervals], ids=lambda f: f.__name__)
+def test_stream_lines_match_per_record_json_dumps(records):
+    recs = records(EDGE_INT64)
+    c = MetricsCollector([EDGE_NAME], {EDGE_NAME: (1, 1)}, warmup_secs=0.0,
+                         flow_starts={EDGE_NAME: 0.0})
+    store = c.packets if type(recs[0]) is PacketRecord else c.intervals
+    assert list(record_lines(store)) == []
+    for r in recs:
+        _STORE[type(r)](c, r)
+    expected = [json.dumps(asdict(r), sort_keys=True) + "\n" for r in recs]
+    assert list(record_lines(store)) == expected
+    assert list(record_lines(store)) == expected  # each call streams the store afresh
+    assert all(line.isascii() and line.count("\n") == 1 for line in expected)
+    assert list(json.loads(expected[0])) == sorted(f.name for f in fields(store.record))
 
 
 def test_collector_keeps_under_100_bytes_per_delivered_packet():
