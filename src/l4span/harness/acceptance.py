@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,6 +143,7 @@ class AcceptanceRunner:
             error_cost_bounds,
             k_constant,
             p_classic,
+            p_l4s,
         )
 
         rng = random.Random(1234)
@@ -186,9 +188,13 @@ class AcceptanceRunner:
                 infl_ref, loss_ref = 0.0, 0.0
             worst = max(worst, rel(infl, infl_ref), rel(loss, loss_ref))
 
-            # sojourn prediction is the plain quotient
-            n_q = rng.uniform(0, 1e7)
-            worst = max(worst, rel(n_q / r, (n_q * (1.0 / r))) if n_q else 0.0)
+            # p_l4s against the standard library's normal CDF where that is
+            # >= 1e-6 (below, its 1 + erf cancels), and the zero-error step
+            e_hat, n_queue = r_hat * rng.uniform(0.01, 0.5), r_hat * tau * rng.uniform(0.5, 1.5)
+            p_ref = statistics.NormalDist(r_hat, e_hat).cdf(n_queue / tau)
+            if p_ref >= 1e-6:
+                worst = max(worst, rel(p_l4s(n_queue, r_hat, e_hat, tau), p_ref))
+            worst = max(worst, rel(p_l4s(n_queue, r_hat, 0.0, tau), float(n_queue / tau >= r_hat)))
 
         passed = worst <= 1e-9
         return CriterionResult(1, "formula oracles (1000 random inputs, 1e-9 relative)",

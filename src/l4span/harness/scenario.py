@@ -26,6 +26,7 @@ from ..marking import SHARED_POLICIES
 from ..profile import DEFAULT_COHERENCE_SECS
 from ..ransim.channel import SINUSOID_SAMPLE_SECS, ChannelTrace
 from ..ransim.scheduler import SchedulerPolicy
+from ..senders import SENDERS
 from .metrics import INTERVAL_SECS
 
 DEFAULT_CAPACITY_BPS = 40e6          # 40 Mbit/s cell
@@ -39,8 +40,6 @@ DEFAULT_ARQ_DELAY = 0.020
 # channel's 10 ms jitter holds, about 144 MB at the build's peak and 25 MB kept
 MAX_TRACE_BREAKPOINTS = 1_000_000
 
-SENDER_KINDS = ("prague", "cubic", "reno", "udp")
-FEEDBACK_KINDS = ("accecn", "classic", "none")
 AQM_KINDS = ("l4span", "dualpi2step", "none")
 
 
@@ -55,7 +54,7 @@ class FlowSpec:
     start: float = 0.0
     stop: Optional[float] = None          # None: run to horizon
     size_bytes: Optional[int] = None      # short-lived flow size; None: unbounded
-    feedback: str = "accecn"              # accecn | classic | none
+    feedback: str = "accecn"              # one the kind reads, see senders.SENDERS
     udp_rate_bps: float = 8e6             # udp sender pace, bits/s
     # server turnaround between handshake completion and the first data
     # packet; the middlebox's handshake RTT measurement absorbs it, which
@@ -237,19 +236,21 @@ class Scenario:
                                       f"the {TCP_HEADER_BYTES}-byte header")
                 if not 0 <= drb.loss_p < 1:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: loss_p must be in [0, 1)")
-                if drb.delivery_delay_secs < 0 or drb.arq_delay_secs < 0:
-                    raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: delays must be >= 0")
+                for delay in ("delivery_delay_secs", "arq_delay_secs"):
+                    if getattr(drb, delay) < 0:
+                        raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: delays must be >= 0 "
+                                          f"({delay})")
                 for flow in drb.flows:
                     loc = f"flow {flow.name!r} (ue {ue.ue_id}, drb {drb.drb_id})"
                     if flow.name in seen_names:
                         raise ConfigError(f"duplicate flow name {flow.name!r}")
                     seen_names.add(flow.name)
-                    if flow.kind not in SENDER_KINDS:
+                    if flow.kind not in SENDERS:
                         raise ConfigError(f"{loc}: unknown kind {flow.kind!r}")
-                    if flow.feedback not in FEEDBACK_KINDS:
-                        raise ConfigError(f"{loc}: unknown feedback {flow.feedback!r}")
-                    if flow.kind == "udp" and flow.feedback != "none":
-                        raise ConfigError(f"{loc}: udp flows use feedback 'none'")
+                    reads = SENDERS[flow.kind].data_ecn
+                    if flow.feedback not in reads:
+                        raise ConfigError(f"{loc}: kind {flow.kind!r} reads feedback "
+                                          f"{' or '.join(map(repr, reads))}, not {flow.feedback!r}")
                     stop = flow.stop if flow.stop is not None else self.horizon_secs
                     if not 0 <= flow.start < stop <= self.horizon_secs:
                         raise ConfigError(f"{loc}: need 0 <= start < stop <= horizon")

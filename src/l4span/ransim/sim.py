@@ -55,10 +55,9 @@ from ..core import (
 from ..harness.metrics import INTERVAL_SECS, MetricsCollector
 from ..marking import MarkDecision, MarkParams, dualpi2_step_mark, map_mark_outcome
 from ..senders import (
-    CubicState,
+    SENDERS,
     PragueState,
     ReceiverState,
-    RenoState,
     classic_on_ack,
     prague_on_ack,
     prague_on_loss,
@@ -75,24 +74,6 @@ MAX_RTO_SECS = 60.0
 SERVER_ADDR_BASE = 1000
 
 
-def _feedback_mode(spec) -> FeedbackMode:
-    if spec.feedback == "accecn":
-        return FeedbackMode.ACC_ECN
-    if spec.feedback == "classic":
-        return FeedbackMode.CLASSIC_ECN
-    return FeedbackMode.DOWNLINK_FALLBACK
-
-
-def _data_codepoint(spec) -> EcnCodepoint:
-    if spec.kind == "prague" or (spec.kind == "udp" and spec.feedback == "none"):
-        return EcnCodepoint.ECT1
-    if spec.feedback == "classic":
-        return EcnCodepoint.ECT0
-    if spec.feedback == "accecn":
-        return EcnCodepoint.ECT1
-    return EcnCodepoint.NOT_ECT
-
-
 class TcpEndpoint:
     """Server-side TCP sender: sequence bookkeeping around a CC state machine."""
 
@@ -101,14 +82,8 @@ class TcpEndpoint:
         self.flow = flow
         spec = flow.spec
         self.payload_mss = flow.bearer.drb.mss_bytes - 40
-        if spec.kind == "prague":
-            self.cc = PragueState(mss=self.payload_mss, cwnd=10.0 * self.payload_mss,
-                                  round_end_total=10.0 * self.payload_mss)
-        elif spec.kind == "cubic":
-            self.cc = CubicState(mss=self.payload_mss, cwnd=10.0 * self.payload_mss)
-        else:
-            self.cc = RenoState(mss=self.payload_mss, cwnd=10.0 * self.payload_mss)
-        self.is_prague = spec.kind == "prague"
+        self.cc = SENDERS[spec.kind].cc(mss=self.payload_mss, cwnd=10.0 * self.payload_mss)
+        self.is_prague = isinstance(self.cc, PragueState)
         self.established = False
         self.next_seq = 0
         self.snd_una = 0
@@ -444,13 +419,14 @@ class Simulator:
                 ctx.queues.append(bearer)
                 self.queues[key] = bearer
                 self.layers[key] = bearer.layer
-                for i, fspec in enumerate(drb.flows):
+                for fspec in drb.flows:
+                    sender = SENDERS[fspec.kind]
                     ft = FiveTuple(
                         src_addr=SERVER_ADDR_BASE + len(self.flows),
                         dst_addr=ue.ue_id,
                         src_port=5000 + len(self.flows),
                         dst_port=443,
-                        proto=Proto.UDP if fspec.kind == "udp" else Proto.TCP,
+                        proto=Proto.UDP if sender.cc is None else Proto.TCP,
                     )
                     stop = fspec.stop
                     stop_at = stop if stop is not None and stop < scenario.horizon_secs else math.inf
@@ -458,13 +434,11 @@ class Simulator:
                         spec=fspec,
                         ft=ft,
                         bearer=bearer,
-                        data_ecn=_data_codepoint(fspec),
-                        feedback_mode=_feedback_mode(fspec),
+                        data_ecn=sender.data_ecn[fspec.feedback],
+                        feedback_mode=FeedbackMode(fspec.feedback),
                         stop_at=stop_at,
                     )
-                    flow.endpoint = (
-                        UdpEndpoint(self, flow) if fspec.kind == "udp" else TcpEndpoint(self, flow)
-                    )
+                    flow.endpoint = (UdpEndpoint if sender.cc is None else TcpEndpoint)(self, flow)
                     flow.receiver = ReceiverState(flow=ft, mode=flow.feedback_mode)
                     self.flows.append(flow)
                     self.flow_by_tuple[ft] = flow

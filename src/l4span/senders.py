@@ -12,6 +12,14 @@ can be unit-tested against throughput models without a simulator.
 * CUBIC / Reno classic senders: congestion feedback is handled like loss,
   with at most one window cut per RTT.
 
+``SENDERS`` declares each sender kind's congestion-control state and, per
+feedback channel it reads (a ``FeedbackMode`` value), its data's ECN
+codepoint; a sender never hears the marks of a channel it cannot read.
+Prague reads AccECN byte counts, which RFC 9331 makes a prerequisite of
+ECT(1); CUBIC and Reno read the ECE echo on ECT(0) data, or nothing on
+Not-ECT; the UDP sender reads nothing, and its ECT(1) data is marked on
+the downlink.
+
 cwnd and all byte counters are payload bytes.
 """
 
@@ -20,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     ACK,
@@ -58,8 +66,12 @@ class PragueState:
     ce_bytes_this_rtt: int = 0
     acked_bytes_this_rtt: int = 0
     bytes_acked_total: int = 0
-    round_end_total: float = 10 * 1500.0
+    round_end_total: Optional[float] = None   # None: the first round ends after one window
     cut_this_round: bool = False
+
+    def __post_init__(self) -> None:
+        if self.round_end_total is None:
+            self.round_end_total = self.cwnd
 
     @property
     def floor(self) -> float:
@@ -182,6 +194,20 @@ def classic_on_ack(state, acked_bytes: int, ce_or_loss: bool, now: float):
     return state
 
 
+class SenderKind(NamedTuple):
+    cc: Optional[type]                 # None: the constant-rate UDP sender
+    data_ecn: dict[str, EcnCodepoint]  # by the name of each feedback channel it reads
+
+
+_CLASSIC_FEEDBACK = {"classic": EcnCodepoint.ECT0, "none": EcnCodepoint.NOT_ECT}
+SENDERS: dict[str, SenderKind] = {
+    "prague": SenderKind(PragueState, {"accecn": EcnCodepoint.ECT1}),
+    "cubic": SenderKind(CubicState, _CLASSIC_FEEDBACK),
+    "reno": SenderKind(RenoState, _CLASSIC_FEEDBACK),
+    "udp": SenderKind(None, {"none": EcnCodepoint.ECT1}),
+}
+
+
 @dataclass
 class ReceiverState:
     """UE-side receiver: reassembles the byte stream and produces feedback."""
@@ -249,19 +275,11 @@ def receiver_on_data(
     if pkt.five_tuple.proto is not Proto.TCP:
         return None  # UDP feedback is out of band or absent; downlink marking covers it
 
-    flags = ACK
-    accecn = None
-    if is_syn:
-        flags |= SYN
-        if state.mode is FeedbackMode.CLASSIC_ECN:
-            flags |= ECE  # ECN capability echo in the handshake
-        if state.mode is FeedbackMode.ACC_ECN:
-            accecn = state.received_counters()
-    else:
-        if state.mode is FeedbackMode.CLASSIC_ECN and state.ece_latched:
-            flags |= ECE
-        if state.mode is FeedbackMode.ACC_ECN:
-            accecn = state.received_counters()
+    flags = ACK | SYN if is_syn else ACK
+    # on the SYN-ACK, ECE is the ECN capability echo
+    if state.mode is FeedbackMode.CLASSIC_ECN and (is_syn or state.ece_latched):
+        flags |= ECE
+    accecn = state.received_counters() if state.mode is FeedbackMode.ACC_ECN else None
     ack = Packet(
         pkt_id=ack_pkt_id,
         five_tuple=state.ack_tuple,

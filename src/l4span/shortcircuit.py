@@ -21,8 +21,8 @@ from .marking import MarkDecision
 
 class FeedbackMode(enum.Enum):
     ACC_ECN = "accecn"
-    CLASSIC_ECN = "classic_ecn"
-    DOWNLINK_FALLBACK = "downlink_fallback"
+    CLASSIC_ECN = "classic"
+    DOWNLINK_FALLBACK = "none"
 
 
 class InvalidMarkOperation(ValueError):

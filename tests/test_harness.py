@@ -300,6 +300,16 @@ PROBES = [
     (("delays", "ran_ul_secs"), -0.01, "ran_ul_secs"),
     (FLOW + ("think_secs",), -1, "think_secs"),
     (FLOW + ("rwnd_bytes",), 1000, "rwnd_bytes"),
+    # rejected before too, but without naming the delay
+    (DRB + ("delivery_delay_secs",), -0.001, "delivery_delay_secs"),
+    (DRB + ("arq_delay_secs",), -0.001, "arq_delay_secs"),
+    # a sender that cannot read its flow's feedback never hears a mark
+    (FLOW + ("feedback",), "classic", "'f1'"),
+    (FLOW + ("feedback",), "none", "'f1'"),
+    (FLOW + ("kind",), "cubic", "'f1'"),  # with FlowSpec's default accecn
+    ({FLOW + ("kind",): "reno", FLOW + ("feedback",): "accecn"}, None, "'f1'"),
+    (DRB + ("flows", 1, "feedback"), "accecn", "'u1'"),
+    (DRB + ("flows", 1, "feedback"), "classic", "'u1'"),
     (("warmup_secs",), -1, "warmup_secs"),
     (("slot_secs",), 10.0, "slot_secs"),
     (DRB + ("max_queue_sdus",), "x", "scenario.ues[0].drbs[0].max_queue_sdus"),

@@ -31,6 +31,8 @@ from l4span.ransim.scheduler import (
     scheduler_slot,
 )
 from l4span.ransim.sim import Simulator, run
+from l4span.senders import SENDERS, CubicState, PragueState, RenoState
+from l4span.shortcircuit import FeedbackMode
 
 
 # -- channel traces -----------------------------------------------------------
@@ -416,6 +418,35 @@ def test_udp_flow_downlink_fallback_marking():
     recv = sim.flows[0].receiver
     assert recv.ce_bytes > 0, "overloaded queue should CE-mark udp packets"
     assert res.summary["flows"]["u1"]["marks"] > 0
+
+
+# each valid (kind, feedback) pair: the data codepoint, feedback mode and
+# initial congestion-control state the simulator gave it before one table
+# declared them (payload MSS 1460 on the default 1500-byte bearer)
+PAIRS = {
+    ("prague", "accecn"): (EcnCodepoint.ECT1, FeedbackMode.ACC_ECN,
+                           PragueState(mss=1460, cwnd=14600.0, round_end_total=14600.0)),
+    ("cubic", "classic"): (EcnCodepoint.ECT0, FeedbackMode.CLASSIC_ECN,
+                           CubicState(mss=1460, cwnd=14600.0)),
+    ("cubic", "none"): (EcnCodepoint.NOT_ECT, FeedbackMode.DOWNLINK_FALLBACK,
+                        CubicState(mss=1460, cwnd=14600.0)),
+    ("reno", "classic"): (EcnCodepoint.ECT0, FeedbackMode.CLASSIC_ECN,
+                          RenoState(mss=1460, cwnd=14600.0)),
+    ("reno", "none"): (EcnCodepoint.NOT_ECT, FeedbackMode.DOWNLINK_FALLBACK,
+                       RenoState(mss=1460, cwnd=14600.0)),
+    ("udp", "none"): (EcnCodepoint.ECT1, FeedbackMode.DOWNLINK_FALLBACK, None),
+}
+
+
+def test_sender_table_keeps_each_pairs_codepoint_mode_and_controller():
+    assert {(k, f) for k, s in SENDERS.items() for f in s.data_ecn} == set(PAIRS)
+    scn = _short_scenario()
+    scn.ues[0].drbs[0].flows = [FlowSpec(name=f"{k}-{f}", kind=k, feedback=f) for k, f in PAIRS]
+    sim = Simulator(scn)
+    for (kind, feedback), flow in zip(PAIRS, sim.flows):
+        assert (flow.data_ecn, flow.feedback_mode, flow.endpoint.cc) == PAIRS[kind, feedback]
+        assert flow.receiver.mode is flow.feedback_mode
+        assert flow.ft.proto is (Proto.UDP if kind == "udp" else Proto.TCP)
 
 
 def test_single_packet_delay_breakdown():

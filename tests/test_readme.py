@@ -1,9 +1,11 @@
 """The README cannot rot silently: every ``l4span`` command line in it
 parses, each one that names a bundled scenario resolves with every
-``--param`` point loaded through ``override`` (nothing is simulated), and
-its estimator example runs with the output it shows."""
+``--param`` point loaded through ``override`` (nothing is simulated), its
+estimator example runs with the output it shows, and the sender/feedback
+pairs it lists are the ones ``SENDERS`` declares."""
 
 import doctest
+import re
 import shlex
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 
 from l4span.harness.cli import _sweep_jobs, build_parser
 from l4span.harness.scenario import BUILTIN_SCENARIOS, resolve_scenario
+from l4span.senders import SENDERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,3 +51,11 @@ def test_readme_command_parses_and_resolves(line):
 def test_readme_estimator_example_runs():
     failed, attempted = doctest.testfile(str(README), module_relative=False)
     assert attempted > 0 and failed == 0
+
+
+def test_readme_lists_the_sender_tables_pairs():
+    (row,) = [line for line in README.read_text().splitlines()
+              if line.startswith("| `flows[]` | `name`")]
+    pairs = re.findall(r"`(\w+)`/`(\w+)`", row)
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == {(kind, f) for kind, s in SENDERS.items() for f in s.data_ecn}
