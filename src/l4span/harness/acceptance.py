@@ -343,7 +343,7 @@ class AcceptanceRunner:
                 carry += rate * 0.0005 * (0.5 + rng.random())
                 while carry >= 1500:
                     sn += 1
-                    table.record_ingress(sn, 1500, now - 0.0005)
+                    table.record_ingress(sn, 1500)
                     carry -= 1500
                 table.on_f1u_feedback(sn, None, now)
                 if i > 100:

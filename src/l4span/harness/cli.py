@@ -69,25 +69,27 @@ def _sweep_jobs(args) -> list:
     for path, values in axes:
         assigns = [assign + [(path, v)] for assign in assigns for v in values]
 
-    jobs = []
+    jobs = {}
     for assign in assigns:
         for seed in seeds:
             scn = override(base, {**dict(assign), "seed": seed})
             label = [f"{path.split('.')[-1]}={v}" for path, v in assign] + [f"seed={seed}"]
-            jobs.append((scn, Path(args.out) / "_".join(label)))
-    return jobs
+            outdir = Path(args.out) / "_".join(label)
+            if outdir in jobs:
+                raise ConfigError(f"two sweep points write one directory {outdir}")
+            jobs[outdir] = scn
+    return [(scn, outdir) for outdir, scn in jobs.items()]
 
 
 def _cmd_sweep(args) -> int:
+    env = os.environ.get("L4SPAN_WORKERS", "0")
+    if not (env.isascii() and env.isdigit()):
+        raise ConfigError(f"L4SPAN_WORKERS must be a non-negative integer (got {env!r})")
     jobs = _sweep_jobs(args)
-    workers = int(os.environ.get("L4SPAN_WORKERS", "0")) or (os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for done in pool.map(_sweep_point, jobs):
-                print(f"done: {done}")
-    else:
-        for job in jobs:
-            print(f"done: {_sweep_point(job)}")
+    workers = min(int(env) or os.cpu_count() or 1, len(jobs))  # 0: one per CPU
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for done in pool.map(_sweep_point, jobs):
+            print(f"done: {done}")
     return 0
 
 

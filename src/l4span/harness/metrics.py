@@ -51,6 +51,11 @@ INTERVAL_SECS = 0.1
 
 @dataclass(slots=True)
 class PacketRecord:
+    """One delivered packet's delay breakdown.  ``predicted_sojourn`` (made
+    at ingress, None without a fresh estimate) covers only the bytes queued
+    ahead of the packet; C9 compares it with ``queuing + scheduling``, which
+    includes the packet's own service."""
+
     t: float
     flow: str
     one_way: float

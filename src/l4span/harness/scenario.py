@@ -169,8 +169,11 @@ class Scenario:
         if self.slot_secs > INTERVAL_SECS:
             # slots close the metric intervals, so one slot may not span two
             raise ConfigError(f"slot_secs must not exceed the {INTERVAL_SECS} s metric interval")
-        if self.coherence_secs <= 0:
-            raise ConfigError("coherence_secs must be positive")
+        if not self.window_secs >= self.slot_secs:
+            # a window shorter than a slot divides a slot's transmits by less than
+            # the time they took: the estimate means nothing
+            raise ConfigError("coherence_secs must be at least 2 * slot_secs "
+                              "(the estimation window is half of it)")
         if not 0 <= self.warmup_secs < self.horizon_secs:
             raise ConfigError("warmup_secs must be >= 0 and shorter than horizon_secs")
         if self.scheduler not in {p.value for p in SchedulerPolicy}:

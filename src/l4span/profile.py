@@ -1,7 +1,8 @@
 """Per-DRB packet profile table.
 
-Ingests cumulative transmit/delivery feedback and produces egress-rate,
-error, and sojourn-time estimates.
+Records each packet's size at ingress and its transmit time from cumulative
+transmit/delivery feedback, and produces egress-rate, error, and
+sojourn-time estimates.
 
 Estimation uses two stacked sliding windows of length ``window_secs``
 (half a preset channel coherence time):
@@ -30,6 +31,7 @@ from .core import DrbConfig, EstimateUnavailable, ProtocolError, RlcMode
 
 DEFAULT_COHERENCE_SECS = 0.0249
 DEFAULT_WINDOW_SECS = DEFAULT_COHERENCE_SECS / 2  # 12.45 ms
+KEEP_HORIZON_SECS = 1.0  # how long entries outlive their transmit time
 
 # refresh the running byte-window sum from scratch this often to bound float drift
 _SUM_REFRESH_PERIOD = 1024
@@ -39,9 +41,7 @@ _SUM_REFRESH_PERIOD = 1024
 class ProfileEntry:
     pdcp_sn: int
     size_bytes: int
-    t_ingress: float
     t_transmit: Optional[float] = None
-    t_deliver: Optional[float] = None
 
 
 @dataclass
@@ -55,7 +55,8 @@ class EgressEstimate:
 
 
 class ProfileTable:
-    """Ordered record of a DRB's packets and their ingress/transmit/delivery times."""
+    """Ordered record of a DRB's packets, their sizes and transmit times;
+    each status message that stamps a packet evicts the ones past the horizon."""
 
     def __init__(self, drb: DrbConfig, window_secs: float = DEFAULT_WINDOW_SECS):
         if window_secs <= 0:
@@ -66,7 +67,6 @@ class ProfileTable:
         self.highest_tx_sn: Optional[int] = None
         self._last_sn: Optional[int] = None
         self._pending: deque[ProfileEntry] = deque()       # no transmit timestamp yet
-        self._undelivered: deque[ProfileEntry] = deque()   # AM: transmitted, not delivered
         self._pending_bytes = 0
         # transmitted entries inside the current window, one per packet:
         # (t_transmit, size, instantaneous rate at that packet); the running
@@ -80,12 +80,12 @@ class ProfileTable:
 
     # -- ingest -----------------------------------------------------------
 
-    def record_ingress(self, sn: int, size_bytes: int, now: float) -> None:
+    def record_ingress(self, sn: int, size_bytes: int) -> None:
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
         if self._last_sn is not None and sn <= self._last_sn:
             raise ProtocolError(f"non-monotone pdcp_sn {sn} (last {self._last_sn})")
-        entry = ProfileEntry(pdcp_sn=sn, size_bytes=size_bytes, t_ingress=now)
+        entry = ProfileEntry(pdcp_sn=sn, size_bytes=size_bytes)
         self.entries.append(entry)
         self._pending.append(entry)
         self._last_sn = sn
@@ -96,12 +96,12 @@ class ProfileTable:
         highest_tx_sn: int,
         highest_dlv_sn: Optional[int],
         now: float,
-    ) -> list[ProfileEntry]:
+    ) -> int:
         """Apply a cumulative transmit/delivery status message.
 
-        Returns the entries newly stamped as transmitted, in SN order.  The
-        message arrival time is used as the transmit/delivery timestamp for
-        every packet the message covers.
+        Stamps the message arrival time on every pending packet up to
+        ``highest_tx_sn`` and returns how many it stamped.  The delivered SN
+        is only checked: the estimator never reads it.
         """
         if self.highest_tx_sn is not None and highest_tx_sn < self.highest_tx_sn:
             raise ProtocolError(
@@ -113,23 +113,18 @@ class ProfileTable:
             if highest_dlv_sn > highest_tx_sn:
                 raise ProtocolError("delivered SN cannot exceed transmitted SN")
 
-        am = self.drb.rlc_mode is RlcMode.AM
-        newly: list[ProfileEntry] = []
-        while self._pending and self._pending[0].pdcp_sn <= highest_tx_sn:
-            entry = self._pending.popleft()
+        stamped = 0
+        pending = self._pending
+        while pending and pending[0].pdcp_sn <= highest_tx_sn:
+            entry = pending.popleft()
             entry.t_transmit = now
             self._pending_bytes -= entry.size_bytes
-            newly.append(entry)
-            if am:
-                self._undelivered.append(entry)
-        if highest_dlv_sn is not None:
-            while self._undelivered and self._undelivered[0].pdcp_sn <= highest_dlv_sn:
-                self._undelivered.popleft().t_deliver = now
-        if newly:
-            self.highest_tx_sn = newly[-1].pdcp_sn
-            for entry in newly:
-                self._push_sample(entry)
-        return newly
+            self._push_sample(entry)
+            stamped += 1
+        if stamped:
+            self.highest_tx_sn = entry.pdcp_sn
+            self.gc_delivered(KEEP_HORIZON_SECS, now)
+        return stamped
 
     def _push_sample(self, entry: ProfileEntry) -> None:
         t = entry.t_transmit
@@ -197,19 +192,16 @@ class ProfileTable:
     # -- maintenance ------------------------------------------------------
 
     def gc_delivered(self, keep_horizon_secs: float, now: float) -> int:
-        """Evict completed entries older than the horizon; estimates are unaffected.
+        """Evict the entries transmitted before ``now - keep_horizon_secs``
+        and return how many; estimates are unaffected.
 
-        AM entries need a delivery timestamp to be eligible, UM entries only a
-        transmit timestamp.  Eviction is front-only so SN order is preserved.
+        Delivery plays no part, in AM either: nothing reads it.  Transmit
+        times do not decrease in SN order and untransmitted entries are the
+        newest, so eviction is front-only.
         """
         cutoff = now - keep_horizon_secs
-        removed = 0
-        am = self.drb.rlc_mode is RlcMode.AM
-        while self.entries:
-            head = self.entries[0]
-            done_at = head.t_deliver if am else head.t_transmit
-            if done_at is None or done_at >= cutoff:
-                break
-            self.entries.popleft()
-            removed += 1
-        return removed
+        entries = self.entries
+        n = len(entries)
+        while entries and entries[0].t_transmit is not None and entries[0].t_transmit < cutoff:
+            entries.popleft()
+        return n - len(entries)

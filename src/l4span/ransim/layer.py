@@ -38,9 +38,6 @@ from ..shortcircuit import (
     rewrite_ack,
 )
 
-GC_FEEDBACK_PERIOD = 512
-GC_KEEP_HORIZON_SECS = 1.0
-
 # a marking rule is called as decide_mark is: (state, params, pkt, flow_class, rng, now)
 MarkRule = Callable[..., MarkDecision]
 
@@ -74,7 +71,6 @@ class DrbLayer:
         # the same states keyed by the uplink tuple their ACKs carry
         self._feedback_of_ack: dict[FiveTuple, FlowFeedbackState] = {}
         self._next_sn = 1
-        self._feedbacks = 0
         # a downlink packet since the last refresh may have changed the
         # pending bytes, the flow mix or the handshake RTTs
         self._dl_since_refresh = True
@@ -85,7 +81,9 @@ class DrbLayer:
     # -- downlink ----------------------------------------------------------
 
     def on_dl_pkt(self, pkt: Packet, has_room: bool, now: float) -> DownlinkOutcome:
-        """Mark an admitted packet by the rule fixed at construction and give it an SN."""
+        """Mark an admitted packet by the rule fixed at construction and give it an SN.
+        ``predicted_sojourn`` covers only the bytes queued ahead of the packet; the
+        ``queuing + scheduling`` C9 compares it with includes the packet's own service."""
         self._dl_since_refresh = True
         ft = pkt.five_tuple
         flow_class = FLOW_CLASS_OF_ECN[pkt.ecn]
@@ -113,7 +111,7 @@ class DrbLayer:
 
         sn = self._next_sn
         self._next_sn += 1
-        self.profile.record_ingress(sn, pkt.size_bytes, now)
+        self.profile.record_ingress(sn, pkt.size_bytes)
 
         fb = self.flow_feedback.get(ft)
         short_circuitable = (
@@ -142,16 +140,14 @@ class DrbLayer:
         only when their inputs changed (a newly transmitted SN, or a downlink
         packet since the last refresh), otherwise keep the last ones.  A
         message that repeats the last applied SNs stamps nothing, so the
-        profile does not see it; it still counts toward the GC cadence."""
-        newly = None
+        profile does not see it; with no downlink packet since the last
+        refresh it changes no state at all."""
+        stamped = 0
         if highest_tx_sn != self._applied_tx_sn or highest_dlv_sn != self._applied_dlv_sn:
-            newly = self.profile.on_f1u_feedback(highest_tx_sn, highest_dlv_sn, now)
+            stamped = self.profile.on_f1u_feedback(highest_tx_sn, highest_dlv_sn, now)
             self._applied_tx_sn = highest_tx_sn
             self._applied_dlv_sn = highest_dlv_sn
-        self._feedbacks += 1
-        if self._feedbacks % GC_FEEDBACK_PERIOD == 0:
-            self.profile.gc_delivered(GC_KEEP_HORIZON_SECS, now)
-        if not newly and not self._dl_since_refresh:
+        if not stamped and not self._dl_since_refresh:
             return self.mark_state.last_estimate
         self._dl_since_refresh = False
         try:

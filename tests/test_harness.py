@@ -312,6 +312,9 @@ PROBES = [
     (DRB + ("flows", 1, "feedback"), "classic", "'u1'"),
     (("warmup_secs",), -1, "warmup_secs"),
     (("slot_secs",), 10.0, "slot_secs"),
+    # an estimation window (coherence_secs / 2) shorter than the 0.5 ms slot
+    (("coherence_secs",), 0.0005, "coherence_secs"),
+    (("coherence_secs",), 0.0, "coherence_secs"),
     (DRB + ("max_queue_sdus",), "x", "scenario.ues[0].drbs[0].max_queue_sdus"),
     (("seed",), "abc", "scenario.seed"),
     (("ues", 0, "ue_id"), "1", "scenario.ues[0].ue_id"),
@@ -370,6 +373,9 @@ def test_malformed_scenario_is_one_named_config_error(tmp_path, capsys, command,
 def test_probe_base_itself_is_valid():
     scn = scenario_from_dict(_probe_base())
     assert scn.ues[0].drbs[0].flows[1].stop is None  # Optional fields keep their None default
+    # an estimation window of exactly one slot is the shortest valid one
+    assert scenario_from_dict({**_probe_base(), "coherence_secs": 2 * scn.slot_secs}).window_secs \
+        == scn.slot_secs
 
 
 def _workload_first_scenarios() -> dict:
@@ -562,7 +568,7 @@ def test_cli_run_csv_export(tmp_path):
 
 
 def test_cli_sweep(tmp_path, monkeypatch):
-    monkeypatch.setenv("L4SPAN_WORKERS", "1")
+    monkeypatch.delenv("L4SPAN_WORKERS", raising=False)  # one worker per CPU
     scn = BUILTIN_SCENARIOS["static-1ue"]()
     scn.horizon_secs = 2.0
     scn.warmup_secs = 0.5
@@ -598,7 +604,7 @@ def _tiny_scenario_file(tmp_path) -> Path:
 
 
 def test_cli_sweep_takes_bare_words_for_string_fields(tmp_path, monkeypatch):
-    monkeypatch.setenv("L4SPAN_WORKERS", "1")
+    monkeypatch.setenv("L4SPAN_WORKERS", "1")  # one worker runs both points in turn
     out = tmp_path / "sweep"
     rc = cli_main(["sweep", str(_tiny_scenario_file(tmp_path)), "--param", "aqm.kind=none,l4span",
                    "--out", str(out)])
@@ -622,6 +628,34 @@ def test_cli_sweep_bad_point_is_one_named_config_error(tmp_path, capsys, option,
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert named in err
     assert not out.exists()  # every point is checked before any runs
+
+
+@pytest.mark.parametrize("option", [
+    ["--seeds", "1,1"],
+    ["--param", "aqm.tau_thr=0.01,1e-2"],
+])
+def test_cli_sweep_points_sharing_a_directory_are_one_config_error(tmp_path, capsys, option):
+    out = tmp_path / "sweep"
+    rc = cli_main(["sweep", str(_tiny_scenario_file(tmp_path)), *option, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert str(out / ("seed=1" if option[0] == "--seeds" else "tau_thr=0.01_seed=1")) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+def test_cli_sweep_malformed_worker_count_is_one_config_error(tmp_path, capsys, monkeypatch,
+                                                              value):
+    monkeypatch.setenv("L4SPAN_WORKERS", value)
+    out = tmp_path / "sweep"
+    rc = cli_main(["sweep", str(_tiny_scenario_file(tmp_path)), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
+    assert "L4SPAN_WORKERS" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
 
 
 def test_cli_export_scenario(tmp_path):

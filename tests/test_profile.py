@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l4span.core import DrbConfig, EstimateUnavailable, ProtocolError, RlcMode
-from l4span.profile import DEFAULT_WINDOW_SECS, ProfileTable
+from l4span.profile import DEFAULT_WINDOW_SECS, KEEP_HORIZON_SECS, ProfileTable
 
 W = DEFAULT_WINDOW_SECS
 
@@ -22,47 +22,44 @@ def test_window_default():
 
 def test_record_ingress_first_insert():
     t = _table()
-    t.record_ingress(1, 1500, 0.0)
+    t.record_ingress(1, 1500)
     assert len(t.entries) == 1
     e = t.entries[0]
-    assert e.t_ingress == 0.0 and e.t_transmit is None and e.t_deliver is None
+    assert e.t_transmit is None
     assert t.queued_bytes == 1500
 
 
 def test_record_ingress_monotonicity():
     t = _table()
-    t.record_ingress(1, 1500, 0.0)
+    t.record_ingress(1, 1500)
     with pytest.raises(ProtocolError):
-        t.record_ingress(1, 1500, 0.1)
+        t.record_ingress(1, 1500)
 
 
 def test_queued_bytes_additivity():
     t = _table()
     for sn, size in enumerate([1500, 700, 40], start=1):
-        t.record_ingress(sn, size, 0.0)
+        t.record_ingress(sn, size)
     assert t.queued_bytes == 2240
 
 
-def test_feedback_transmit_and_deliver():
-    # three packets queued; status tx=2 at t=5 stamps 1 and 2;
-    # a later status dlv=1 at t=9 stamps delivery of 1
+def test_feedback_stamps_transmit_times():
+    # three packets queued; status tx=2 at t=5 stamps 1 and 2; a later
+    # status dlv=1 at t=9 stamps nothing and leaves the transmit times
     t = _table()
     for sn in (1, 2, 3):
-        t.record_ingress(sn, 1500, 1.0)
-    newly = t.on_f1u_feedback(2, None, 5.0)
-    assert [e.pdcp_sn for e in newly] == [1, 2]
-    assert t.entries[0].t_transmit == 5.0 and t.entries[1].t_transmit == 5.0
-    assert t.entries[2].t_transmit is None
+        t.record_ingress(sn, 1500)
+    assert t.on_f1u_feedback(2, None, 5.0) == 2
+    assert [e.t_transmit for e in t.entries] == [5.0, 5.0, None]
     assert t.highest_tx_sn == 2
-    t.on_f1u_feedback(2, 1, 9.0)
-    assert t.entries[0].t_deliver == 9.0
-    assert t.entries[1].t_deliver is None
+    assert t.on_f1u_feedback(2, 1, 9.0) == 0
+    assert [e.t_transmit for e in t.entries] == [5.0, 5.0, None]
 
 
 def test_feedback_regression_rejected():
     t = _table()
-    t.record_ingress(1, 1500, 0.0)
-    t.record_ingress(2, 1500, 0.0)
+    t.record_ingress(1, 1500)
+    t.record_ingress(2, 1500)
     t.on_f1u_feedback(2, None, 1.0)
     with pytest.raises(ProtocolError):
         t.on_f1u_feedback(1, None, 2.0)
@@ -70,25 +67,16 @@ def test_feedback_regression_rejected():
 
 def test_um_mode_rejects_delivery_feedback():
     t = _table(mode=RlcMode.UM)
-    t.record_ingress(1, 1500, 0.0)
+    t.record_ingress(1, 1500)
     with pytest.raises(ProtocolError):
         t.on_f1u_feedback(1, 1, 1.0)
     t.on_f1u_feedback(1, None, 1.0)
-    assert t.entries[0].t_transmit == 1.0 and t.entries[0].t_deliver is None
-
-
-def test_timestamps_monotone_per_entry():
-    t = _table()
-    t.record_ingress(1, 1500, 1.0)
-    t.on_f1u_feedback(1, None, 2.0)
-    t.on_f1u_feedback(1, 1, 3.0)
-    e = t.entries[0]
-    assert e.t_ingress <= e.t_transmit <= e.t_deliver
+    assert t.entries[0].t_transmit == 1.0
 
 
 def test_egress_rate_smoothed_single_packet():
     t = _table()
-    t.record_ingress(1, 1500, 0.0)
+    t.record_ingress(1, 1500)
     t.on_f1u_feedback(1, None, 0.005)
     est = t.egress_rate_smoothed()
     assert est.sample_count == 1
@@ -99,8 +87,8 @@ def test_egress_rate_smoothed_single_packet():
 def test_egress_rate_smoothed_additivity():
     # the second sample's rate counts both packets in its window
     t = _table()
-    t.record_ingress(1, 1500, 0.0)
-    t.record_ingress(2, 1500, 0.0)
+    t.record_ingress(1, 1500)
+    t.record_ingress(2, 1500)
     t.on_f1u_feedback(1, None, 0.004)
     t.on_f1u_feedback(2, None, 0.0045)
     est = t.egress_rate_smoothed()
@@ -118,7 +106,7 @@ def test_smoothed_constant_drain_zero_error():
     # identical instantaneous rates -> zero standard deviation
     t = _table()
     for sn in range(1, 40):
-        t.record_ingress(sn, 1500, sn * 1e-3)
+        t.record_ingress(sn, 1500)
     now = 0.05
     for sn in range(1, 40):
         t.on_f1u_feedback(sn, None, now)
@@ -130,7 +118,7 @@ def test_smoothed_constant_drain_zero_error():
     # denser: several same-rate samples inside one window
     t2 = _table()
     for sn in range(1, 60):
-        t2.record_ingress(sn, 1500, sn * 1e-4)
+        t2.record_ingress(sn, 1500)
     now = 0.05
     step = W / 4
     for sn in range(1, 60):
@@ -144,10 +132,10 @@ def test_smoothed_constant_drain_zero_error():
 def test_sojourn_prediction_direct_division():
     t = _table(window=0.01)
     # one transmitted packet establishes the rate; queued bytes predict sojourn
-    t.record_ingress(1, 100000, 0.0)
+    t.record_ingress(1, 100000)
     t.on_f1u_feedback(1, None, 0.01)
-    t.record_ingress(2, 60000, 0.011)
-    t.record_ingress(3, 40000, 0.012)
+    t.record_ingress(2, 60000)
+    t.record_ingress(3, 40000)
     est = t.egress_rate_smoothed()
     assert est.r_hat == pytest.approx(100000 / 0.01)  # 10 MB/s
     assert est.n_queue == 100000
@@ -156,7 +144,7 @@ def test_sojourn_prediction_direct_division():
 
 def test_sojourn_empty_queue_zero():
     t = _table()
-    t.record_ingress(1, 1500, 0.0)
+    t.record_ingress(1, 1500)
     t.on_f1u_feedback(1, None, 0.002)
     est = t.egress_rate_smoothed()
     assert est.n_queue == 0
@@ -191,7 +179,7 @@ def test_smoothed_matches_brute_force_oracle():
     for _ in range(400):
         sn += 1
         size = rng.choice([40, 700, 1500])
-        t.record_ingress(sn, size, now)
+        t.record_ingress(sn, size)
         now += rng.random() * 2e-3
         t.on_f1u_feedback(sn, None, now)
         events.append((sn, size, now))
@@ -204,6 +192,7 @@ def test_smoothed_matches_brute_force_oracle():
 def test_byte_conservation_invariant():
     rng = random.Random(13)
     t = _table()
+    sizes = []
     ingressed = 0
     transmitted = 0
     sn = 0
@@ -214,12 +203,14 @@ def test_byte_conservation_invariant():
         if rng.random() < 0.6:
             sn += 1
             size = rng.randrange(40, 1501)
-            t.record_ingress(sn, size, now)
+            t.record_ingress(sn, size)
+            sizes.append(size)
             ingressed += size
         elif tx_sn < sn:
+            first = tx_sn
             tx_sn += rng.randrange(1, sn - tx_sn + 1)
-            newly = t.on_f1u_feedback(tx_sn, None, now)
-            transmitted += sum(e.size_bytes for e in newly)
+            assert t.on_f1u_feedback(tx_sn, None, now) == tx_sn - first
+            transmitted += sum(sizes[first:tx_sn])
         assert t.queued_bytes == ingressed - transmitted
 
 
@@ -237,7 +228,7 @@ def test_synthetic_drain_within_five_percent():
         carry += per_slot
         while carry >= 1500:
             sn += 1
-            t.record_ingress(sn, 1500, now - slot)
+            t.record_ingress(sn, 1500)
             carry -= 1500
         t.on_f1u_feedback(sn, None, now)
     est = t.egress_rate_smoothed()
@@ -259,7 +250,7 @@ def test_gaussian_premise_near_zero_mean_error():
         carry += R * slot * (0.5 + rng.random())  # mean R per slot
         while carry >= 1500:
             sn += 1
-            t.record_ingress(sn, 1500, now - slot)
+            t.record_ingress(sn, 1500)
             carry -= 1500
         t.on_f1u_feedback(sn, None, now)
         if i > 100:
@@ -269,26 +260,44 @@ def test_gaussian_premise_near_zero_mean_error():
 
 def test_gc_keeps_fresh_entries():
     t = _table()
-    t.record_ingress(1, 1500, 0.0)
+    t.record_ingress(1, 1500)
     t.on_f1u_feedback(1, 1, 0.001)
     assert t.gc_delivered(1.0, 0.5) == 0
     assert len(t.entries) == 1
 
 
-def test_gc_removes_old_delivered():
-    t = _table()
-    t.record_ingress(1, 1500, 0.0)
-    t.record_ingress(2, 1500, 0.0)
-    t.on_f1u_feedback(2, 1, 0.001)
-    assert t.gc_delivered(1.0, 2.0) == 1  # entry 1 delivered, old; entry 2 undelivered
-    assert [e.pdcp_sn for e in t.entries] == [2]
+@pytest.mark.parametrize("mode, dlv", [(RlcMode.AM, 1), (RlcMode.UM, None)])
+def test_gc_evicts_by_transmit_time_alone(mode, dlv):
+    # one rule in AM and UM: transmitted before the cutoff, delivered or not
+    t = _table(mode=mode)
+    for sn in (1, 2, 3):
+        t.record_ingress(sn, 1500)
+    t.on_f1u_feedback(2, dlv, 0.001)
+    assert t.gc_delivered(1.0, 0.5) == 0
+    assert t.gc_delivered(1.0, 2.0) == 2  # entry 3 was never transmitted
+    assert [e.pdcp_sn for e in t.entries] == [3]
+
+
+@pytest.mark.parametrize("mode", [RlcMode.AM, RlcMode.UM])
+def test_stamping_message_evicts_past_the_horizon(mode):
+    t = _table(mode=mode)
+    for sn in (1, 2, 3):
+        t.record_ingress(sn, 1500)
+    t.on_f1u_feedback(1, None, 0.5)
+    t.on_f1u_feedback(2, None, 1.0)
+    # a message that stamps nothing evicts nothing, however late
+    assert t.on_f1u_feedback(2, 2 if mode is RlcMode.AM else None, 5.0) == 0
+    assert [e.pdcp_sn for e in t.entries] == [1, 2, 3]
+    # one that stamps evicts what was transmitted before now - horizon
+    assert t.on_f1u_feedback(3, None, 0.75 + KEEP_HORIZON_SECS) == 1
+    assert [e.pdcp_sn for e in t.entries] == [2, 3]
 
 
 def test_gc_preserves_estimate():
     t = _table()
     now = 0.0
     for sn in range(1, 200):
-        t.record_ingress(sn, 1500, now)
+        t.record_ingress(sn, 1500)
         now += 4e-4
         t.on_f1u_feedback(sn, sn, now)
     before = t.egress_rate_smoothed()
@@ -296,13 +305,6 @@ def test_gc_preserves_estimate():
     assert removed > 0
     after = t.egress_rate_smoothed()
     assert after == before
-
-
-def test_um_gc_uses_transmit_time():
-    t = _table(mode=RlcMode.UM)
-    t.record_ingress(1, 1500, 0.0)
-    t.on_f1u_feedback(1, None, 0.001)
-    assert t.gc_delivered(0.5, 2.0) == 1
 
 
 # slot and window are powers of two, so transmit times and window edges are
@@ -353,7 +355,7 @@ def test_smoothed_matches_naive_oracle(slots, repeats):
         now = slot * SLOT
         for _ in range(arrivals):
             sn += 1
-            t.record_ingress(sn, size, now)
+            t.record_ingress(sn, size)
             pending.append(size)
         for _ in range(min(n_tx, len(pending))):
             tx_sn += 1

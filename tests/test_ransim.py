@@ -1,4 +1,5 @@
 import math
+import pickle
 from bisect import bisect_right
 
 import pytest
@@ -17,7 +18,7 @@ from l4span.core import (
 )
 from l4span.harness.scenario import BUILTIN_SCENARIOS, ChannelSpec, FlowSpec
 from l4span.marking import MarkParams, p_l4s
-from l4span.profile import DEFAULT_WINDOW_SECS
+from l4span.profile import DEFAULT_WINDOW_SECS, KEEP_HORIZON_SECS, ProfileTable
 from l4span.ransim import layer as layer_mod
 from l4span.ransim.channel import ChannelTrace
 from l4span.ransim.events import EventKind, EventLoop
@@ -478,18 +479,38 @@ def test_sim_byte_conservation_and_causality():
     res = sim.run()
     for key, q in sim.queues.items():
         assert q.admitted_bytes == q.transmitted_bytes + q.standing_bytes
-    # profile timestamps are causal for every delivered entry
-    layer = sim.layers[(1, 1)]
-    for e in layer.profile.entries:
-        if e.t_transmit is not None:
-            assert e.t_ingress <= e.t_transmit
-        if e.t_deliver is not None:
-            assert e.t_transmit <= e.t_deliver
+    # transmit times do not decrease in SN order, and untransmitted entries
+    # come last (front-only eviction relies on both)
+    entries = sim.layers[(1, 1)].profile.entries
+    stamps = [e.t_transmit for e in entries if e.t_transmit is not None]
+    assert stamps == sorted(stamps)
+    assert all(e.t_transmit is None for e in list(entries)[len(stamps):])
+    assert [e.pdcp_sn for e in entries] == sorted(e.pdcp_sn for e in entries)
     # the one-way delay equals the sum of its breakdown components exactly
     for r in res.collector.packets:
         total = r.propagation + r.queuing + r.scheduling + r.retransmission
         assert r.one_way == pytest.approx(total, abs=1e-9)
         assert min(r.propagation, r.queuing, r.scheduling, r.retransmission) >= 0
+
+
+def test_profile_trims_itself_within_the_horizon(monkeypatch):
+    # every status message that stamps anything evicts through gc_delivered,
+    # so a wrapper on it (as the benchmark's entries_max uses) sees evictions
+    removed = []
+    real = ProfileTable.gc_delivered
+
+    def checked(table, keep_horizon_secs, now):
+        n = real(table, keep_horizon_secs, now)
+        removed.append(n)
+        assert keep_horizon_secs == KEEP_HORIZON_SECS
+        head = table.entries[0].t_transmit if table.entries else None
+        assert head is None or head >= now - KEEP_HORIZON_SECS
+        return n
+
+    monkeypatch.setattr(ProfileTable, "gc_delivered", checked)
+    sim = Simulator(_short_scenario(horizon=3.0))
+    sim.run()
+    assert len(removed) > 1000 and sum(removed) > 0
 
 
 def test_throughput_never_exceeds_capacity():
@@ -608,3 +629,22 @@ def test_feedback_refreshes_only_on_new_input(monkeypatch):
     assert est.n_queue == before[1].n_queue + 100 == layer.profile.queued_bytes
     assert state.p_l4s == p_l4s(est.n_queue, est.r_hat, est.e_hat, 0.005)
     assert before[0] < state.p_l4s < 1.0
+
+
+def test_a_repeated_status_message_changes_no_state():
+    # an AM bearer whose packets were all transmitted and delivered before
+    # t = 1 s; with no downlink packet since, 1,024 repeats of the applied
+    # (tx, dlv) at t = 2 s leave the layer and its profile as they were
+    layer = DrbLayer(DrbConfig(ue_id=1, drb_id=1, rlc_mode=RlcMode.AM),
+                     MarkParams(rng_seed=1), DEFAULT_WINDOW_SECS)
+    now = 0.0
+    for i in range(1, 41):
+        now += 0.0005
+        layer.on_dl_pkt(_pkt(i), True, now)
+        layer.on_ran_feedback(i, i - 1 if i > 1 else None, now)
+    layer.on_ran_feedback(40, 40, 0.5)
+    before = pickle.dumps(layer)
+    for _ in range(1024):
+        layer.on_ran_feedback(40, 40, 2.0)
+    assert pickle.dumps(layer) == before
+    assert len(layer.profile.entries) == 40
