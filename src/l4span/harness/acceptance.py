@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import DrbConfig, FlowClass, Packet
+from ..core import FlowClass, Packet
 from ..marking import DrbMarkState, MarkDecision, MarkParams, map_mark_outcome
 from ..profile import DEFAULT_WINDOW_SECS, ProfileTable
 from .metrics import RecordColumns, record_lines
@@ -335,7 +335,7 @@ class AcceptanceRunner:
         worst_mean_err = 0.0
         for rate, seed in ((2e6, 3), (5e6, 4), (8e6, 5)):
             rng = random.Random(seed)
-            table = ProfileTable(DrbConfig(ue_id=1, drb_id=1), window_secs=DEFAULT_WINDOW_SECS)
+            table = ProfileTable(window_secs=DEFAULT_WINDOW_SECS)
             sn, now, carry = 0, 0.0, 0.0
             errs = []
             for i in range(2000):
@@ -345,7 +345,7 @@ class AcceptanceRunner:
                     sn += 1
                     table.record_ingress(sn, 1500)
                     carry -= 1500
-                table.on_f1u_feedback(sn, None, now)
+                table.on_f1u_feedback(sn, now)
                 if i > 100:
                     errs.append(table.egress_rate_smoothed().r_hat - rate)
             worst_mean_err = max(worst_mean_err, abs(sum(errs) / len(errs)) / rate)
@@ -370,8 +370,7 @@ class AcceptanceRunner:
         from ..ransim.layer import DrbLayer
         from ..core import ACK, EcnCodepoint, FiveTuple, Packet, Proto, TcpFields
 
-        drb = DrbConfig(ue_id=1, drb_id=1)
-        layer = DrbLayer(drb, MarkParams(rng_seed=1), DEFAULT_WINDOW_SECS)
+        layer = DrbLayer(MarkParams(rng_seed=1), DEFAULT_WINDOW_SECS)
         ft = FiveTuple(1, 2, 10, 20, Proto.TCP)
 
         def mk_pkt(i, now):
@@ -386,7 +385,7 @@ class AcceptanceRunner:
             now += 0.0005
             layer.on_dl_pkt(mk_pkt(i, now), True, now)
             sn += 1
-            layer.on_ran_feedback(sn, sn - 1 if sn > 1 else None, now)
+            layer.on_ran_feedback(sn, now)
 
         # best of three repetitions: the median within a repetition absorbs
         # scheduler noise, the best-of guards against co-tenant interference
@@ -405,7 +404,7 @@ class AcceptanceRunner:
                 dl_times.append(time.perf_counter_ns() - t0)
                 sn += 1
                 t0 = time.perf_counter_ns()
-                layer.on_ran_feedback(sn, sn - 1, now)
+                layer.on_ran_feedback(sn, now)
                 fb_times.append(time.perf_counter_ns() - t0)
             pkt_base += n
             med_dl = min(med_dl, float(np.median(dl_times)) / 1e3)

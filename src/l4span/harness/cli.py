@@ -18,10 +18,20 @@ from .metrics import write_run
 from .scenario import BUILTIN_SCENARIOS, ConfigError, override, resolve_scenario, save_scenario
 
 
+def _make_out_dir(path: str) -> None:
+    """Create an output directory before anything runs, so that a bad
+    location fails at once rather than after the simulation."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_run(args) -> int:
     scn = resolve_scenario(args.scenario)
     if args.seed is not None:
         scn.seed = args.seed
+    _make_out_dir(args.out)
     from ..ransim.sim import run as sim_run
 
     result = sim_run(scn)
@@ -86,6 +96,7 @@ def _cmd_sweep(args) -> int:
     if not (env.isascii() and env.isdigit()):
         raise ConfigError(f"L4SPAN_WORKERS must be a non-negative integer (got {env!r})")
     jobs = _sweep_jobs(args)
+    _make_out_dir(args.out)
     workers = min(int(env) or os.cpu_count() or 1, len(jobs))  # 0: one per CPU
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for done in pool.map(_sweep_point, jobs):
@@ -96,19 +107,23 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     from .acceptance import AcceptanceRunner, render_table
 
+    if args.dir:
+        _make_out_dir(args.dir)
     runner = AcceptanceRunner(save_dir=args.dir)
     results = runner.run_all()
     table = render_table(results)
     print(table)
     if args.dir:
-        Path(args.dir).mkdir(parents=True, exist_ok=True)
         (Path(args.dir) / "acceptance.txt").write_text(table + "\n")
     return 0 if all(r.passed for r in results) else 2
 
 
 def _cmd_export(args) -> int:
     scn = resolve_scenario(args.scenario)
-    save_scenario(scn, args.out)
+    try:
+        save_scenario(scn, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     print(f"wrote {args.out}")
     return 0
 

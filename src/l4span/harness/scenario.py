@@ -365,16 +365,17 @@ def override(scn: Scenario, changes: dict) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario file (YAML or JSON), fill defaults, validate."""
+    import yaml
+
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"scenario file not found: {p}")
-    text = p.read_text()
-    if p.suffix in (".yaml", ".yml"):
-        import yaml
-
-        data = yaml.safe_load(text)
-    else:
-        data = json.loads(text)
+    try:
+        text = p.read_text()
+        data = yaml.safe_load(text) if p.suffix in (".yaml", ".yml") else json.loads(text)
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        # parser messages span lines; the CLI reports one
+        raise ConfigError(f"cannot read scenario file {p}: {' '.join(str(exc).split())}") from None
     return scenario_from_dict(data)
 
 

@@ -1,8 +1,8 @@
 """Per-DRB packet profile table.
 
-Records each packet's size at ingress and its transmit time from cumulative
-transmit/delivery feedback, and produces egress-rate, error, and
-sojourn-time estimates.
+Records each packet's size at ingress and its transmit time from the RAN's
+cumulative status message, the highest transmitted PDCP SN, and produces
+egress-rate, error, and sojourn-time estimates.
 
 Estimation uses two stacked sliding windows of length ``window_secs``
 (half a preset channel coherence time):
@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DrbConfig, EstimateUnavailable, ProtocolError, RlcMode
+from .core import EstimateUnavailable, ProtocolError
 
 DEFAULT_COHERENCE_SECS = 0.0249
 DEFAULT_WINDOW_SECS = DEFAULT_COHERENCE_SECS / 2  # 12.45 ms
@@ -58,10 +58,9 @@ class ProfileTable:
     """Ordered record of a DRB's packets, their sizes and transmit times;
     each status message that stamps a packet evicts the ones past the horizon."""
 
-    def __init__(self, drb: DrbConfig, window_secs: float = DEFAULT_WINDOW_SECS):
+    def __init__(self, window_secs: float = DEFAULT_WINDOW_SECS):
         if window_secs <= 0:
             raise ValueError("window_secs must be positive")
-        self.drb = drb
         self.window_secs = window_secs
         self.entries: deque[ProfileEntry] = deque()
         self.highest_tx_sn: Optional[int] = None
@@ -91,27 +90,16 @@ class ProfileTable:
         self._last_sn = sn
         self._pending_bytes += size_bytes
 
-    def on_f1u_feedback(
-        self,
-        highest_tx_sn: int,
-        highest_dlv_sn: Optional[int],
-        now: float,
-    ) -> int:
-        """Apply a cumulative transmit/delivery status message.
+    def on_f1u_feedback(self, highest_tx_sn: int, now: float) -> int:
+        """Apply a cumulative status message, the highest transmitted PDCP SN.
 
         Stamps the message arrival time on every pending packet up to
-        ``highest_tx_sn`` and returns how many it stamped.  The delivered SN
-        is only checked: the estimator never reads it.
+        ``highest_tx_sn`` and returns how many it stamped.
         """
         if self.highest_tx_sn is not None and highest_tx_sn < self.highest_tx_sn:
             raise ProtocolError(
                 f"regressing transmit feedback {highest_tx_sn} < {self.highest_tx_sn}"
             )
-        if highest_dlv_sn is not None:
-            if self.drb.rlc_mode is not RlcMode.AM:
-                raise ProtocolError("delivery feedback is only valid in RLC AM")
-            if highest_dlv_sn > highest_tx_sn:
-                raise ProtocolError("delivered SN cannot exceed transmitted SN")
 
         stamped = 0
         pending = self._pending
@@ -195,9 +183,8 @@ class ProfileTable:
         """Evict the entries transmitted before ``now - keep_horizon_secs``
         and return how many; estimates are unaffected.
 
-        Delivery plays no part, in AM either: nothing reads it.  Transmit
-        times do not decrease in SN order and untransmitted entries are the
-        newest, so eviction is front-only.
+        Transmit times do not decrease in SN order and untransmitted entries
+        are the newest, so eviction is front-only.
         """
         cutoff = now - keep_horizon_secs
         entries = self.entries

@@ -28,6 +28,8 @@ class ChannelTrace:
             raise ValueError("channel trace needs at least one breakpoint")
         last = -math.inf
         for t, cap in breakpoints:
+            if not (math.isfinite(t) and math.isfinite(cap)):
+                raise ValueError(f"breakpoint ({t}, {cap}) must be finite")
             if t <= last:
                 raise ValueError(f"breakpoints must be strictly increasing (at t={t})")
             if cap < 0:

@@ -8,8 +8,9 @@ label that per-kind event counts read (see ROADMAP item 1).
 The simulator schedules one ``F1U_FEEDBACK`` event per slot with
 transmissions, at the slot's own time.  It carries the slot's zero-delay
 work in transmit order: the deliveries that take no time (UM, and AM
-with zero delivery delay) and the transmit/delivery feedback of each DRB
-that transmitted.  ``DELIVER_TO_UE`` events are the delayed AM deliveries.
+with zero delivery delay) and the status message (the highest
+transmitted SN) of each DRB that transmitted.  ``DELIVER_TO_UE`` events
+are the delayed AM deliveries.
 """
 
 from __future__ import annotations

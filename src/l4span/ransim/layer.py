@@ -1,8 +1,8 @@
 """The marking layer instance living at the CU, one per DRB.
 
 Three entry points mirror the three trigger events: a downlink datagram
-arriving from the core, a RAN transmit/delivery status message, and an
-uplink packet on its way back to the server.
+arriving from the core, a RAN status message carrying the highest
+transmitted PDCP SN, and an uplink packet on its way back to the server.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Callable, Optional
 from ..core import (
     FLOW_CLASS_OF_ECN,
     SYN,
-    DrbConfig,
     EstimateUnavailable,
     FiveTuple,
     Packet,
@@ -56,15 +55,13 @@ class DrbLayer:
 
     def __init__(
         self,
-        drb: DrbConfig,
         params: MarkParams,
         window_secs: float,
         mark_rule: Optional[MarkRule] = None,
     ):
-        self.drb = drb
         self.params = params
         self.mark_rule = decide_mark if mark_rule is None else mark_rule
-        self.profile = ProfileTable(drb, window_secs=window_secs)
+        self.profile = ProfileTable(window_secs=window_secs)
         self.mark_state = DrbMarkState()
         self.rng = random.Random(params.rng_seed)
         self.flow_feedback: dict[FiveTuple, FlowFeedbackState] = {}
@@ -74,9 +71,8 @@ class DrbLayer:
         # a downlink packet since the last refresh may have changed the
         # pending bytes, the flow mix or the handshake RTTs
         self._dl_since_refresh = True
-        # the last status message applied to the profile, (tx SN, dlv SN)
+        # the transmitted SN of the last status message applied to the profile
         self._applied_tx_sn: Optional[int] = None
-        self._applied_dlv_sn: Optional[int] = None
 
     # -- downlink ----------------------------------------------------------
 
@@ -133,20 +129,17 @@ class DrbLayer:
 
     # -- RAN feedback --------------------------------------------------------
 
-    def on_ran_feedback(
-        self, highest_tx_sn: int, highest_dlv_sn: Optional[int], now: float
-    ) -> Optional[EgressEstimate]:
-        """Apply a status message; refresh the estimate and probabilities
-        only when their inputs changed (a newly transmitted SN, or a downlink
-        packet since the last refresh), otherwise keep the last ones.  A
-        message that repeats the last applied SNs stamps nothing, so the
-        profile does not see it; with no downlink packet since the last
-        refresh it changes no state at all."""
+    def on_ran_feedback(self, highest_tx_sn: int, now: float) -> Optional[EgressEstimate]:
+        """Apply a status message, the DRB's highest transmitted PDCP SN;
+        refresh the estimate and probabilities only when their inputs changed
+        (a newly transmitted SN, or a downlink packet since the last refresh),
+        otherwise keep the last ones.  A message that repeats the last applied
+        SN stamps nothing, so the profile does not see it; with no downlink
+        packet since the last refresh it changes no state at all."""
         stamped = 0
-        if highest_tx_sn != self._applied_tx_sn or highest_dlv_sn != self._applied_dlv_sn:
-            stamped = self.profile.on_f1u_feedback(highest_tx_sn, highest_dlv_sn, now)
+        if highest_tx_sn != self._applied_tx_sn:
+            stamped = self.profile.on_f1u_feedback(highest_tx_sn, now)
             self._applied_tx_sn = highest_tx_sn
-            self._applied_dlv_sn = highest_dlv_sn
         if not stamped and not self._dl_since_refresh:
             return self.mark_state.last_estimate
         self._dl_since_refresh = False

@@ -39,7 +39,6 @@ class RlcQueue:
         self.drb = drb
         self.sdus: deque[Sdu] = deque()
         self.highest_tx_sn: Optional[int] = None
-        self.highest_dlv_sn: Optional[int] = None
         # byte conservation: admitted = transmitted(used) + standing + (drops tracked separately)
         self.admitted_bytes = 0
         self.transmitted_bytes = 0
@@ -47,8 +46,6 @@ class RlcQueue:
         self.dropped_sdus = 0
         # bytes queued and not yet transmitted, the head's unsent part included
         self.standing_bytes = 0
-        self._dlv_expected = 1
-        self._dlv_ooo: set[int] = set()
 
     def has_room(self) -> bool:
         return len(self.sdus) < self.drb.max_queue_sdus
@@ -103,12 +100,3 @@ class RlcQueue:
                     sdus[0].head_at = now
         self.transmitted_bytes += used
         return completed, used
-
-    def mark_delivered(self, sn: int) -> None:
-        """Advance the cumulative in-order delivery pointer (RLC AM ACK)."""
-        self._dlv_ooo.add(sn)
-        while self._dlv_expected in self._dlv_ooo:
-            self._dlv_ooo.remove(self._dlv_expected)
-            self.highest_dlv_sn = self._dlv_expected
-            self._dlv_expected += 1
-

@@ -4,13 +4,14 @@ Wiring per downlink packet: sender emits -> (server->CU propagation) ->
 marking layer ingress -> RLC queue -> slot scheduler transmits -> delivery
 to the UE (AM adds the configured delivery delay) -> receiver ACK ->
 (UE->CU uplink leg) -> marking layer rewrites feedback -> (CU->server
-propagation) -> sender reacts.  RAN transmit/delivery status reaches the
-marking layer once per DRB per slot with transmissions.  A slot's
-zero-delay work (the deliveries that take no time and those per-DRB
-feedbacks) runs as one post-slot event at the slot's time, in transmit
-order, after every same-time event queued before it.  The scheduler sees
-only the UEs with queued data: an admitted packet adds its UE to the
-active set, and a UE whose queues drained in a slot leaves it.
+propagation) -> sender reacts.  The RAN status message, the DRB's highest
+transmitted PDCP SN, reaches the marking layer once per DRB per slot with
+transmissions.  A slot's zero-delay work (the deliveries that take no time
+and those per-DRB status messages) runs as one post-slot event at the
+slot's time, in transmit order, after every same-time event queued before
+it.  The scheduler sees only the UEs with queued data: an admitted packet
+adds its UE to the active set, and a UE whose queues drained in a slot
+leaves it.
 
 Every event carries the handler it runs, called with the event's data and
 time: a simulator method, or for a sender timer the endpoint method it
@@ -415,7 +416,7 @@ class Simulator:
                 bearer = _Bearer(cfg, drb, random.Random(seed + 7777777), len(self.ue_ctx))
                 rule = (mark_rule if aqm.kind == "l4span" else
                         bearer.step_mark if aqm.kind == "dualpi2step" else _pass_every_packet)
-                bearer.layer = DrbLayer(cfg, params, scenario.window_secs, rule)
+                bearer.layer = DrbLayer(params, scenario.window_secs, rule)
                 ctx.queues.append(bearer)
                 self.queues[key] = bearer
                 self.layers[key] = bearer.layer
@@ -529,13 +530,11 @@ class Simulator:
             for item in deliveries:
                 deliver(item, now)
             if b.highest_tx_sn is not None:
-                b.layer.on_ran_feedback(b.highest_tx_sn, b.highest_dlv_sn if b.am else None, now)
+                b.layer.on_ran_feedback(b.highest_tx_sn, now)
 
     def _deliver(self, item, now: float) -> None:
         flow, sdu = item
         pkt = sdu.pkt
-        if flow.bearer.am:
-            flow.bearer.mark_delivered(sdu.sn)
         # the PacketRecord fields in order, then the payload
         self.metrics.on_delivery(now, flow.spec.name, now - pkt.created_at,
                                  self.scn.delays.dl_prop_secs, sdu.head_at - sdu.enq_at,

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from l4span.harness import cli
 from l4span.harness.cli import _sweep_jobs, build_parser
 from l4span.harness.cli import main as cli_main
 from l4span.harness.metrics import (
@@ -42,7 +43,7 @@ from l4span.harness.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from l4span.harness.acceptance import VARIANTS, variant_scenario
+from l4span.harness.acceptance import VARIANTS, AcceptanceRunner, variant_scenario
 from l4span.ransim.sim import Simulator, run
 from test_golden import cached_run, golden_scenario, idle_return_scenario
 
@@ -512,6 +513,66 @@ def test_cli_validate_bad_file(tmp_path, capsys):
     p.write_text("name: x\nues: []\n")
     assert cli_main(["validate", str(p)]) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+def _one_config_error_line(capsys, named: str) -> None:
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("name, content", [
+    ("bad.json", b'{"name": '),                 # invalid JSON
+    ("bad.yaml", b"name: [1, 2\nues: : :\n"),   # invalid YAML
+    ("bad.yaml", b"name: \xff\xfe\n"),          # not UTF-8
+    ("dir.json", None),                         # a directory
+], ids=["json", "yaml", "not-utf8", "directory"])
+def test_cli_unreadable_scenario_file_is_one_config_error(tmp_path, capsys, name, content):
+    p = tmp_path / name
+    if content is None:
+        p.mkdir()
+    else:
+        p.write_bytes(content)
+    assert cli_main(["validate", str(p)]) == 1
+    _one_config_error_line(capsys, str(p))
+
+
+@pytest.mark.parametrize("trace", ["0,nan\n", "0,inf\n"], ids=["nan", "inf"])
+def test_cli_non_finite_file_channel_is_one_config_error(tmp_path, capsys, trace):
+    (tmp_path / "trace.csv").write_text(trace)
+    data = scenario_to_dict(BUILTIN_SCENARIOS["static-1ue"]())
+    data["ues"][0]["channel"].update(kind="file", path=str(tmp_path / "trace.csv"))
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps(data))
+    assert cli_main(["validate", str(p)]) == 1
+    _one_config_error_line(capsys, "ues[0].channel")
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran before the output location was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "static-1ue", "--out"],
+    ["sweep", "static-1ue", "--out"],
+    ["report"],
+], ids=["run", "sweep", "report"])
+def test_cli_output_directory_that_is_a_file_fails_before_any_run(tmp_path, capsys,
+                                                                 monkeypatch, argv):
+    monkeypatch.setattr("l4span.ransim.sim.run", _never)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _never)
+    monkeypatch.setattr(AcceptanceRunner, "run_all", _never)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli_main([*argv, str(out)]) == 1
+    _one_config_error_line(capsys, str(out))
+
+
+def test_cli_export_into_a_missing_directory_is_one_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert cli_main(["export-scenario", "static-1ue", "--out", str(out)]) == 1
+    _one_config_error_line(capsys, str(out))
 
 
 def test_cli_run_writes_streams_and_is_deterministic(tmp_path):

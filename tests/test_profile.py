@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l4span.core import DrbConfig, EstimateUnavailable, ProtocolError, RlcMode
+from l4span.core import EstimateUnavailable, ProtocolError
 from l4span.profile import DEFAULT_WINDOW_SECS, KEEP_HORIZON_SECS, ProfileTable
 
 W = DEFAULT_WINDOW_SECS
-
-
-def _table(mode=RlcMode.AM, window=W):
-    return ProfileTable(DrbConfig(ue_id=1, drb_id=1, rlc_mode=mode), window_secs=window)
 
 
 def test_window_default():
@@ -21,7 +17,7 @@ def test_window_default():
 
 
 def test_record_ingress_first_insert():
-    t = _table()
+    t = ProfileTable()
     t.record_ingress(1, 1500)
     assert len(t.entries) == 1
     e = t.entries[0]
@@ -30,14 +26,14 @@ def test_record_ingress_first_insert():
 
 
 def test_record_ingress_monotonicity():
-    t = _table()
+    t = ProfileTable()
     t.record_ingress(1, 1500)
     with pytest.raises(ProtocolError):
         t.record_ingress(1, 1500)
 
 
 def test_queued_bytes_additivity():
-    t = _table()
+    t = ProfileTable()
     for sn, size in enumerate([1500, 700, 40], start=1):
         t.record_ingress(sn, size)
     assert t.queued_bytes == 2240
@@ -45,39 +41,30 @@ def test_queued_bytes_additivity():
 
 def test_feedback_stamps_transmit_times():
     # three packets queued; status tx=2 at t=5 stamps 1 and 2; a later
-    # status dlv=1 at t=9 stamps nothing and leaves the transmit times
-    t = _table()
+    # repeat at t=9 stamps nothing and leaves the transmit times
+    t = ProfileTable()
     for sn in (1, 2, 3):
         t.record_ingress(sn, 1500)
-    assert t.on_f1u_feedback(2, None, 5.0) == 2
+    assert t.on_f1u_feedback(2, 5.0) == 2
     assert [e.t_transmit for e in t.entries] == [5.0, 5.0, None]
     assert t.highest_tx_sn == 2
-    assert t.on_f1u_feedback(2, 1, 9.0) == 0
+    assert t.on_f1u_feedback(2, 9.0) == 0
     assert [e.t_transmit for e in t.entries] == [5.0, 5.0, None]
 
 
 def test_feedback_regression_rejected():
-    t = _table()
+    t = ProfileTable()
     t.record_ingress(1, 1500)
     t.record_ingress(2, 1500)
-    t.on_f1u_feedback(2, None, 1.0)
+    t.on_f1u_feedback(2, 1.0)
     with pytest.raises(ProtocolError):
-        t.on_f1u_feedback(1, None, 2.0)
-
-
-def test_um_mode_rejects_delivery_feedback():
-    t = _table(mode=RlcMode.UM)
-    t.record_ingress(1, 1500)
-    with pytest.raises(ProtocolError):
-        t.on_f1u_feedback(1, 1, 1.0)
-    t.on_f1u_feedback(1, None, 1.0)
-    assert t.entries[0].t_transmit == 1.0
+        t.on_f1u_feedback(1, 2.0)
 
 
 def test_egress_rate_smoothed_single_packet():
-    t = _table()
+    t = ProfileTable()
     t.record_ingress(1, 1500)
-    t.on_f1u_feedback(1, None, 0.005)
+    t.on_f1u_feedback(1, 0.005)
     est = t.egress_rate_smoothed()
     assert est.sample_count == 1
     assert est.r_hat == pytest.approx(1500 / W)
@@ -86,43 +73,43 @@ def test_egress_rate_smoothed_single_packet():
 
 def test_egress_rate_smoothed_additivity():
     # the second sample's rate counts both packets in its window
-    t = _table()
+    t = ProfileTable()
     t.record_ingress(1, 1500)
     t.record_ingress(2, 1500)
-    t.on_f1u_feedback(1, None, 0.004)
-    t.on_f1u_feedback(2, None, 0.0045)
+    t.on_f1u_feedback(1, 0.004)
+    t.on_f1u_feedback(2, 0.0045)
     est = t.egress_rate_smoothed()
     assert est.r_hat == pytest.approx((1500 / W + 2 * 1500 / W) / 2)
     assert est.e_hat == pytest.approx(750 / W)
 
 
 def test_smoothed_requires_transmissions():
-    t = _table()
+    t = ProfileTable()
     with pytest.raises(EstimateUnavailable):
         t.egress_rate_smoothed()
 
 
 def test_smoothed_constant_drain_zero_error():
     # identical instantaneous rates -> zero standard deviation
-    t = _table()
+    t = ProfileTable()
     for sn in range(1, 40):
         t.record_ingress(sn, 1500)
     now = 0.05
     for sn in range(1, 40):
-        t.on_f1u_feedback(sn, None, now)
+        t.on_f1u_feedback(sn, now)
         now += W  # each transmit alone in its window: identical rates
     est = t.egress_rate_smoothed()
     assert est.sample_count == 1  # window holds only the newest sample
     assert est.e_hat == 0.0
 
     # denser: several same-rate samples inside one window
-    t2 = _table()
+    t2 = ProfileTable()
     for sn in range(1, 60):
         t2.record_ingress(sn, 1500)
     now = 0.05
     step = W / 4
     for sn in range(1, 60):
-        t2.on_f1u_feedback(sn, None, now)
+        t2.on_f1u_feedback(sn, now)
         now += step
     est2 = t2.egress_rate_smoothed()
     assert est2.sample_count >= 2
@@ -130,10 +117,10 @@ def test_smoothed_constant_drain_zero_error():
 
 
 def test_sojourn_prediction_direct_division():
-    t = _table(window=0.01)
+    t = ProfileTable(window_secs=0.01)
     # one transmitted packet establishes the rate; queued bytes predict sojourn
     t.record_ingress(1, 100000)
-    t.on_f1u_feedback(1, None, 0.01)
+    t.on_f1u_feedback(1, 0.01)
     t.record_ingress(2, 60000)
     t.record_ingress(3, 40000)
     est = t.egress_rate_smoothed()
@@ -143,9 +130,9 @@ def test_sojourn_prediction_direct_division():
 
 
 def test_sojourn_empty_queue_zero():
-    t = _table()
+    t = ProfileTable()
     t.record_ingress(1, 1500)
-    t.on_f1u_feedback(1, None, 0.002)
+    t.on_f1u_feedback(1, 0.002)
     est = t.egress_rate_smoothed()
     assert est.n_queue == 0
     assert est.sojourn_hat == 0.0
@@ -172,7 +159,7 @@ def _brute_force_smoothed(events):
 
 def test_smoothed_matches_brute_force_oracle():
     rng = random.Random(7)
-    t = _table()
+    t = ProfileTable()
     events = []
     now = 0.0
     sn = 0
@@ -181,7 +168,7 @@ def test_smoothed_matches_brute_force_oracle():
         size = rng.choice([40, 700, 1500])
         t.record_ingress(sn, size)
         now += rng.random() * 2e-3
-        t.on_f1u_feedback(sn, None, now)
+        t.on_f1u_feedback(sn, now)
         events.append((sn, size, now))
     est = t.egress_rate_smoothed()
     mean, std = _brute_force_smoothed(events)
@@ -191,7 +178,7 @@ def test_smoothed_matches_brute_force_oracle():
 
 def test_byte_conservation_invariant():
     rng = random.Random(13)
-    t = _table()
+    t = ProfileTable()
     sizes = []
     ingressed = 0
     transmitted = 0
@@ -209,7 +196,7 @@ def test_byte_conservation_invariant():
         elif tx_sn < sn:
             first = tx_sn
             tx_sn += rng.randrange(1, sn - tx_sn + 1)
-            assert t.on_f1u_feedback(tx_sn, None, now) == tx_sn - first
+            assert t.on_f1u_feedback(tx_sn, now) == tx_sn - first
             transmitted += sum(sizes[first:tx_sn])
         assert t.queued_bytes == ingressed - transmitted
 
@@ -219,7 +206,7 @@ def test_synthetic_drain_within_five_percent():
     R = 5e6
     slot = 0.0005
     per_slot = R * slot
-    t = _table()
+    t = ProfileTable()
     sn = 0
     now = 0.0
     carry = 0.0
@@ -230,7 +217,7 @@ def test_synthetic_drain_within_five_percent():
             sn += 1
             t.record_ingress(sn, 1500)
             carry -= 1500
-        t.on_f1u_feedback(sn, None, now)
+        t.on_f1u_feedback(sn, now)
     est = t.egress_rate_smoothed()
     assert 0.95 * R <= est.r_hat <= 1.05 * R
 
@@ -240,7 +227,7 @@ def test_gaussian_premise_near_zero_mean_error():
     rng = random.Random(3)
     R = 4e6
     slot = 0.0005
-    t = _table()
+    t = ProfileTable()
     sn = 0
     now = 0.0
     carry = 0.0
@@ -252,54 +239,52 @@ def test_gaussian_premise_near_zero_mean_error():
             sn += 1
             t.record_ingress(sn, 1500)
             carry -= 1500
-        t.on_f1u_feedback(sn, None, now)
+        t.on_f1u_feedback(sn, now)
         if i > 100:
             errs.append(t.egress_rate_smoothed().r_hat - R)
     assert abs(sum(errs) / len(errs)) <= 0.05 * R
 
 
 def test_gc_keeps_fresh_entries():
-    t = _table()
+    t = ProfileTable()
     t.record_ingress(1, 1500)
-    t.on_f1u_feedback(1, 1, 0.001)
+    t.on_f1u_feedback(1, 0.001)
     assert t.gc_delivered(1.0, 0.5) == 0
     assert len(t.entries) == 1
 
 
-@pytest.mark.parametrize("mode, dlv", [(RlcMode.AM, 1), (RlcMode.UM, None)])
-def test_gc_evicts_by_transmit_time_alone(mode, dlv):
-    # one rule in AM and UM: transmitted before the cutoff, delivered or not
-    t = _table(mode=mode)
+def test_gc_evicts_by_transmit_time_alone():
+    # transmitted before the cutoff is the whole rule
+    t = ProfileTable()
     for sn in (1, 2, 3):
         t.record_ingress(sn, 1500)
-    t.on_f1u_feedback(2, dlv, 0.001)
+    t.on_f1u_feedback(2, 0.001)
     assert t.gc_delivered(1.0, 0.5) == 0
     assert t.gc_delivered(1.0, 2.0) == 2  # entry 3 was never transmitted
     assert [e.pdcp_sn for e in t.entries] == [3]
 
 
-@pytest.mark.parametrize("mode", [RlcMode.AM, RlcMode.UM])
-def test_stamping_message_evicts_past_the_horizon(mode):
-    t = _table(mode=mode)
+def test_stamping_message_evicts_past_the_horizon():
+    t = ProfileTable()
     for sn in (1, 2, 3):
         t.record_ingress(sn, 1500)
-    t.on_f1u_feedback(1, None, 0.5)
-    t.on_f1u_feedback(2, None, 1.0)
+    t.on_f1u_feedback(1, 0.5)
+    t.on_f1u_feedback(2, 1.0)
     # a message that stamps nothing evicts nothing, however late
-    assert t.on_f1u_feedback(2, 2 if mode is RlcMode.AM else None, 5.0) == 0
+    assert t.on_f1u_feedback(2, 5.0) == 0
     assert [e.pdcp_sn for e in t.entries] == [1, 2, 3]
     # one that stamps evicts what was transmitted before now - horizon
-    assert t.on_f1u_feedback(3, None, 0.75 + KEEP_HORIZON_SECS) == 1
+    assert t.on_f1u_feedback(3, 0.75 + KEEP_HORIZON_SECS) == 1
     assert [e.pdcp_sn for e in t.entries] == [2, 3]
 
 
 def test_gc_preserves_estimate():
-    t = _table()
+    t = ProfileTable()
     now = 0.0
     for sn in range(1, 200):
         t.record_ingress(sn, 1500)
         now += 4e-4
-        t.on_f1u_feedback(sn, sn, now)
+        t.on_f1u_feedback(sn, now)
     before = t.egress_rate_smoothed()
     removed = t.gc_delivered(2 * W, now)
     assert removed > 0
@@ -347,7 +332,7 @@ def _naive_smoothed(sent, window):
     st.integers(1, 20),  # repeats of the pattern: long runs cross the moment refresh
 )
 def test_smoothed_matches_naive_oracle(slots, repeats):
-    t = _table(window=GRID_W)
+    t = ProfileTable(window_secs=GRID_W)
     pending = deque()
     sent = []
     sn = tx_sn = slot = 0
@@ -361,7 +346,7 @@ def test_smoothed_matches_naive_oracle(slots, repeats):
             tx_sn += 1
             sent.append((pending.popleft(), now))
         if sent:
-            t.on_f1u_feedback(tx_sn, None, now)
+            t.on_f1u_feedback(tx_sn, now)
         slot += gap
     if not sent:
         with pytest.raises(EstimateUnavailable):

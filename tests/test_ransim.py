@@ -86,13 +86,17 @@ def test_trace_cursor_matches_bisect_oracle(gaps, caps, picks):
         assert repr(tr.integral(t0, t1)) == repr(expected if t1 > t0 else 0.0)
 
 
-def test_trace_validation():
+@pytest.mark.parametrize("breakpoints", [
+    [(0.0, 1.0), (0.0, 2.0)],  # not strictly increasing
+    [(0.0, -1.0)],
+    [(1.0, 5.0)],  # must start at 0
+    [(0.0, math.nan)],
+    [(0.0, math.inf)],
+    [(math.nan, 1.0)],
+], ids=["not-increasing", "negative", "late-start", "nan-capacity", "inf-capacity", "nan-time"])
+def test_trace_validation(breakpoints):
     with pytest.raises(ValueError):
-        ChannelTrace([(0.0, 1.0), (0.0, 2.0)])  # not strictly increasing
-    with pytest.raises(ValueError):
-        ChannelTrace([(0.0, -1.0)])
-    with pytest.raises(ValueError):
-        ChannelTrace([(1.0, 5.0)])  # must start at 0
+        ChannelTrace(breakpoints)
 
 
 def test_trace_integral():
@@ -171,19 +175,6 @@ def test_queue_byte_conservation():
     q.transmit(4000, 1.0)
     assert q.admitted_bytes == q.transmitted_bytes + q.standing_bytes
     assert q.dropped_bytes == 3 * 1500
-
-
-def test_delivery_pointer_in_order():
-    q = RlcQueue(DrbConfig(ue_id=1, drb_id=1))
-    for i in (1, 2, 3):
-        q.enqueue(_pkt(i), i, 0.0)
-    q.transmit(4500, 1.0)
-    q.mark_delivered(2)  # out of order: held back
-    assert q.highest_dlv_sn is None
-    q.mark_delivered(1)
-    assert q.highest_dlv_sn == 2
-    q.mark_delivered(3)
-    assert q.highest_dlv_sn == 3
 
 
 class _NaiveRlc:
@@ -567,7 +558,7 @@ def test_a_forgotten_flow_does_not_measure_its_handshake_again():
     # flow a idles past IDLE_FLOW_FORGET_SECS while b keeps the bearer busy,
     # so the layer forgets a; when a resumes it has no handshake RTT, rather
     # than one measured from its old SYN (12 s here)
-    layer = DrbLayer(DrbConfig(ue_id=1, drb_id=1), MarkParams(), DEFAULT_WINDOW_SECS)
+    layer = DrbLayer(MarkParams(), DEFAULT_WINDOW_SECS)
     a, b = FiveTuple(1, 2, 10, 20, Proto.TCP), FiveTuple(1, 2, 11, 20, Proto.TCP)
 
     def send(ft, now, flags=0):
@@ -597,8 +588,7 @@ def test_feedback_refreshes_only_on_new_input(monkeypatch):
         real_refresh(state, params, est)
 
     monkeypatch.setattr(layer_mod, "refresh_probabilities", counting_refresh)
-    layer = DrbLayer(DrbConfig(ue_id=1, drb_id=1), MarkParams(tau_thr=0.005, rng_seed=1),
-                     DEFAULT_WINDOW_SECS)
+    layer = DrbLayer(MarkParams(tau_thr=0.005, rng_seed=1), DEFAULT_WINDOW_SECS)
     now = 0.0
     # one packet in and one out per 0.5 ms, ten behind, with uneven sizes: the
     # estimate has a finite error width and the standing queue sits near the
@@ -607,24 +597,24 @@ def test_feedback_refreshes_only_on_new_input(monkeypatch):
         now += 0.0005
         layer.on_dl_pkt(_pkt(i, 600 + 300 * (i % 4)), True, now)
         if i > 10:
-            layer.on_ran_feedback(i - 10, None, now)
+            layer.on_ran_feedback(i - 10, now)
     sn = 70
     state = layer.mark_state
     assert len(calls) == 70 and 0.0 < state.p_l4s < 1.0
     before = (state.p_l4s, state.last_estimate)
 
     # a repeat status with no new SN and no downlink packet: no refresh
-    assert layer.on_ran_feedback(sn, None, now + 0.0001) is before[1]
+    assert layer.on_ran_feedback(sn, now + 0.0001) is before[1]
     assert len(calls) == 70 and (state.p_l4s, state.last_estimate) == before
 
     # a tail-dropped packet still counts as new input
     layer.on_dl_pkt(_pkt(100), False, now + 0.0002)
-    layer.on_ran_feedback(sn, None, now + 0.0003)
+    layer.on_ran_feedback(sn, now + 0.0003)
     assert len(calls) == 71 and state.p_l4s == before[0]
 
     # an admitted packet: the next status refreshes and p_l4s follows the queue
     layer.on_dl_pkt(_pkt(101, 100), True, now + 0.0004)
-    est = layer.on_ran_feedback(sn, None, now + 0.0005)
+    est = layer.on_ran_feedback(sn, now + 0.0005)
     assert len(calls) == 72
     assert est.n_queue == before[1].n_queue + 100 == layer.profile.queued_bytes
     assert state.p_l4s == p_l4s(est.n_queue, est.r_hat, est.e_hat, 0.005)
@@ -632,19 +622,18 @@ def test_feedback_refreshes_only_on_new_input(monkeypatch):
 
 
 def test_a_repeated_status_message_changes_no_state():
-    # an AM bearer whose packets were all transmitted and delivered before
-    # t = 1 s; with no downlink packet since, 1,024 repeats of the applied
-    # (tx, dlv) at t = 2 s leave the layer and its profile as they were
-    layer = DrbLayer(DrbConfig(ue_id=1, drb_id=1, rlc_mode=RlcMode.AM),
-                     MarkParams(rng_seed=1), DEFAULT_WINDOW_SECS)
+    # a bearer whose packets were all transmitted before t = 1 s; with no
+    # downlink packet since, 1,024 repeats of the applied SN at t = 2 s
+    # leave the layer and its profile as they were
+    layer = DrbLayer(MarkParams(rng_seed=1), DEFAULT_WINDOW_SECS)
     now = 0.0
     for i in range(1, 41):
         now += 0.0005
         layer.on_dl_pkt(_pkt(i), True, now)
-        layer.on_ran_feedback(i, i - 1 if i > 1 else None, now)
-    layer.on_ran_feedback(40, 40, 0.5)
+        layer.on_ran_feedback(i, now)
+    layer.on_ran_feedback(40, 0.5)
     before = pickle.dumps(layer)
     for _ in range(1024):
-        layer.on_ran_feedback(40, 40, 2.0)
+        layer.on_ran_feedback(40, 2.0)
     assert pickle.dumps(layer) == before
     assert len(layer.profile.entries) == 40
