@@ -87,9 +87,9 @@ def test_trace_cursor_matches_bisect_oracle(gaps, caps, picks):
 
 
 @pytest.mark.parametrize("breakpoints", [
-    [(0.0, 1.0), (0.0, 2.0)],  # not strictly increasing
+    [(0.0, 1.0), (0.0, 2.0)],
     [(0.0, -1.0)],
-    [(1.0, 5.0)],  # must start at 0
+    [(1.0, 5.0)],
     [(0.0, math.nan)],
     [(0.0, math.inf)],
     [(math.nan, 1.0)],
