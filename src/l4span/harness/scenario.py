@@ -364,7 +364,8 @@ def override(scn: Scenario, changes: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse a scenario file (YAML or JSON), fill defaults, validate."""
+    """Parse a scenario file (YAML or JSON), fill defaults, resolve each
+    channel ``path`` against the file's directory, validate."""
     import yaml
 
     p = Path(path)
@@ -376,7 +377,14 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, ValueError, yaml.YAMLError) as exc:
         # parser messages span lines; the CLI reports one
         raise ConfigError(f"cannot read scenario file {p}: {' '.join(str(exc).split())}") from None
-    return scenario_from_dict(data)
+    scn = _from_dict(Scenario, data, "scenario")
+    # a channel file named by a relative path sits beside the scenario file
+    # that names it, wherever the command runs
+    for ue in scn.ues:
+        if ue.channel.path:
+            ue.channel.path = str(p.parent.resolve() / ue.channel.path)
+    scn.validate()
+    return scn
 
 
 def save_scenario(scn: Scenario, path: str | Path) -> None:

@@ -6,7 +6,8 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from itertools import islice
+
+import numpy as np
 
 # the sinusoid's sampling step
 SINUSOID_SAMPLE_SECS = 0.025
@@ -23,23 +24,36 @@ class ChannelTrace:
     slot-by-slot queries skip the binary search.
     """
 
-    def __init__(self, breakpoints: list[tuple[float, float]]):
-        if not breakpoints:
+    def __init__(self, times, caps):
+        """``times`` and ``caps`` are equal-length columns (sequences or numpy
+        arrays): breakpoint i starts at ``times[i]`` with capacity ``caps[i]``.
+        A bad column raises ``ValueError`` naming its first bad breakpoint."""
+        times = np.asarray(times, dtype=float)
+        caps = np.asarray(caps, dtype=float)
+        if times.shape != caps.shape or times.ndim != 1:
+            raise ValueError("breakpoint times and capacities must be two columns of one length")
+        if not len(times):
             raise ValueError("channel trace needs at least one breakpoint")
-        last = -math.inf
-        for t, cap in breakpoints:
-            if not (math.isfinite(t) and math.isfinite(cap)):
+        # per breakpoint, in the order its checks run: finite, later than the
+        # one before, non-negative
+        finite = np.isfinite(times) & np.isfinite(caps)
+        rising = np.empty(len(times), dtype=bool)
+        rising[0] = True
+        np.greater(times[1:], times[:-1], out=rising[1:])
+        bad = ~(finite & rising & (caps >= 0.0))
+        if bad.any():
+            i = int(bad.argmax())
+            t, cap = float(times[i]), float(caps[i])
+            if not finite[i]:
                 raise ValueError(f"breakpoint ({t}, {cap}) must be finite")
-            if t <= last:
+            if not rising[i]:
                 raise ValueError(f"breakpoints must be strictly increasing (at t={t})")
-            if cap < 0:
-                raise ValueError(f"capacity must be >= 0 (at t={t})")
-            last = t
-        if breakpoints[0][0] > 0:
+            raise ValueError(f"capacity must be >= 0 (at t={t})")
+        if times[0] > 0:
             raise ValueError("first breakpoint must be at t=0")
-        self._times = array("d", [t for t, _ in breakpoints])
+        self._times = array("d", times.tobytes())
         self._times.append(math.inf)
-        self._caps = array("d", [c for _, c in breakpoints])
+        self._caps = array("d", caps.tobytes())
         self._cursor = 0
 
     @property
@@ -60,18 +74,22 @@ class ChannelTrace:
         """Bytes the channel could carry over [t0, t1]."""
         if t1 <= t0:
             return 0.0
-        total = 0.0
-        for seg0, seg1, cap in zip(self._times, islice(self._times, 1, None), self._caps):
-            lo, hi = max(t0, seg0), min(t1, seg1)
-            if hi > lo:
-                total += cap * (hi - lo)
-        return total
+        starts = np.frombuffer(self._times)
+        lo = np.maximum(t0, starts[:-1])
+        hi = np.minimum(t1, starts[1:])
+        inside = hi > lo
+        if not inside.any():
+            return 0.0
+        # segment by segment from 0.0, as a loop adds them: cumsum adds in
+        # order, where np.sum pairs and builtin sum compensates
+        shares = np.frombuffer(self._caps)[inside] * (hi[inside] - lo[inside])
+        return 0.0 + float(np.cumsum(shares)[-1])
 
     # -- generators ---------------------------------------------------------
 
     @classmethod
     def static(cls, capacity_bytes_per_sec: float) -> "ChannelTrace":
-        return cls([(0.0, capacity_bytes_per_sec)])
+        return cls([0.0], [capacity_bytes_per_sec])
 
     @classmethod
     def step(cls, c1: float, c2: float, period: float, horizon: float) -> "ChannelTrace":
@@ -80,14 +98,15 @@ class ChannelTrace:
             raise ValueError("period must be positive")
         if min(c1, c2) < 0:
             raise ValueError("capacities must be >= 0")
-        pts = []
+        times, caps = [], []
         t = 0.0
         i = 0
         while t <= horizon:
-            pts.append((t, c1 if i % 2 == 0 else c2))
+            times.append(t)
+            caps.append(c1 if i % 2 == 0 else c2)
             t += period / 2
             i += 1
-        return cls(pts)
+        return cls(times, caps)
 
     @classmethod
     def sinusoid(
@@ -103,13 +122,8 @@ class ChannelTrace:
             raise ValueError("period and sample_secs must be positive")
         if abs(amplitude) > mean:
             raise ValueError("amplitude may not exceed mean (capacity must stay >= 0)")
-        pts = []
-        n = int(horizon / sample_secs) + 1
-        for i in range(n + 1):
-            t = i * sample_secs
-            cap = mean + amplitude * math.sin(2 * math.pi * (t / period + phase))
-            pts.append((t, cap))
-        return cls(pts)
+        t = np.arange(int(horizon / sample_secs) + 2) * sample_secs
+        return cls(t, _sine(t, mean, amplitude, period, phase))
 
     @classmethod
     def fading(
@@ -132,6 +146,11 @@ class ChannelTrace:
         The shadowing hold stays above the estimation coherence window while
         the fast layer varies inside it, which is the residual uncertainty
         the Gaussian error model is there to absorb.
+
+        Sample i sits at ``i * fast_secs``.  Each factor is the value
+        ``random.Random.uniform(floor, 1.0)`` draws, ``floor + (1.0 - floor) * u``:
+        the shadowing draws come from ``Random(seed)``, one per ``fade_secs``
+        hold, and the jitter draws from ``Random(seed + 7919)``, one per sample.
         """
         if not 0.0 < fade_floor <= 1.0 or not 0.0 < fast_floor <= 1.0:
             raise ValueError("fade floors must be in (0, 1]")
@@ -139,24 +158,22 @@ class ChannelTrace:
             raise ValueError("fade hold times must be positive")
         if slow_period <= 0:
             raise ValueError("period must be positive")
-        rng = random.Random(seed)
-        fast_rng = random.Random(seed + 7919)
-        pts = []
-        shadow = 1.0
         n = int(horizon / fast_secs) + 2
         per_shadow = max(1, round(fade_secs / fast_secs))
-        for i in range(n):
-            t = i * fast_secs
-            if i % per_shadow == 0:
-                shadow = rng.uniform(fade_floor, 1.0)
-            slow = mean + slow_amplitude * math.sin(2 * math.pi * (t / slow_period + phase))
-            pts.append((t, max(slow, 0.0) * shadow * fast_rng.uniform(fast_floor, 1.0)))
-        return cls(pts)
+        draw, fast_draw = random.Random(seed).random, random.Random(seed + 7919).random
+        shadow = np.array([draw() for _ in range(-(-n // per_shadow))])
+        fast = np.array([fast_draw() for _ in range(n)])
+        shadow = np.repeat(fade_floor + (1.0 - fade_floor) * shadow, per_shadow)[:n]
+        fast = fast_floor + (1.0 - fast_floor) * fast
+        t = np.arange(n) * fast_secs
+        slow = _sine(t, mean, slow_amplitude, slow_period, phase)
+        # max(slow, 0.0) as Python takes it: np.maximum would turn -0.0 into 0.0
+        return cls(t, np.where(0.0 > slow, 0.0, slow) * shadow * fast)
 
     @classmethod
     def from_file(cls, path: str) -> "ChannelTrace":
         """Load `time_secs,capacity_bits_per_sec` lines; '#' starts a comment."""
-        pts = []
+        times, caps = [], []
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -169,7 +186,15 @@ class ChannelTrace:
                     t, bps = float(parts[0]), float(parts[1])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-                pts.append((t, bps / 8.0))
-        if not pts:
+                times.append(t)
+                caps.append(bps / 8.0)
+        if not times:
             raise ValueError(f"{path}: no trace records")
-        return cls(pts)
+        return cls(times, caps)
+
+
+def _sine(t: np.ndarray, mean: float, amplitude: float, period: float, phase: float) -> np.ndarray:
+    """``mean + amplitude * sin(2 pi (t / period + phase))`` per sample, with
+    ``math.sin``: ``np.sin`` may differ from it in the last bit."""
+    arg = 2 * math.pi * (t / period + phase)
+    return mean + amplitude * np.array(list(map(math.sin, arg.tolist())))

@@ -332,12 +332,12 @@ def _pass_every_packet(state, params, pkt, flow_class, rng, now) -> MarkDecision
 
 class _Bearer(RlcQueue):
     """A bearer's RLC queue, linked at build time to what the slot path
-    needs of it: its marking layer, its spec, its loss RNG and its UE's
-    index in ``Simulator.ue_ctx``."""
+    needs of it: its marking layer, its spec, its loss RNG (None on a
+    lossless bearer) and its UE's index in ``Simulator.ue_ctx``."""
 
     layer: DrbLayer
 
-    def __init__(self, cfg: DrbConfig, spec, loss_rng: random.Random, ue_index: int):
+    def __init__(self, cfg: DrbConfig, spec, loss_rng: Optional[random.Random], ue_index: int):
         super().__init__(cfg)
         self.spec = spec
         self.am = cfg.rlc_mode is RlcMode.AM
@@ -413,7 +413,9 @@ class Simulator:
                     force_zero_error=aqm.force_zero_error or aqm.kind == "dualpi2step",
                     shared_policy=aqm.shared_policy,
                 )
-                bearer = _Bearer(cfg, drb, random.Random(seed + 7777777), len(self.ue_ctx))
+                # a lossless bearer never draws, so it gets no RNG to seed
+                loss_rng = random.Random(seed + 7777777) if drb.loss_p > 0 else None
+                bearer = _Bearer(cfg, drb, loss_rng, len(self.ue_ctx))
                 rule = (mark_rule if aqm.kind == "l4span" else
                         bearer.step_mark if aqm.kind == "dualpi2step" else _pass_every_packet)
                 bearer.layer = DrbLayer(params, scenario.window_secs, rule)

@@ -549,6 +549,35 @@ def test_cli_non_finite_file_channel_is_one_config_error(tmp_path, capsys, trace
     _one_config_error_line(capsys, "ues[0].channel")
 
 
+@pytest.mark.parametrize("cwd, ref", [(".", "rel/scn.json"), ("rel", "scn.json"),
+                                      ("elsewhere", "../rel/scn.json")])
+def test_file_channel_path_is_relative_to_the_scenario_file(tmp_path, monkeypatch, capsys,
+                                                           cwd, ref):
+    (tmp_path / "rel").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "rel" / "trace.csv").write_text("0.0,40e6\n1.0,20e6\n")
+    data = scenario_to_dict(BUILTIN_SCENARIOS["static-1ue"]())
+    data["ues"][0]["channel"].update(kind="file", path="trace.csv")
+    (tmp_path / "rel" / "scn.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path / cwd)
+    assert cli_main(["validate", ref]) == 0
+    assert capsys.readouterr().out.startswith("ok:")
+    spec = load_scenario(ref).ues[0].channel
+    # resolved once, on load: a derived scenario finds the file from anywhere
+    assert Path(spec.path).is_absolute() and Path(spec.path).samefile(tmp_path / "rel" / "trace.csv")
+    assert spec.build(2.0).breakpoints == [(0.0, 5e6), (1.0, 2.5e6)]
+
+
+def test_file_channel_absolute_path_is_kept(tmp_path, monkeypatch):
+    (tmp_path / "trace.csv").write_text("0.0,40e6\n")
+    data = scenario_to_dict(BUILTIN_SCENARIOS["static-1ue"]())
+    data["ues"][0]["channel"].update(kind="file", path=str(tmp_path / "trace.csv"))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "scn.json").write_text(json.dumps(data))
+    assert load_scenario(tmp_path / "sub" / "scn.json").ues[0].channel.path == str(
+        tmp_path / "trace.csv")
+
+
 def _never(*args, **kwargs):
     raise AssertionError("ran before the output location was checked")
 

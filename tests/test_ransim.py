@@ -1,9 +1,11 @@
 import math
 import pickle
+import random
 from bisect import bisect_right
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l4span.core import (
@@ -63,7 +65,7 @@ def test_trace_cursor_matches_bisect_oracle(gaps, caps, picks):
     for g in gaps:
         times.append(times[-1] + g)
     caps = caps[:len(times)]
-    tr = ChannelTrace(list(zip(times, caps)))
+    tr = ChannelTrace(times, caps)
     assert tr.breakpoints == list(zip(times, caps))
     ends = times[1:] + [math.inf]
     instants = []
@@ -93,17 +95,149 @@ def test_trace_cursor_matches_bisect_oracle(gaps, caps, picks):
     [(0.0, math.nan)],
     [(0.0, math.inf)],
     [(math.nan, 1.0)],
-], ids=["not-increasing", "negative", "late-start", "nan-capacity", "inf-capacity", "nan-time"])
+    [],
+], ids=["not-increasing", "negative", "late-start", "nan-capacity", "inf-capacity", "nan-time",
+        "empty"])
 def test_trace_validation(breakpoints):
     with pytest.raises(ValueError):
-        ChannelTrace(breakpoints)
+        ChannelTrace([t for t, _ in breakpoints], [c for _, c in breakpoints])
+
+
+def _check_breakpoints_oracle(breakpoints):
+    """The scalar per-breakpoint check: each breakpoint in turn must be
+    finite, later than the one before and non-negative."""
+    if not breakpoints:
+        raise ValueError("channel trace needs at least one breakpoint")
+    last = -math.inf
+    for t, cap in breakpoints:
+        if not (math.isfinite(t) and math.isfinite(cap)):
+            raise ValueError(f"breakpoint ({t}, {cap}) must be finite")
+        if t <= last:
+            raise ValueError(f"breakpoints must be strictly increasing (at t={t})")
+        if cap < 0:
+            raise ValueError(f"capacity must be >= 0 (at t={t})")
+        last = t
+    if breakpoints[0][0] > 0:
+        raise ValueError("first breakpoint must be at t=0")
+
+
+def _outcome(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_edge_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_edge_floats, st.floats()),
+                          st.one_of(_edge_floats, st.floats())), max_size=8))
+@example([(0.0, 1.0), (1.0, -2.0), (1.0, math.nan)])   # negative before a repeat
+@example([(0.0, 1.0), (0.0, math.nan)])                # not finite before not rising
+@example([(0.0, 1.0), (-1.0, -1.0)])                   # not rising before negative
+@example([(-0.0, 1.0), (0.0, 2.0)])                    # -0.0 and 0.0 are one instant
+@example([(-1.0, 1.0), (0.5, 2.0)])                    # a start before zero is accepted
+def test_trace_validation_names_the_first_bad_breakpoint(breakpoints):
+    expected = _outcome(lambda: _check_breakpoints_oracle(breakpoints))
+    got = _outcome(lambda: ChannelTrace([t for t, _ in breakpoints], [c for _, c in breakpoints]))
+    assert got == expected
+
+
+def test_trace_columns_must_match():
+    with pytest.raises(ValueError, match="two columns of one length"):
+        ChannelTrace([0.0, 1.0], [5.0])
 
 
 def test_trace_integral():
-    tr = ChannelTrace([(0.0, 10.0), (1.0, 20.0)])
+    tr = ChannelTrace([0.0, 1.0], [10.0, 20.0])
     assert tr.integral(0.0, 2.0) == pytest.approx(30.0)
     assert tr.integral(0.5, 1.5) == pytest.approx(5.0 + 10.0)
     assert tr.integral(2.0, 1.0) == 0.0
+
+
+def test_trace_integral_adds_segments_in_order():
+    # 1e16 then sixteen 1 s segments of 1 byte/s: added left to right each 1
+    # rounds away, while a pairwise (np.sum) or compensated sum keeps them
+    tr = ChannelTrace(list(range(17)), [1e16] + [1.0] * 16)
+    assert tr.integral(0.0, 17.0) == 1e16
+    assert float(np.sum([1e16] + [1.0] * 16)) > 1e16
+    # a zero-capacity trace carries +0.0 bytes, as a sum started at 0.0 does
+    assert repr(ChannelTrace([0.0], [-0.0]).integral(0.0, 1.0)) == "0.0"
+
+
+# -- test-side oracles: the generators as one scalar sample at a time --------
+
+
+def _sinusoid_oracle(mean, amplitude, period, horizon, sample_secs, phase):
+    pts = []
+    n = int(horizon / sample_secs) + 1
+    for i in range(n + 1):
+        t = i * sample_secs
+        cap = mean + amplitude * math.sin(2 * math.pi * (t / period + phase))
+        pts.append((t, cap))
+    return pts
+
+
+def _fading_oracle(mean, slow_amplitude, slow_period, horizon, fade_floor, fade_secs,
+                   fast_floor, fast_secs, seed, phase):
+    rng = random.Random(seed)
+    fast_rng = random.Random(seed + 7919)
+    pts = []
+    shadow = 1.0
+    n = int(horizon / fast_secs) + 2
+    per_shadow = max(1, round(fade_secs / fast_secs))
+    for i in range(n):
+        t = i * fast_secs
+        if i % per_shadow == 0:
+            shadow = rng.uniform(fade_floor, 1.0)
+        slow = mean + slow_amplitude * math.sin(2 * math.pi * (t / slow_period + phase))
+        pts.append((t, max(slow, 0.0) * shadow * fast_rng.uniform(fast_floor, 1.0)))
+    return pts
+
+
+def _hex(pairs):
+    return [(float(t).hex(), float(c).hex()) for t, c in pairs]
+
+
+_rate = st.one_of(st.sampled_from([0.0, -0.0, 3.75e6, 1.25e6]), st.floats(-1e8, 1e8))
+_horizon = st.one_of(st.sampled_from([0.0, 8.0, 14.0]), st.floats(0.0, 20.0))
+_phase = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mean=_rate, amplitude=_rate, period=st.floats(0.01, 30.0), horizon=_horizon,
+       sample_secs=st.floats(0.005, 1.0), phase=_phase)
+def test_sinusoid_matches_the_scalar_oracle_bit_for_bit(mean, amplitude, period, horizon,
+                                                        sample_secs, phase):
+    args = (mean, amplitude, period, horizon, sample_secs, phase)
+    if abs(amplitude) > mean:
+        with pytest.raises(ValueError, match="amplitude may not exceed mean"):
+            ChannelTrace.sinusoid(*args)
+        return
+    assert _hex(ChannelTrace.sinusoid(*args).breakpoints) == _hex(_sinusoid_oracle(*args))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mean=_rate, amplitude=_rate, period=st.floats(0.01, 30.0), horizon=_horizon,
+       fade_floor=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+       per_shadow=st.integers(1, 40),
+       fast_floor=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+       fast_secs=st.one_of(st.sampled_from([0.01, 0.0005]), st.floats(0.0005, 0.5)),
+       seed=st.one_of(st.integers(-2**40, 2**40), st.integers(0, 64)),
+       phase=_phase)
+@example(mean=-0.0, amplitude=0.0, period=5.0, horizon=1.0, fade_floor=0.5, per_shadow=10,
+         fast_floor=0.75, fast_secs=0.01, seed=1, phase=0.5)   # max(-0.0, 0.0) is -0.0
+@example(mean=1e6, amplitude=4e6, period=5.0, horizon=10.0, fade_floor=0.5, per_shadow=10,
+         fast_floor=0.75, fast_secs=0.01, seed=2**33 + 5, phase=0.0)  # clamped troughs
+def test_fading_matches_the_scalar_oracle_bit_for_bit(mean, amplitude, period, horizon,
+                                                      fade_floor, per_shadow, fast_floor,
+                                                      fast_secs, seed, phase):
+    args = (mean, amplitude, period, horizon, fade_floor, per_shadow * fast_secs, fast_floor,
+            fast_secs, seed, phase)
+    assert _hex(ChannelTrace.fading(*args).breakpoints) == _hex(_fading_oracle(*args))
 
 
 def test_trace_sinusoid_bounds():

@@ -81,7 +81,7 @@ def _cell(channels):
     """One UE per channel description (segments, queue count)."""
     ues = []
     for ue_id, (segments, n_queues) in enumerate(channels, start=1):
-        ue = UeContext(ue_id=ue_id, trace=ChannelTrace(segments))
+        ue = UeContext(ue_id=ue_id, trace=ChannelTrace(*zip(*segments)))
         ue.queues = [RlcQueue(DrbConfig(ue_id=ue_id, drb_id=d)) for d in range(1, n_queues + 1)]
         ues.append(ue)
     return ues
