@@ -18,7 +18,7 @@ from l4span.core import (
     RlcMode,
     TcpFields,
 )
-from l4span.harness.scenario import BUILTIN_SCENARIOS, ChannelSpec, FlowSpec
+from l4span.harness.scenario import BUILTIN_SCENARIOS, ChannelSpec, DrbSpec, FlowSpec
 from l4span.marking import MarkParams, p_l4s
 from l4span.profile import DEFAULT_WINDOW_SECS, KEEP_HORIZON_SECS, ProfileTable
 from l4span.ransim import layer as layer_mod
@@ -517,6 +517,16 @@ def test_simulator_builds_each_channel_trace_once(monkeypatch):
     assert [spec for spec, _ in full] == [ue.channel for ue in scn.ues]
     assert len(sim.ue_ctx) == len(full)
     assert all(ctx.trace is trace for ctx, (_, trace) in zip(sim.ue_ctx, full))
+
+
+def test_only_a_lossy_bearer_seeds_a_loss_rng():
+    scn = _short_scenario()
+    scn.ues[0].drbs.append(DrbSpec(drb_id=2, loss_p=0.01))
+    sim = Simulator(scn)
+    assert sim.queues[(1, 1)].loss_rng is None   # loss_p 0: never drawn
+    # the lossy bearer's stream is the one it always drew from
+    seed = scn.seed * 1000003 + 1 * 1009 + 2 + 7777777
+    assert sim.queues[(1, 2)].loss_rng.random() == random.Random(seed).random()
 
 
 def test_zero_traffic_terminates():
