@@ -80,9 +80,12 @@ class ChannelTrace:
         inside = hi > lo
         if not inside.any():
             return 0.0
+        # a zero capacity up to t1 = inf carries 0 * inf = NaN bytes, as
+        # float arithmetic has it, without a warning
+        with np.errstate(invalid="ignore"):
+            shares = np.frombuffer(self._caps)[inside] * (hi[inside] - lo[inside])
         # segment by segment from 0.0, as a loop adds them: cumsum adds in
         # order, where np.sum pairs and builtin sum compensates
-        shares = np.frombuffer(self._caps)[inside] * (hi[inside] - lo[inside])
         return 0.0 + float(np.cumsum(shares)[-1])
 
     # -- generators ---------------------------------------------------------
