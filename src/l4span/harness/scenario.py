@@ -94,6 +94,22 @@ class ChannelSpec:
     fade_seed: int = 1                    # fading (fixed per UE, not the run seed)
     path: Optional[str] = None            # file
 
+    def check(self) -> None:
+        """Raise what ``build`` raises for these parameters over a zero
+        horizon.  A ``sinusoid`` or ``fading`` channel is checked by its
+        generator's parameter check, which builds and draws nothing; any
+        other kind is built over a zero horizon (a ``file`` is read whole)."""
+        if self.kind == "sinusoid":
+            ChannelTrace.check_sinusoid(self.mean_bps / 8.0, self.amplitude_bps / 8.0,
+                                        self.period_secs, phase=self.phase)
+        elif self.kind == "fading":
+            ChannelTrace.check_fading(self.mean_bps / 8.0, self.amplitude_bps / 8.0,
+                                      self.period_secs, fade_floor=self.fade_floor,
+                                      fade_secs=self.fade_secs, fast_floor=self.fast_floor,
+                                      fast_secs=self.fast_secs, phase=self.phase)
+        else:
+            self.build(0.0)
+
     def build(self, horizon: float):
         if self.kind == "static":
             return ChannelTrace.static(self.capacity_bps / 8.0)
@@ -160,8 +176,9 @@ class Scenario:
         return self.coherence_secs / 2.0
 
     def validate(self) -> None:
-        """Check every field; each channel's generator checks its parameters
-        over a zero horizon, so no trace is built (``Simulator`` builds them)."""
+        """Check every field; each channel is checked as its trace would be
+        over a zero horizon (``ChannelSpec.check``), so no full trace is built
+        (``Simulator`` builds them)."""
         if self.horizon_secs <= 0:
             raise ConfigError("horizon_secs must be positive")
         if self.slot_secs <= 0:
@@ -220,7 +237,7 @@ class Scenario:
                                   f"{self.horizon_secs / hold:.3g} {ch.kind} breakpoints, more "
                                   f"than the {MAX_TRACE_BREAKPOINTS:,} a trace may hold")
             try:
-                ch.build(0.0)
+                ch.check()
             except (ConfigError, ValueError, OSError) as exc:
                 raise ConfigError(f"{where}: {exc}") from None
             if not ue.drbs:

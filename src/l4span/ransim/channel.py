@@ -62,13 +62,19 @@ class ChannelTrace:
         return list(zip(self._times, self._caps))
 
     def rate_at(self, t: float) -> float:
+        return self.segment_at(t)[0]
+
+    def segment_at(self, t: float) -> tuple[float, float]:
+        """The capacity at ``t`` and the end of its segment (``inf`` for the
+        last): the capacity holds for every time from ``t`` up to that end."""
         if t < 0:
             raise ValueError("t must be >= 0")
+        times = self._times
         i = self._cursor
-        if not self._times[i] <= t < self._times[i + 1]:
+        if not times[i] <= t < times[i + 1]:
             # the sentinel is no segment start, so search the starts alone
-            i = self._cursor = bisect_right(self._times, t, 0, len(self._caps)) - 1
-        return self._caps[i]
+            i = self._cursor = bisect_right(times, t, 0, len(self._caps)) - 1
+        return self._caps[i], times[i + 1]
 
     def integral(self, t0: float, t1: float) -> float:
         """Bytes the channel could carry over [t0, t1]."""
@@ -121,12 +127,37 @@ class ChannelTrace:
         sample_secs: float = SINUSOID_SAMPLE_SECS,
         phase: float = 0.0,
     ) -> "ChannelTrace":
+        cls.check_sinusoid(mean, amplitude, period, sample_secs, phase)
+        t = np.arange(int(horizon / sample_secs) + 2) * sample_secs
+        return cls(t, _sine(t, mean, amplitude, period, phase))
+
+    @staticmethod
+    def check_sinusoid(mean: float, amplitude: float, period: float,
+                       sample_secs: float = SINUSOID_SAMPLE_SECS, phase: float = 0.0) -> None:
+        """Raise what ``sinusoid`` raises for these parameters over a zero
+        horizon, building and drawing nothing; ``sinusoid`` calls it first."""
         if period <= 0 or sample_secs <= 0:
             raise ValueError("period and sample_secs must be positive")
         if abs(amplitude) > mean:
             raise ValueError("amplitude may not exceed mean (capacity must stay >= 0)")
-        t = np.arange(int(horizon / sample_secs) + 2) * sample_secs
-        return cls(t, _sine(t, mean, amplitude, period, phase))
+        int(0.0 / sample_secs)  # the build's sample count, which a NaN step fails
+        _check_first_samples(mean, amplitude, period, phase, sample_secs, clamp=False)
+
+    @staticmethod
+    def check_fading(mean: float, slow_amplitude: float, slow_period: float,
+                     fade_floor: float = 0.5, fade_secs: float = 0.1, fast_floor: float = 0.75,
+                     fast_secs: float = 0.01, phase: float = 0.0) -> None:
+        """Raise what ``fading`` raises for these parameters over a zero
+        horizon, building and drawing nothing; ``fading`` calls it first."""
+        if not 0.0 < fade_floor <= 1.0 or not 0.0 < fast_floor <= 1.0:
+            raise ValueError("fade floors must be in (0, 1]")
+        if fade_secs <= 0 or fast_secs <= 0:
+            raise ValueError("fade hold times must be positive")
+        if slow_period <= 0:
+            raise ValueError("period must be positive")
+        int(0.0 / fast_secs)  # the build's sample count, which a NaN hold fails
+        round(fade_secs / fast_secs)  # its shadowing hold, in jitter holds
+        _check_first_samples(mean, slow_amplitude, slow_period, phase, fast_secs, clamp=True)
 
     @classmethod
     def fading(
@@ -155,12 +186,8 @@ class ChannelTrace:
         the shadowing draws come from ``Random(seed)``, one per ``fade_secs``
         hold, and the jitter draws from ``Random(seed + 7919)``, one per sample.
         """
-        if not 0.0 < fade_floor <= 1.0 or not 0.0 < fast_floor <= 1.0:
-            raise ValueError("fade floors must be in (0, 1]")
-        if fade_secs <= 0 or fast_secs <= 0:
-            raise ValueError("fade hold times must be positive")
-        if slow_period <= 0:
-            raise ValueError("period must be positive")
+        cls.check_fading(mean, slow_amplitude, slow_period, fade_floor, fade_secs, fast_floor,
+                         fast_secs, phase)
         n = int(horizon / fast_secs) + 2
         per_shadow = max(1, round(fade_secs / fast_secs))
         draw, fast_draw = random.Random(seed).random, random.Random(seed + 7919).random
@@ -194,6 +221,22 @@ class ChannelTrace:
         if not times:
             raise ValueError(f"{path}: no trace records")
         return cls(times, caps)
+
+
+def _check_first_samples(mean: float, amplitude: float, period: float, phase: float,
+                         step: float, clamp: bool) -> None:
+    """Check the two breakpoints a zero-horizon build has, at ``0 * step`` and
+    ``step``, as ``ChannelTrace`` checks them: the sine in scalar arithmetic,
+    in ``_sine``'s operations, and (``clamp``) floored at 0.  A fading
+    factor lies in (0, 1], so it leaves a capacity finite or not, and an
+    infinite or NaN one prints the same; no factor is drawn."""
+    samples = []
+    for t in (0 * step, 1 * step):
+        cap = mean + amplitude * math.sin(2 * math.pi * (t / period + phase))
+        samples.append((t, 0.0 if clamp and 0.0 > cap else cap))
+    for t, cap in samples:
+        if not (math.isfinite(t) and math.isfinite(cap)):
+            raise ValueError(f"breakpoint ({t}, {cap}) must be finite")
 
 
 def _sine(t: np.ndarray, mean: float, amplitude: float, period: float, phase: float) -> np.ndarray:

@@ -7,10 +7,12 @@ label that per-kind event counts read (see ROADMAP item 1).
 
 The simulator schedules one ``F1U_FEEDBACK`` event per slot with
 transmissions, at the slot's own time.  It carries the slot's zero-delay
-work in transmit order: the deliveries that take no time (UM, and AM
-with zero delivery delay) and the status message (the highest
-transmitted SN) of each DRB that transmitted.  ``DELIVER_TO_UE`` events
-are the delayed AM deliveries.
+work: in transmit order, each DRB that completed SDUs with its deliveries
+that take no time (UM, and AM with zero delivery delay), whose status
+message (the highest transmitted SN) it applies; then the DRBs that
+transmitted without completing one, whose message it applies only if
+their layer has a refresh pending when the event runs.
+``DELIVER_TO_UE`` events are the delayed AM deliveries.
 """
 
 from __future__ import annotations

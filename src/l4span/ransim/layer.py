@@ -69,8 +69,9 @@ class DrbLayer:
         self._feedback_of_ack: dict[FiveTuple, FlowFeedbackState] = {}
         self._next_sn = 1
         # a downlink packet since the last refresh may have changed the
-        # pending bytes, the flow mix or the handshake RTTs
-        self._dl_since_refresh = True
+        # pending bytes, the flow mix or the handshake RTTs; while it is
+        # False, a status message that repeats the applied SN is a no-op
+        self.dl_since_refresh = True
         # the transmitted SN of the last status message applied to the profile
         self._applied_tx_sn: Optional[int] = None
 
@@ -80,7 +81,7 @@ class DrbLayer:
         """Mark an admitted packet by the rule fixed at construction and give it an SN.
         ``predicted_sojourn`` covers only the bytes queued ahead of the packet; the
         ``queuing + scheduling`` C9 compares it with includes the packet's own service."""
-        self._dl_since_refresh = True
+        self.dl_since_refresh = True
         ft = pkt.five_tuple
         flow_class = FLOW_CLASS_OF_ECN[pkt.ecn]
         rec = self.mark_state.observe_flow(ft, flow_class, pkt.size_bytes, now)
@@ -140,9 +141,9 @@ class DrbLayer:
         if highest_tx_sn != self._applied_tx_sn:
             stamped = self.profile.on_f1u_feedback(highest_tx_sn, now)
             self._applied_tx_sn = highest_tx_sn
-        if not stamped and not self._dl_since_refresh:
+        if not stamped and not self.dl_since_refresh:
             return self.mark_state.last_estimate
-        self._dl_since_refresh = False
+        self.dl_since_refresh = False
         try:
             est = self.profile.egress_rate_smoothed()
         except EstimateUnavailable:

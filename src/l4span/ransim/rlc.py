@@ -5,13 +5,9 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core import DrbConfig, Packet
-
-
-# what a transmit that completes no SDU returns; shared, never mutated
-_NO_SDUS: tuple = ()
 
 
 class EnqueueResult(enum.Enum):
@@ -29,11 +25,14 @@ class Sdu:
     enq_at: float
     head_at: Optional[float] = None
     done_at: Optional[float] = None
-    sent_bytes: int = 0
 
 
 class RlcQueue:
-    """FIFO SDU queue; transmission order equals ingress order (in-order RLC)."""
+    """FIFO SDU queue; transmission order equals ingress order (in-order RLC).
+
+    Only the head SDU may be partly sent: ``head_left`` counts its unsent
+    bytes (0 when the queue is empty), so a partial send is three counter
+    updates and touches no ``Sdu``."""
 
     def __init__(self, drb: DrbConfig):
         self.drb = drb
@@ -46,6 +45,7 @@ class RlcQueue:
         self.dropped_sdus = 0
         # bytes queued and not yet transmitted, the head's unsent part included
         self.standing_bytes = 0
+        self.head_left = 0
 
     def has_room(self) -> bool:
         return len(self.sdus) < self.drb.max_queue_sdus
@@ -58,45 +58,45 @@ class RlcQueue:
         sdu = Sdu(pkt=pkt, sn=sn, enq_at=now)
         if not self.sdus:
             sdu.head_at = now
+            self.head_left = pkt.size_bytes
         self.sdus.append(sdu)
         self.admitted_bytes += pkt.size_bytes
         self.standing_bytes += pkt.size_bytes
         return EnqueueResult.QUEUED
 
-    def transmit(self, budget_bytes: float, now: float) -> tuple[Sequence[Sdu], int]:
-        """Serve up to ``budget_bytes`` (>= 0); one SDU may be sent partially
-        and completes in a later slot.  Returns completed SDUs and bytes used.
+    def transmit(self, budget_bytes: float, now: float) -> tuple[list[Sdu], int]:
+        """Serve ``int(budget_bytes)`` bytes (``budget_bytes`` >= 0) in FIFO
+        order; returns the SDUs completed, in order, and the bytes used.
 
-        A budget that ends inside the head SDU (``int(budget_bytes)`` below
-        its unsent bytes) is counter arithmetic: it moves the head's
-        ``sent_bytes``, ``standing_bytes`` and ``transmitted_bytes`` and
-        returns a shared empty tuple.  The head's ``head_at`` is already
-        set, and no ``done_at`` or ``highest_tx_sn`` changes."""
+        Each completed SDU gets ``done_at = now`` and its successor, if any,
+        ``head_at = now``; ``highest_tx_sn`` becomes the last completed SN.
+        A budget that ends inside an SDU leaves it at the head with fewer
+        unsent bytes (``head_left``), to complete in a later slot.  The
+        scheduler moves the three counters itself for a budget that ends
+        inside the head, and calls this only when the head completes or
+        its UE has several backlogged queues."""
         budget = int(budget_bytes)
         sdus = self.sdus
-        if sdus:
-            head = sdus[0]
-            if budget < head.pkt.size_bytes - head.sent_bytes:
-                head.sent_bytes += budget
-                self.standing_bytes -= budget
-                self.transmitted_bytes += budget
-                return _NO_SDUS, budget
         used = 0
         completed: list[Sdu] = []
         while budget > 0 and sdus:
-            head = sdus[0]
-            need = head.pkt.size_bytes - head.sent_bytes
-            take = min(need, budget)
-            head.sent_bytes += take
-            budget -= take
-            used += take
-            self.standing_bytes -= take
-            if head.sent_bytes == head.pkt.size_bytes:
-                sdus.popleft()
-                head.done_at = now
-                completed.append(head)
-                self.highest_tx_sn = head.sn
-                if sdus:
-                    sdus[0].head_at = now
+            left = self.head_left
+            if budget < left:
+                self.head_left = left - budget
+                used += budget
+                break
+            budget -= left
+            used += left
+            head = sdus.popleft()
+            head.done_at = now
+            completed.append(head)
+            self.highest_tx_sn = head.sn
+            if sdus:
+                nxt = sdus[0]
+                nxt.head_at = now
+                self.head_left = nxt.pkt.size_bytes
+            else:
+                self.head_left = 0
+        self.standing_bytes -= used
         self.transmitted_bytes += used
         return completed, used

@@ -14,19 +14,29 @@ the decays of the slots it missed, one multiplication per slot, when it is
 next backlogged.  The result is bit-identical to updating every UE every
 slot.  Round robin never reads the average and leaves it alone.
 
-A slot makes one pass over the UEs it is passed, computing each backlogged
-UE's standing bytes, capacity, need, PF catch-up and weight, then divides
-the slot and serves each UE.  A UE with one queue skips ``_queue_shares``:
-its share is ``min(budget, standing)``.  Most shares end inside a queue's
-head SDU, and ``RlcQueue.transmit`` serves those with counter arithmetic,
-so a slot's Python-level SDU work follows SDU completions.
+A slot gathers one row per backlogged UE (standing bytes, capacity, need,
+PF catch-up and weight), divides the slot and serves each row.  A UE keeps
+the capacity of its current trace segment and the segment's end, so the
+trace is looked up only when a slot passes that end.  The division's first
+water-filling pass runs inline; the later passes run only when a need
+below its share leaves slot to hand out again.  A UE with one backlogged
+queue skips ``_queue_shares``: its share is ``min(budget, standing)``.
+Most such shares end inside the queue's head SDU, and a share that does is
+counter arithmetic on the queue (``head_left``, ``standing_bytes``,
+``transmitted_bytes``) done here; ``RlcQueue.transmit`` runs only when a
+head SDU completes or the UE has several backlogged queues.  So the slot
+reports SDUs only for the DRBs that completed one, and names the DRBs that
+transmitted without completing apart.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from functools import reduce
+from operator import add
+from typing import NamedTuple, Optional, Sequence
 
 from .channel import ChannelTrace
 from .rlc import RlcQueue, Sdu
@@ -42,47 +52,66 @@ class SchedulerPolicy(enum.Enum):
 
 @dataclass
 class UeContext:
+    """A UE's scheduler state.  ``queues`` is fixed at construction (kept as
+    a tuple); ``queue`` is the only one, or None for a UE with several.
+    Slots must be served in time order: ``cap`` holds until ``cap_until``."""
+
     ue_id: int
     trace: ChannelTrace
-    queues: list[RlcQueue] = field(default_factory=list)
+    queues: Sequence[RlcQueue] = ()
     ewma_rate: float = _PF_RATE_FLOOR
     # the time of the first slot whose PF update ``ewma_rate`` lacks; it must
     # start at the caller's first slot, or a new UE is decayed for the slots
     # before it (one multiplication each)
     ewma_at: float = 0.0
+    queue: Optional[RlcQueue] = field(init=False)
+    # the capacity of the trace segment of the last lookup, and its end
+    cap: float = field(default=0.0, init=False)
+    cap_until: float = field(default=-math.inf, init=False)
+
+    def __post_init__(self) -> None:
+        self.queues = tuple(self.queues)
+        self.queue = self.queues[0] if len(self.queues) == 1 else None
 
     def standing_bytes(self) -> int:
         return sum(q.standing_bytes for q in self.queues)
 
 
 class SlotTransmissions(NamedTuple):
-    """What one DRB transmitted during a slot."""
+    """The SDUs one DRB completed during a slot, in order (at least one)."""
 
     queue: RlcQueue
     completed: Sequence[Sdu]
-    used_bytes: int
 
 
 def _water_fill(needs: list[float], weights: list[float], total: float) -> list[float]:
     """Divide ``total`` proportionally to weights, capping at each need and
     redistributing unused share; terminates in at most len(needs) passes."""
-    n = len(needs)
-    alloc = [0.0] * n
-    active = [i for i in range(n) if needs[i] > 0]
-    remaining = total
+    alloc = [0.0] * len(needs)
+    active = [i for i, need in enumerate(needs) if need > 0]
+    return _fill_passes(needs, weights, alloc, active, total)
+
+
+def _fill_passes(needs: list[float], weights: list[float], alloc: list[float],
+                 active: list[int], remaining: float) -> list[float]:
+    """``_water_fill``'s passes from a state: ``alloc`` so far, the indices
+    still short of their needs, in order, and the share not yet handed out.
+    Each pass gives every index in ``active`` ``remaining * weight / wsum``
+    capped at its room (``min`` keeps the share on a tie, an equal float),
+    with ``wsum`` the builtin ``sum`` of their weights, and adds the takes
+    up in order from 0.0 (``reduce``, as a running ``+=`` does)."""
     while active and remaining > 1e-12:
-        wsum = sum(weights[i] for i in active)
+        ws = [weights[i] for i in active]
+        wsum = sum(ws)
         if wsum <= 0:
             break
-        given = 0.0
+        takes = list(map(min, [remaining * w / wsum for w in ws],
+                         [needs[i] - alloc[i] for i in active]))
+        given = reduce(add, takes, 0.0)
         still = []
-        for i in active:
-            share = remaining * weights[i] / wsum
-            room = needs[i] - alloc[i]
-            take = share if share < room else room
-            alloc[i] += take
-            given += take
-            if alloc[i] < needs[i] - 1e-12:
+        for i, take in zip(active, takes):
+            a = alloc[i] = alloc[i] + take
+            if a < needs[i] - 1e-12:
                 still.append(i)
         remaining -= given
         if given <= 1e-12:
@@ -92,10 +121,22 @@ def _water_fill(needs: list[float], weights: list[float], total: float) -> list[
 
 
 def _queue_shares(needs: list[float], budget: float) -> list[float]:
-    """Split a UE's budget equally over its backlogged queues.  The
-    scheduler gives a UE with one queue min(budget, need) without calling
-    this: that is what ``_water_fill`` returns for one queue whenever the
-    budget is above its 1e-12 floor (budgets here are >= 1)."""
+    """Split a UE's budget equally over its backlogged queues, as
+    ``_water_fill`` with unit weights does.  The scheduler gives a UE with
+    one backlogged queue min(budget, need) without calling this: that is
+    what ``_water_fill`` returns for one queue whenever the budget is above
+    its 1e-12 floor (budgets here are >= 1).  Two queues are worked out
+    here when the first pass settles it: both get half, or both their needs."""
+    if len(needs) == 2:
+        n0, n1 = needs
+        if n0 > 0 and n1 > 0:
+            half = budget * 1.0 / 2.0
+            if half < n0 and half < n1:
+                # both short of their needs, and half + half hands out the
+                # whole budget (within 1e-12), so no second pass runs
+                return [0.0 + half, 0.0 + half]
+            if not half < n0 and not half < n1:
+                return [0.0 + n0, 0.0 + n1]  # both needs met
     return _water_fill(needs, [1.0] * len(needs), budget)
 
 
@@ -111,69 +152,122 @@ def pf_catch_up(ue: UeContext, now: float, slot_len_secs: float) -> None:
     ue.ewma_at = now
 
 
+def _serve_queues(queues: list[RlcQueue], budget: float, now: float,
+                  completions: list[SlotTransmissions], partial: list[RlcQueue]) -> int:
+    """Serve a UE's backlogged queues their ``_queue_shares`` of ``budget``;
+    returns the bytes served."""
+    served = 0
+    for q, share in zip(queues, _queue_shares([float(q.standing_bytes) for q in queues], budget)):
+        if share < 1:
+            continue
+        completed, used = q.transmit(share, now)
+        if completed:
+            completions.append(SlotTransmissions(q, completed))
+        elif used:
+            partial.append(q)
+        served += used
+    return served
+
+
 def scheduler_slot(
     ues: list[UeContext],
     policy: SchedulerPolicy,
     slot_len_secs: float,
     now: float,
-) -> list[SlotTransmissions]:
-    """Serve one slot; returns per-DRB transmissions (feedback is emitted per
-    DRB per slot with transmissions by the caller).  UEs not passed are idle
-    this slot.  Of those passed, only UEs with standing bytes have their
-    channel rate looked up, and only those with capacity have their PF
-    average brought up to date.  Under PF, each UE's ``ewma_at`` must start
-    at the time of the caller's first slot."""
+) -> tuple[list[SlotTransmissions], list[RlcQueue]]:
+    """Serve one slot.  Returns the DRBs that completed SDUs, with those
+    SDUs, and the DRBs that transmitted without completing one, each in
+    transmit order.  UEs not passed are idle this slot.  Of those passed,
+    only UEs with standing bytes have their capacity read, and only those
+    with capacity have their PF average brought up to date.  Under PF,
+    each UE's ``ewma_at`` must start at the time of the caller's first slot."""
     pf = policy is SchedulerPolicy.PROPORTIONAL_FAIR
     half_slot = slot_len_secs / 2
-    # one pass: standing bytes, capacity, need (in slot-fraction units),
-    # PF catch-up and weight of each backlogged UE
-    backlogged = []  # (ue, capacity, standing bytes)
+    # gather: one row per backlogged UE with capacity, and its need (in
+    # slot-fraction units) and weight
+    rows = []  # (ue, its only queue or None, capacity, standing bytes)
     needs = []
     weights = []
+    add_row, add_need, add_weight = rows.append, needs.append, weights.append
     for ue in ues:
-        standing = 0
-        for q in ue.queues:
-            standing += q.standing_bytes
+        only = ue.queue
+        if only is None:
+            standing = 0
+            for q in ue.queues:
+                standing += q.standing_bytes
+        else:
+            standing = only.standing_bytes
         if standing > 0:
-            cap = ue.trace.rate_at(now)
+            if now >= ue.cap_until:
+                ue.cap, ue.cap_until = ue.trace.segment_at(now)
+            cap = ue.cap
             if cap > 0:
-                backlogged.append((ue, cap, standing))
+                add_row((ue, only, cap, standing))
                 need = standing / (cap * slot_len_secs)
-                needs.append(need if need < 1.0 else 1.0)
+                add_need(need if need < 1.0 else 1.0)
                 if pf:
                     if now - ue.ewma_at > half_slot:  # idle for at least one slot
                         pf_catch_up(ue, now, slot_len_secs)
                     rate = ue.ewma_rate
-                    weights.append(cap / (_PF_RATE_FLOOR if _PF_RATE_FLOOR > rate else rate))
+                    add_weight(cap / (_PF_RATE_FLOOR if _PF_RATE_FLOOR > rate else rate))
                 else:
-                    weights.append(1.0)
-    reports: list[SlotTransmissions] = []
-    if not backlogged:
-        return reports
-    fractions = _water_fill(needs, weights, 1.0)
+                    add_weight(1.0)
+    completions: list[SlotTransmissions] = []
+    partial: list[RlcQueue] = []
+    if not rows:
+        return completions, partial
+    wsum = sum(weights)
+    if len(rows) == 1 and wsum > 0:
+        # a lone UE's share is w / w = 1.0, so its need (<= 1.0) is its fraction
+        fractions = needs
+    elif wsum > 0 and min(needs) > 0:
+        # _water_fill's first pass, every UE active: remaining * w / wsum
+        # with remaining 1.0 (and 1.0 * w is w), capped at the need (min
+        # keeps the share on a tie, an equal float), given added in order
+        shares = [w / wsum for w in weights]
+        fractions = list(map(min, shares, needs))
+        given = reduce(add, fractions, 0.0)
+        remaining = 1.0 - given
+        # passes go on while a UE that got its share is still short of its
+        # need and some share is left: a need below its share freed it
+        if remaining > 1e-12 and given > 1e-12 and fractions != needs:
+            short = [i for i, (share, need) in enumerate(zip(shares, needs))
+                     if share < need - 1e-12]
+            if short:
+                fractions = _fill_passes(needs, weights, fractions, short, remaining)
+    else:
+        fractions = _water_fill(needs, weights, 1.0)
     alpha = slot_len_secs / PF_EWMA_HORIZON_SECS
-    for (ue, cap, standing), fraction in zip(backlogged, fractions):
+    keep = 1.0 - alpha
+    next_slot = now + slot_len_secs
+    add_partial = partial.append
+    for (ue, only, cap, standing), fraction in zip(rows, fractions):
         budget = fraction * cap * slot_len_secs
         if budget < 1:
             continue
-        if len(ue.queues) == 1:
-            # _queue_shares' one-queue share; it is >= 1, so bytes move
-            q = ue.queues[0]
-            completed, served = q.transmit(budget if budget < standing else standing, now)
-            reports.append(SlotTransmissions(q, completed, served))
-        else:
+        if only is None:
             queues = [q for q in ue.queues if q.standing_bytes > 0]
-            served = 0
-            for q, share in zip(queues, _queue_shares([float(q.standing_bytes) for q in queues],
-                                                      budget)):
-                if share < 1:
-                    continue
-                completed, used = q.transmit(share, now)
-                if used > 0:
-                    served += used
-                    reports.append(SlotTransmissions(q, completed, used))
-        if pf and served:
+            if len(queues) > 1:
+                served = _serve_queues(queues, budget, now, completions, partial)
+                if pf and served:
+                    ue.ewma_rate = keep * ue.ewma_rate + alpha * (served / slot_len_secs)
+                    ue.ewma_at = next_slot
+                continue
+            only = queues[0]  # the one backlogged queue: its standing bytes are the UE's
+        # _queue_shares' one-queue share, min(budget, standing); it is >= 1,
+        # so bytes move
+        served = int(budget) if budget < standing else standing
+        left = only.head_left
+        if served < left:  # ends inside the head SDU
+            only.head_left = left - served
+            only.standing_bytes -= served
+            only.transmitted_bytes += served
+            add_partial(only)
+        else:
+            completed, served = only.transmit(served, now)
+            completions.append(SlotTransmissions(only, completed))
+        if pf:
             # an unserved UE's update is an exact decay, applied lazily
-            ue.ewma_rate = (1.0 - alpha) * ue.ewma_rate + alpha * (served / slot_len_secs)
-            ue.ewma_at = now + slot_len_secs
-    return reports
+            ue.ewma_rate = keep * ue.ewma_rate + alpha * (served / slot_len_secs)
+            ue.ewma_at = next_slot
+    return completions, partial

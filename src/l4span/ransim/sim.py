@@ -5,13 +5,17 @@ marking layer ingress -> RLC queue -> slot scheduler transmits -> delivery
 to the UE (AM adds the configured delivery delay) -> receiver ACK ->
 (UE->CU uplink leg) -> marking layer rewrites feedback -> (CU->server
 propagation) -> sender reacts.  The RAN status message, the DRB's highest
-transmitted PDCP SN, reaches the marking layer once per DRB per slot with
-transmissions.  A slot's zero-delay work (the deliveries that take no time
-and those per-DRB status messages) runs as one post-slot event at the
-slot's time, in transmit order, after every same-time event queued before
-it.  The scheduler sees only the UEs with queued data: an admitted packet
-adds its UE to the active set, and a UE whose queues drained in a slot
-leaves it.
+transmitted PDCP SN, reaches the marking layer once per DRB per slot in
+which the DRB completes an SDU.  A DRB that transmits in a slot without
+completing one would repeat the SN its layer last applied, which changes
+state only when a downlink packet arrived since the layer's last refresh,
+so its message is applied only then.  A slot's zero-delay work runs as one
+post-slot event at the slot's time, after every same-time event queued
+before it: the deliveries that take no time and the status messages of the
+DRBs that completed SDUs, in transmit order, then the messages of the DRBs
+that only transmitted and have a refresh pending.  The scheduler sees only
+the UEs with queued data: an admitted packet adds its UE to the active set,
+and a UE whose queues drained in a slot leaves it.
 
 Every event carries the handler it runs, called with the event's data and
 time: a simulator method, or for a sender timer the endpoint method it
@@ -387,15 +391,16 @@ class Simulator:
         self.ue_ctx: list[UeContext] = []
         self.queues: dict[tuple, _Bearer] = {}
         self.layers: dict[tuple, DrbLayer] = {}
-        # indices into ue_ctx of the UEs with standing bytes
+        # indices into ue_ctx of the UEs with standing bytes, and those UEs
+        # in ue_ctx order (None once the set has changed)
         self._active: set[int] = set()
+        self._passed: Optional[list[UeContext]] = []
         self.flows: list[_FlowRuntime] = []
         self.flow_by_tuple: dict[FiveTuple, _FlowRuntime] = {}
 
         for ue in scenario.ues:
-            # PF averages are current up to the first slot, which run() puts at 0.0
-            ctx = UeContext(ue_id=ue.ue_id, trace=ue.channel.build(scenario.horizon_secs),
-                            ewma_at=0.0)
+            trace = ue.channel.build(scenario.horizon_secs)
+            bearers = []
             for drb in ue.drbs:
                 cfg = DrbConfig(ue_id=ue.ue_id, drb_id=drb.drb_id,
                                 rlc_mode=RlcMode(drb.rlc_mode),
@@ -419,7 +424,7 @@ class Simulator:
                 rule = (mark_rule if aqm.kind == "l4span" else
                         bearer.step_mark if aqm.kind == "dualpi2step" else _pass_every_packet)
                 bearer.layer = DrbLayer(params, scenario.window_secs, rule)
-                ctx.queues.append(bearer)
+                bearers.append(bearer)
                 self.queues[key] = bearer
                 self.layers[key] = bearer.layer
                 for fspec in drb.flows:
@@ -445,7 +450,9 @@ class Simulator:
                     flow.receiver = ReceiverState(flow=ft, mode=flow.feedback_mode)
                     self.flows.append(flow)
                     self.flow_by_tuple[ft] = flow
-            self.ue_ctx.append(ctx)
+            # PF averages are current up to the first slot, which run() puts at 0.0
+            self.ue_ctx.append(UeContext(ue_id=ue.ue_id, trace=trace, queues=bearers,
+                                         ewma_at=0.0))
 
         self.metrics = MetricsCollector(
             flow_names=[f.spec.name for f in self.flows],
@@ -456,6 +463,10 @@ class Simulator:
         self._policy = SchedulerPolicy(scenario.scheduler)
         self._slots_per_interval = max(1, round(INTERVAL_SECS / scenario.slot_secs))
         self._ue_served_at_warmup: dict[int, int] = {}
+        # the slot that snapshots the served bytes is the one within half a
+        # slot of the warm-up's end
+        self._warmup_from = scenario.warmup_secs - scenario.slot_secs / 2
+        self._warmup_to = scenario.warmup_secs + scenario.slot_secs / 2
 
     # -- helpers -----------------------------------------------------------
 
@@ -482,7 +493,9 @@ class Simulator:
             return
         pkt.pred_sojourn = outcome.predicted_sojourn
         q.enqueue(pkt, outcome.sn, now)
-        self._active.add(q.ue_index)
+        if q.ue_index not in self._active:
+            self._active.add(q.ue_index)
+            self._passed = None
         if outcome.decision in (MarkDecision.TENTATIVE_MARK, MarkDecision.MARK_CE):
             flow.pending_marks.append(now)
             self.metrics.on_mark(now, flow.spec.name)
@@ -490,16 +503,18 @@ class Simulator:
     def _slot_tick(self, n: int, now: float) -> None:
         ue_ctx = self.ue_ctx
         active = self._active
-        reports = scheduler_slot([ue_ctx[i] for i in sorted(active)], self._policy,
-                                 self.scn.slot_secs, now)
+        passed = self._passed
+        if passed is None:
+            passed = self._passed = [ue_ctx[i] for i in sorted(active)]
+        completions, partial = scheduler_slot(passed, self._policy, self.scn.slot_secs, now)
         # the slot's zero-delay work in transmit order, run by one post-slot
-        # event: per bearer, its (flow, sdu) deliveries, then its feedback
+        # event: per bearer that completed SDUs, its (flow, sdu) deliveries,
+        # then its status message
         post = []
-        for rep in reports:
-            b = rep.queue
+        for b, completed in completions:
             drb = b.spec
             deliveries = []
-            for sdu in rep.completed:
+            for sdu in completed:
                 flow = self.flow_by_tuple[sdu.pkt.five_tuple]
                 if b.am:
                     delay = drb.delivery_delay_secs
@@ -515,24 +530,36 @@ class Simulator:
             post.append((b, deliveries))
             if not b.standing_bytes and not ue_ctx[b.ue_index].standing_bytes():
                 active.discard(b.ue_index)
-        if post:
-            self.loop.schedule(now, EventKind.F1U_FEEDBACK, self._post_slot, post)
+                self._passed = None
+        if post or partial:
+            self.loop.schedule(now, EventKind.F1U_FEEDBACK, self._post_slot, (post, partial))
         if n > 0 and n % self._slots_per_interval == 0:
             self._close_interval(now)
-        if self.scn.warmup_secs - self.scn.slot_secs / 2 <= now < self.scn.warmup_secs + self.scn.slot_secs / 2:
+        if self._warmup_from <= now < self._warmup_to:
             for ctx in self.ue_ctx:
                 self._ue_served_at_warmup[ctx.ue_id] = sum(q.transmitted_bytes for q in ctx.queues)
         nxt = (n + 1) * self.scn.slot_secs
         if nxt <= self.scn.horizon_secs:
             self.loop.schedule(nxt, EventKind.SLOT_TICK, self._slot_tick, n + 1)
 
-    def _post_slot(self, batch, now: float) -> None:
+    def _post_slot(self, data, now: float) -> None:
+        """Deliver and report for each bearer that completed SDUs; then give
+        each bearer that only transmitted its status message if it would
+        refresh.  Every completion's message is applied here, in its own
+        slot, so a bearer without one repeats the SN its layer last applied,
+        and such a message changes state only after a downlink packet (see
+        ``DrbLayer.on_ran_feedback``).  That is read now, not at the tick:
+        a same-time downlink arrival may run in between."""
+        batch, partial = data
         deliver = self._deliver
         for b, deliveries in batch:
             for item in deliveries:
                 deliver(item, now)
-            if b.highest_tx_sn is not None:
-                b.layer.on_ran_feedback(b.highest_tx_sn, now)
+            b.layer.on_ran_feedback(b.highest_tx_sn, now)
+        for b in partial:
+            layer = b.layer
+            if layer.dl_since_refresh and b.highest_tx_sn is not None:
+                layer.on_ran_feedback(b.highest_tx_sn, now)
 
     def _deliver(self, item, now: float) -> None:
         flow, sdu = item

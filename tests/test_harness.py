@@ -44,6 +44,8 @@ from l4span.harness.scenario import (
     scenario_to_dict,
 )
 from l4span.harness.acceptance import VARIANTS, AcceptanceRunner, variant_scenario
+from l4span.ransim import channel as channel_mod
+from l4span.ransim.channel import ChannelTrace
 from l4span.ransim.sim import Simulator, run
 from test_golden import cached_run, golden_scenario, idle_return_scenario
 
@@ -222,7 +224,7 @@ def _assert_each_trace_built_once(make_scenarios, monkeypatch) -> None:
     check."""
     built = _count_builds(monkeypatch)
     scenarios = make_scenarios()
-    assert built and {horizon for _, horizon, _ in built} == {0.0}
+    assert {horizon for _, horizon, _ in built} <= {0.0}
     for scn in scenarios:
         built.clear()
         sim = Simulator(scn)
@@ -233,10 +235,29 @@ def _assert_each_trace_built_once(make_scenarios, monkeypatch) -> None:
 
 
 def test_validate_checks_each_channel_over_a_zero_horizon(monkeypatch):
-    scn = BUILTIN_SCENARIOS["mobile-16ue"]()
+    # a fading or sinusoid channel goes through its generator's parameter
+    # check, which builds no trace and seeds no RNG; a static or step
+    # channel is still built over a zero horizon
+    scn = golden_scenario()
+    scn.ues[3].channel = ChannelSpec(kind="step")
     built = _count_builds(monkeypatch)
+    checked = []
+    for name in ("check_sinusoid", "check_fading"):
+        def counted(*args, real=getattr(ChannelTrace, name), name=name, **kwargs):
+            checked.append((name, args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ChannelTrace, name, staticmethod(counted))
+
+    def no_rng(*args):
+        raise AssertionError("a channel check seeded an RNG")
+
+    monkeypatch.setattr(channel_mod, "random", SimpleNamespace(Random=no_rng))
+    assert [ue.channel.kind for ue in scn.ues] == ["fading", "fading", "sinusoid", "step"]
     assert scn.validate() is None
-    assert [(spec, horizon) for spec, horizon, _ in built] == [(ue.channel, 0.0) for ue in scn.ues]
+    assert [(spec, horizon) for spec, horizon, _ in built] == [(scn.ues[3].channel, 0.0)]
+    assert checked == [(f"check_{ue.channel.kind}", ue.channel.mean_bps / 8.0)
+                       for ue in scn.ues[:3]]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))

@@ -168,6 +168,63 @@ def test_trace_integral_adds_segments_in_order():
     assert repr(ChannelTrace([0.0], [-0.0]).integral(0.0, 1.0)) == "0.0"
 
 
+def _raised(call):
+    """The type and message of what ``call()`` raises (None if it returns)."""
+    try:
+        call()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _zero_horizon_sinusoid(mean, amplitude, period, sample_secs, phase):
+    """The sinusoid generator's parameter checks and a zero-horizon build's
+    breakpoint checks, one scalar sample at a time."""
+    if period <= 0 or sample_secs <= 0:
+        raise ValueError("period and sample_secs must be positive")
+    if abs(amplitude) > mean:
+        raise ValueError("amplitude may not exceed mean (capacity must stay >= 0)")
+    _check_breakpoints_oracle(_sinusoid_oracle(mean, amplitude, period, 0.0, sample_secs, phase))
+
+
+def _zero_horizon_fading(mean, slow_amplitude, slow_period, fade_floor, fade_secs, fast_floor,
+                         fast_secs, phase):
+    if not 0.0 < fade_floor <= 1.0 or not 0.0 < fast_floor <= 1.0:
+        raise ValueError("fade floors must be in (0, 1]")
+    if fade_secs <= 0 or fast_secs <= 0:
+        raise ValueError("fade hold times must be positive")
+    if slow_period <= 0:
+        raise ValueError("period must be positive")
+    _check_breakpoints_oracle(_fading_oracle(mean, slow_amplitude, slow_period, 0.0, fade_floor,
+                                             fade_secs, fast_floor, fast_secs, 1, phase))
+
+
+_check_arg = st.one_of(_edge_floats, st.floats(), st.floats(1e-320, 1e-300),
+                       st.sampled_from([0.5, 0.01, 0.1, 0.025, 5.0, 1e6]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(*[_check_arg] * 5))
+@example((1e6, 2e6, 5.0, 0.025, 0.0))          # amplitude past the mean
+@example((math.inf, 0.0, 5.0, 0.025, 0.0))     # an infinite first sample
+@example((1e6, 0.0, 5.0, math.nan, 0.0))       # no sample count
+@example((1e6, 1e5, 1e-320, 0.025, 0.0))       # the second sample's phase overflows
+def test_sinusoid_check_raises_what_a_zero_horizon_build_raises(args):
+    assert _raised(lambda: ChannelTrace.check_sinusoid(*args)) \
+        == _raised(lambda: _zero_horizon_sinusoid(*args))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(*[_check_arg] * 8))
+@example((1e6, 4e5, 5.0, 0.5, 0.1, 0.75, 0.01, 0.0))
+@example((math.nan, 4e5, 5.0, 0.5, 0.1, 0.75, 0.01, 0.0))   # a NaN slow mean
+@example((-math.inf, 4e5, 5.0, 0.5, 0.1, 0.75, 0.01, 0.0))  # clamped to 0: finite
+@example((1e6, 4e5, 5.0, 0.5, math.inf, 0.75, 0.01, 0.0))   # no whole shadowing hold
+def test_fading_check_raises_what_a_zero_horizon_build_raises(args):
+    assert _raised(lambda: ChannelTrace.check_fading(*args)) \
+        == _raised(lambda: _zero_horizon_fading(*args))
+
+
 # -- test-side oracles: the generators as one scalar sample at a time --------
 
 
@@ -372,66 +429,70 @@ def test_rlc_conserves_bytes_under_partial_transmits(ops, cap):
             assert q.highest_tx_sn == model.highest_tx_sn
             done += completed
         assert q.admitted_bytes == q.transmitted_bytes + q.standing_bytes
-        assert q.standing_bytes == sum(s.pkt.size_bytes - s.sent_bytes for s in q.sdus)
-        assert [(s.sn, s.pkt.size_bytes - s.sent_bytes, s.head_at, s.done_at) for s in q.sdus] \
-            == [(m_sn, unsent, head_at, None) for m_sn, unsent, head_at in model.queued]
         queued = list(q.sdus)
-        # only the head may be partly sent, and it knows when it got there
-        assert all(s.sent_bytes == 0 for s in queued[1:])
-        assert not queued or (queued[0].sent_bytes < queued[0].pkt.size_bytes
+        # only the head may be partly sent: head_left holds its unsent bytes
+        # (0 for an empty queue), and every later SDU is whole
+        assert q.head_left == (model.queued[0][1] if model.queued else 0)
+        assert q.standing_bytes == q.head_left + sum(s.pkt.size_bytes for s in queued[1:])
+        assert [(s.sn, s.head_at, s.done_at) for s in queued] \
+            == [(m_sn, head_at, None) for m_sn, _, head_at in model.queued]
+        assert [s.pkt.size_bytes for s in queued[1:]] == [unsent for _, unsent, _ in model.queued[1:]]
+        # the head knows when it got there
+        assert not queued or (0 < q.head_left <= queued[0].pkt.size_bytes
                               and queued[0].enq_at <= queued[0].head_at <= now)
     sns = [s.sn for s in done]
     assert sns == sorted(sns) and len(set(sns)) == len(sns)
     assert all(s.enq_at <= s.head_at <= s.done_at for s in done)
-    assert all(s.sent_bytes == s.pkt.size_bytes for s in done)
-    assert q.transmitted_bytes == sum(s.pkt.size_bytes for s in done) + sum(
-        s.sent_bytes for s in q.sdus)
+    assert q.transmitted_bytes == sum(s.pkt.size_bytes for s in done) + (
+        q.sdus[0].pkt.size_bytes - q.head_left if q.sdus else 0)
 
 
 # -- scheduler ----------------------------------------------------------------
 
 
 def _ue(ue_id, rate, queued_sdus):
-    ctx = UeContext(ue_id=ue_id, trace=ChannelTrace.static(rate))
     q = RlcQueue(DrbConfig(ue_id=ue_id, drb_id=1))
     for i in range(1, queued_sdus + 1):
         q.enqueue(_pkt(i), i, 0.0)
-    ctx.queues.append(q)
-    return ctx
+    return UeContext(ue_id=ue_id, trace=ChannelTrace.static(rate), queues=[q])
+
+
+def _transmitting(slot):
+    """The DRBs a slot served: those that completed SDUs, then the rest."""
+    completions, partial = slot
+    return [rep.queue for rep in completions] + partial
 
 
 def test_slot_capacity_arithmetic():
     # one UE at 5 MB/s over a 0.5 ms slot: 2500 B per slot within one SDU
     ue = _ue(1, 5e6, 100)
-    reports = scheduler_slot([ue], SchedulerPolicy.ROUND_ROBIN, 0.0005, 0.0)
-    assert len(reports) == 1
-    assert abs(reports[0].used_bytes - 2500) <= 1500
+    assert _transmitting(scheduler_slot([ue], SchedulerPolicy.ROUND_ROBIN, 0.0005, 0.0)) \
+        == [ue.queue]
+    assert abs(ue.queue.transmitted_bytes - 2500) <= 1500
 
 
 def test_round_robin_equal_split():
     ues = [_ue(1, 5e6, 100), _ue(2, 5e6, 100)]
-    served = {1: 0, 2: 0}
     for n in range(20):
-        for rep in scheduler_slot(ues, SchedulerPolicy.ROUND_ROBIN, 0.0005, n * 0.0005):
-            served[rep.queue.drb.ue_id] += rep.used_bytes
+        scheduler_slot(ues, SchedulerPolicy.ROUND_ROBIN, 0.0005, n * 0.0005)
+    served = {ue.ue_id: ue.queue.transmitted_bytes for ue in ues}
     assert abs(served[1] - served[2]) <= 1500
 
 
 def test_unused_share_redistributed():
     # one of two UEs has an empty queue: the other gets the whole slot
     ues = [_ue(1, 5e6, 100), _ue(2, 5e6, 0)]
-    reports = scheduler_slot(ues, SchedulerPolicy.ROUND_ROBIN, 0.0005, 0.0)
-    assert len(reports) == 1
-    assert reports[0].queue.drb.ue_id == 1
-    assert abs(reports[0].used_bytes - 2500) <= 1500
+    assert _transmitting(scheduler_slot(ues, SchedulerPolicy.ROUND_ROBIN, 0.0005, 0.0)) \
+        == [ues[0].queue]
+    assert ues[1].queue.transmitted_bytes == 0
+    assert abs(ues[0].queue.transmitted_bytes - 2500) <= 1500
 
 
 def test_proportional_fair_serves_all_backlogged():
     ues = [_ue(1, 5e6, 200), _ue(2, 5e6, 200)]
-    served = {1: 0, 2: 0}
     for n in range(100):
-        for rep in scheduler_slot(ues, SchedulerPolicy.PROPORTIONAL_FAIR, 0.0005, n * 0.0005):
-            served[rep.queue.drb.ue_id] += rep.used_bytes
+        scheduler_slot(ues, SchedulerPolicy.PROPORTIONAL_FAIR, 0.0005, n * 0.0005)
+    served = {ue.ue_id: ue.queue.transmitted_bytes for ue in ues}
     assert served[1] > 0 and served[2] > 0
     # equal channels and full backlog: long-run shares converge
     assert abs(served[1] - served[2]) / (served[1] + served[2]) < 0.1
@@ -508,12 +569,11 @@ def test_simulator_builds_each_channel_trace_once(monkeypatch):
 
     monkeypatch.setattr(ChannelSpec, "build", counted)
     sim = Simulator(scn)
-    # validate() checks each channel over a zero horizon; the full traces
-    # are built once each
+    # validate() checks each fading channel without building a trace; the
+    # full traces are built once each
     full = [(spec, trace) for spec, horizon, trace in built if horizon == scn.horizon_secs]
-    assert [(spec, horizon) for spec, horizon, _ in built if horizon == 0.0] == [
-        (ue.channel, 0.0) for ue in scn.ues]
-    assert len(built) == 2 * len(scn.ues)
+    assert {ue.channel.kind for ue in scn.ues} == {"fading"}
+    assert len(built) == len(scn.ues)
     assert [spec for spec, _ in full] == [ue.channel for ue in scn.ues]
     assert len(sim.ue_ctx) == len(full)
     assert all(ctx.trace is trace for ctx, (_, trace) in zip(sim.ue_ctx, full))
