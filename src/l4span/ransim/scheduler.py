@@ -247,26 +247,24 @@ def scheduler_slot(
             continue
         if only is None:
             queues = [q for q in ue.queues if q.standing_bytes > 0]
-            if len(queues) > 1:
-                served = _serve_queues(queues, budget, now, completions, partial)
-                if pf and served:
-                    ue.ewma_rate = keep * ue.ewma_rate + alpha * (served / slot_len_secs)
-                    ue.ewma_at = next_slot
-                continue
-            only = queues[0]  # the one backlogged queue: its standing bytes are the UE's
-        # _queue_shares' one-queue share, min(budget, standing); it is >= 1,
-        # so bytes move
-        served = int(budget) if budget < standing else standing
-        left = only.head_left
-        if served < left:  # ends inside the head SDU
-            only.head_left = left - served
-            only.standing_bytes -= served
-            only.transmitted_bytes += served
-            add_partial(only)
+            # one backlogged queue holds all of the UE's standing bytes
+            only = queues[0] if len(queues) == 1 else None
+        if only is None:
+            served = _serve_queues(queues, budget, now, completions, partial)
         else:
-            completed, served = only.transmit(served, now)
-            completions.append(SlotTransmissions(only, completed))
-        if pf:
+            # _queue_shares' one-queue share, min(budget, standing); it is
+            # >= 1, so bytes move
+            served = int(budget) if budget < standing else standing
+            left = only.head_left
+            if served < left:  # ends inside the head SDU
+                only.head_left = left - served
+                only.standing_bytes -= served
+                only.transmitted_bytes += served
+                add_partial(only)
+            else:
+                completed, served = only.transmit(served, now)
+                completions.append(SlotTransmissions(only, completed))
+        if pf and served:
             # an unserved UE's update is an exact decay, applied lazily
             ue.ewma_rate = keep * ue.ewma_rate + alpha * (served / slot_len_secs)
             ue.ewma_at = next_slot
