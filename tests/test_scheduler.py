@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
