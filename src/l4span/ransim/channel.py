@@ -62,6 +62,9 @@ class ChannelTrace:
         return list(zip(self._times, self._caps))
 
     def rate_at(self, t: float) -> float:
+        # the simulator looks capacities up through ``segment_at``, so a
+        # count of ``rate_at`` calls (the benchmark's trace keeps one) does
+        # not see its lookups
         return self.segment_at(t)[0]
 
     def segment_at(self, t: float) -> tuple[float, float]:

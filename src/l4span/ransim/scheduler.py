@@ -15,18 +15,16 @@ next backlogged.  The result is bit-identical to updating every UE every
 slot.  Round robin never reads the average and leaves it alone.
 
 A slot gathers one row per backlogged UE (standing bytes, capacity, need,
-PF catch-up and weight), divides the slot and serves each row.  A UE keeps
-the capacity of its current trace segment and the segment's end, so the
-trace is looked up only when a slot passes that end.  The division's first
-water-filling pass runs inline; the later passes run only when a need
-below its share leaves slot to hand out again.  A UE with one backlogged
-queue skips ``_queue_shares``: its share is ``min(budget, standing)``.
-Most such shares end inside the queue's head SDU, and a share that does is
-counter arithmetic on the queue (``head_left``, ``standing_bytes``,
-``transmitted_bytes``) done here; ``RlcQueue.transmit`` runs only when a
-head SDU completes or the UE has several backlogged queues.  So the slot
-reports SDUs only for the DRBs that completed one, and names the DRBs that
-transmitted without completing apart.
+PF catch-up and weight), divides the slot with ``_water_fill`` and serves
+each row.  A UE keeps the capacity of its current trace segment and the
+segment's end, so the trace is looked up only when a slot passes that end.
+A UE with one backlogged queue skips ``_queue_shares``: its share is
+``min(budget, standing)``.  Most such shares end inside the queue's head
+SDU, and a share that does is counter arithmetic on the queue
+(``head_left``, ``standing_bytes``, ``transmitted_bytes``) done here;
+``RlcQueue.transmit`` runs only when a head SDU completes or the UE has
+several backlogged queues.  So the slot reports SDUs only for the DRBs that
+completed one, and names the DRBs that transmitted without completing apart.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .channel import ChannelTrace
@@ -86,31 +82,28 @@ class SlotTransmissions(NamedTuple):
 
 def _water_fill(needs: list[float], weights: list[float], total: float) -> list[float]:
     """Divide ``total`` proportionally to weights, capping at each need and
-    redistributing unused share; terminates in at most len(needs) passes."""
+    redistributing unused share; terminates in at most len(needs) passes.
+
+    Each pass gives every index still short of its need ``remaining * weight
+    / wsum`` capped at its room, with ``wsum`` the builtin ``sum`` of their
+    weights, and adds the takes up in order from 0.0.  Plain scalar
+    arithmetic: ``min`` and whole-list ``map`` calls cost more per element
+    at the benchmark workloads' sizes (2 to 16 rows)."""
     alloc = [0.0] * len(needs)
     active = [i for i, need in enumerate(needs) if need > 0]
-    return _fill_passes(needs, weights, alloc, active, total)
-
-
-def _fill_passes(needs: list[float], weights: list[float], alloc: list[float],
-                 active: list[int], remaining: float) -> list[float]:
-    """``_water_fill``'s passes from a state: ``alloc`` so far, the indices
-    still short of their needs, in order, and the share not yet handed out.
-    Each pass gives every index in ``active`` ``remaining * weight / wsum``
-    capped at its room (``min`` keeps the share on a tie, an equal float),
-    with ``wsum`` the builtin ``sum`` of their weights, and adds the takes
-    up in order from 0.0 (``reduce``, as a running ``+=`` does)."""
+    remaining = total
     while active and remaining > 1e-12:
-        ws = [weights[i] for i in active]
-        wsum = sum(ws)
+        wsum = sum([weights[i] for i in active])
         if wsum <= 0:
             break
-        takes = list(map(min, [remaining * w / wsum for w in ws],
-                         [needs[i] - alloc[i] for i in active]))
-        given = reduce(add, takes, 0.0)
+        given = 0.0
         still = []
-        for i, take in zip(active, takes):
+        for i in active:
+            share = remaining * weights[i] / wsum
+            room = needs[i] - alloc[i]
+            take = share if share < room else room
             a = alloc[i] = alloc[i] + take
+            given += take
             if a < needs[i] - 1e-12:
                 still.append(i)
         remaining -= given
@@ -121,22 +114,10 @@ def _fill_passes(needs: list[float], weights: list[float], alloc: list[float],
 
 
 def _queue_shares(needs: list[float], budget: float) -> list[float]:
-    """Split a UE's budget equally over its backlogged queues, as
-    ``_water_fill`` with unit weights does.  The scheduler gives a UE with
-    one backlogged queue min(budget, need) without calling this: that is
-    what ``_water_fill`` returns for one queue whenever the budget is above
-    its 1e-12 floor (budgets here are >= 1).  Two queues are worked out
-    here when the first pass settles it: both get half, or both their needs."""
-    if len(needs) == 2:
-        n0, n1 = needs
-        if n0 > 0 and n1 > 0:
-            half = budget * 1.0 / 2.0
-            if half < n0 and half < n1:
-                # both short of their needs, and half + half hands out the
-                # whole budget (within 1e-12), so no second pass runs
-                return [0.0 + half, 0.0 + half]
-            if not half < n0 and not half < n1:
-                return [0.0 + n0, 0.0 + n1]  # both needs met
+    """Split a UE's budget equally over its backlogged queues.  The
+    scheduler gives a UE with one backlogged queue min(budget, need)
+    without calling this: that is what ``_water_fill`` returns for one queue
+    whenever the budget is above its 1e-12 floor (budgets here are >= 1)."""
     return _water_fill(needs, [1.0] * len(needs), budget)
 
 
@@ -216,27 +197,8 @@ def scheduler_slot(
     partial: list[RlcQueue] = []
     if not rows:
         return completions, partial
-    wsum = sum(weights)
-    if len(rows) == 1 and wsum > 0:
-        # a lone UE's share is w / w = 1.0, so its need (<= 1.0) is its fraction
-        fractions = needs
-    elif wsum > 0 and min(needs) > 0:
-        # _water_fill's first pass, every UE active: remaining * w / wsum
-        # with remaining 1.0 (and 1.0 * w is w), capped at the need (min
-        # keeps the share on a tie, an equal float), given added in order
-        shares = [w / wsum for w in weights]
-        fractions = list(map(min, shares, needs))
-        given = reduce(add, fractions, 0.0)
-        remaining = 1.0 - given
-        # passes go on while a UE that got its share is still short of its
-        # need and some share is left: a need below its share freed it
-        if remaining > 1e-12 and given > 1e-12 and fractions != needs:
-            short = [i for i, (share, need) in enumerate(zip(shares, needs))
-                     if share < need - 1e-12]
-            if short:
-                fractions = _fill_passes(needs, weights, fractions, short, remaining)
-    else:
-        fractions = _water_fill(needs, weights, 1.0)
+    # a lone UE's share is w / w = 1.0, so its need (<= 1.0) is its fraction
+    fractions = needs if len(rows) == 1 and weights[0] > 0 else _water_fill(needs, weights, 1.0)
     alpha = slot_len_secs / PF_EWMA_HORIZON_SECS
     keep = 1.0 - alpha
     next_slot = now + slot_len_secs
@@ -253,10 +215,11 @@ def scheduler_slot(
             served = _serve_queues(queues, budget, now, completions, partial)
         else:
             # _queue_shares' one-queue share, min(budget, standing); it is
-            # >= 1, so bytes move
+            # >= 1, so bytes move.  A share inside the head SDU moves the
+            # counters here, as transmit would, without the call
             served = int(budget) if budget < standing else standing
             left = only.head_left
-            if served < left:  # ends inside the head SDU
+            if served < left:
                 only.head_left = left - served
                 only.standing_bytes -= served
                 only.transmitted_bytes += served

@@ -6,12 +6,13 @@ every share goes through the general water fill and a queue whose SDUs
 count their own sent bytes.  The scheduler under test sees only the UEs
 with standing bytes (plus any idle ones a caller chooses to pass), decays
 idle averages lazily, caches each UE's capacity up to its segment's end,
-runs the water fill's first pass inline and moves a share that ends inside
-a head SDU as counters.  After every slot each queue's counters, the SDUs
+gives a UE with one backlogged queue its share without the queue split and
+moves a share that ends inside a head SDU as counters.  After every slot each queue's counters, the SDUs
 each DRB completed and the DRBs that transmitted without completing must
 match the oracle; once a UE catches up, its average must match bit for bit.
 The water fill and the queue split are checked against the oracles bit for
-bit on their own too.
+bit on their own too: the water fill is the oracle's algorithm today, and
+the check keeps any faster form of it exact.
 """
 
 from __future__ import annotations
@@ -320,6 +321,21 @@ def test_water_fill_matches_its_oracle_bit_for_bit(needs, data, total):
 def test_queue_shares_match_their_oracle_bit_for_bit(needs, budget):
     assert [a.hex() for a in _queue_shares(needs, budget)] \
         == [a.hex() for a in oracle_queue_shares(needs, budget)]
+
+
+def test_water_fill_keeps_its_1e_12_floors():
+    # random draws rarely reach either floor:
+    # - a share within 1e-12 below its need counts as met, so no second
+    #   pass hands it the rest
+    # - a pass that gives out at most 1e-12 ends the fill even though slot
+    #   is left and a need is unmet
+    for needs, weights, total, want in (([0.5 + 1e-13, 0.3], [1.0, 1.0], 1.0, [0.5, 0.3]),
+                                        ([1e-13, 1.0], [1e4, 1e-3], 5e-6, None)):
+        got = _water_fill(needs, weights, total)
+        assert [a.hex() for a in got] == [a.hex() for a in oracle_water_fill(needs, weights, total)]
+        if want is not None:
+            assert got == want
+    assert _water_fill([1e-13, 1.0], [1e4, 1e-3], 5e-6)[1] < 1e-12
 
 
 def test_idle_decay_is_one_multiplication_per_slot():
