@@ -3,22 +3,26 @@
 Events execute in (time, insertion-order) order; a handler may only
 schedule events at or after the current time.  Each event carries the
 handler it runs, called as ``handler(data, at)``; its ``kind`` is only the
-label that per-kind event counts read (see ROADMAP item 1).
+label that per-kind event counts read (see ROADMAP item 1).  ``next_at``
+peeks at the time of the next event without running it.
 
-The simulator schedules one ``F1U_FEEDBACK`` event per slot with
-transmissions, at the slot's own time.  It carries the slot's zero-delay
-work: in transmit order, each DRB that completed SDUs with its deliveries
-that take no time (UM, and AM with zero delivery delay), whose status
-message (the highest transmitted SN) it applies; then the DRBs that
-transmitted without completing one, whose message it applies only if
-their layer has a refresh pending when the event runs.
-``DELIVER_TO_UE`` events are the delayed AM deliveries.
+A slot's zero-delay work (post-slot work) runs inside its ``SLOT_TICK``
+unless another event is due at the tick's instant when the tick ends;
+only then does the simulator schedule it as an ``F1U_FEEDBACK`` event at
+the slot's own time, behind that event.  It carries, in transmit order,
+each DRB that completed SDUs with its deliveries that take no time (UM,
+and AM with zero delivery delay), whose status message (the highest
+transmitted SN) it applies; then the DRBs that transmitted without
+completing one, whose message it applies only if their layer has a
+refresh pending when the work runs.  ``DELIVER_TO_UE`` events are the
+delayed AM deliveries.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import math
 from typing import Any, Callable, NamedTuple
 
 
@@ -39,6 +43,10 @@ class SimEvent(NamedTuple):  # the heap entry; ``seq`` is unique, so order is (a
     data: Any
 
 
+_heappush = heapq.heappush
+_new_tuple = tuple.__new__
+
+
 class EventLoop:
     def __init__(self) -> None:
         self.now = 0.0
@@ -50,7 +58,13 @@ class EventLoop:
         if at < self.now - 1e-12:
             raise ValueError(f"cannot schedule event at {at} before now={self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, SimEvent(at, self._seq, kind, handler, data))
+        # a NamedTuple's generated __new__ is a Python function; the tuple's is not
+        _heappush(self._heap, _new_tuple(SimEvent, (at, self._seq, kind, handler, data)))
+
+    def next_at(self) -> float:
+        """The time of the next event, or infinity when none is queued."""
+        heap = self._heap
+        return heap[0].at if heap else math.inf
 
     def run(self, until: float, dispatch: Callable[[SimEvent], None]) -> int:
         """Execute events up to and including time ``until``; returns the count."""

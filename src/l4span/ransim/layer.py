@@ -27,7 +27,7 @@ from ..marking import (
     decide_mark,
     refresh_probabilities,
 )
-from ..profile import EgressEstimate, ProfileTable
+from ..profile import ProfileTable
 from ..shortcircuit import (
     FeedbackMode,
     FlowFeedbackState,
@@ -51,7 +51,13 @@ class DownlinkOutcome:
 class DrbLayer:
     """Marking, profiling, and feedback state for one bearer.  Its marking
     rule is fixed at construction: ``mark_rule``, or else this module's
-    ``decide_mark`` as it is bound then (a wrapper put there first sees every call)."""
+    ``decide_mark`` as it is bound then (a wrapper put there first sees every call).
+
+    A status message stamps the profile at once but only marks the estimate
+    and probabilities due for a refresh; the refresh runs at their first
+    read (the next downlink packet, or ``mark_state``), through this
+    module's ``refresh_probabilities`` as it is bound then.  So a message
+    whose refresh a later one supersedes before any read computes nothing."""
 
     def __init__(
         self,
@@ -62,7 +68,7 @@ class DrbLayer:
         self.params = params
         self.mark_rule = decide_mark if mark_rule is None else mark_rule
         self.profile = ProfileTable(window_secs=window_secs)
-        self.mark_state = DrbMarkState()
+        self._mark_state = DrbMarkState()
         self.rng = random.Random(params.rng_seed)
         self.flow_feedback: dict[FiveTuple, FlowFeedbackState] = {}
         # the same states keyed by the uplink tuple their ACKs carry
@@ -72,19 +78,44 @@ class DrbLayer:
         # pending bytes, the flow mix or the handshake RTTs; while it is
         # False, a status message that repeats the applied SN is a no-op
         self.dl_since_refresh = True
+        # a status message found new input, and nothing has read the state since
+        self._refresh_due = False
         # the transmitted SN of the last status message applied to the profile
         self._applied_tx_sn: Optional[int] = None
+
+    @property
+    def mark_state(self) -> DrbMarkState:
+        """The marking state, with the refresh a status message made due applied."""
+        if self._refresh_due:
+            self._refresh()
+        return self._mark_state
+
+    def _refresh(self) -> None:
+        """Recompute the estimate and probabilities from the profile window,
+        the pending bytes and the flow records; keep the last ones while the
+        window is empty."""
+        self._refresh_due = False
+        try:
+            est = self.profile.egress_rate_smoothed()
+        except EstimateUnavailable:
+            return
+        refresh_probabilities(self._mark_state, self.params, est)
 
     # -- downlink ----------------------------------------------------------
 
     def on_dl_pkt(self, pkt: Packet, has_room: bool, now: float) -> DownlinkOutcome:
         """Mark an admitted packet by the rule fixed at construction and give it an SN.
         ``predicted_sojourn`` covers only the bytes queued ahead of the packet; the
-        ``queuing + scheduling`` C9 compares it with includes the packet's own service."""
+        ``queuing + scheduling`` C9 compares it with includes the packet's own service.
+        A refresh that a status message made due runs first, before the packet
+        touches the flow records or the pending bytes."""
+        if self._refresh_due:
+            self._refresh()
         self.dl_since_refresh = True
         ft = pkt.five_tuple
         flow_class = FLOW_CLASS_OF_ECN[pkt.ecn]
-        rec = self.mark_state.observe_flow(ft, flow_class, pkt.size_bytes, now)
+        state = self._mark_state
+        rec = state.observe_flow(ft, flow_class, pkt.size_bytes, now)
 
         # handshake RTT: interval between the first two forward TCP packets
         if pkt.tcp is not None:
@@ -96,12 +127,12 @@ class DrbLayer:
         if not has_room:
             return DownlinkOutcome(decision=MarkDecision.PASS, predicted_sojourn=None, sn=None)
 
-        est = self.mark_state.last_estimate
+        est = state.last_estimate
         predicted = None
         if est is not None and est.r_hat > 0 and now - est.at <= self.params.freshness_secs:
             predicted = self.profile.queued_bytes / est.r_hat
 
-        decision = self.mark_rule(self.mark_state, self.params, pkt, flow_class, self.rng, now)
+        decision = self.mark_rule(state, self.params, pkt, flow_class, self.rng, now)
         if decision is MarkDecision.DROP:
             # never entered the RLC, so it never enters the profile either
             return DownlinkOutcome(decision=decision, predicted_sojourn=predicted, sn=None)
@@ -130,26 +161,26 @@ class DrbLayer:
 
     # -- RAN feedback --------------------------------------------------------
 
-    def on_ran_feedback(self, highest_tx_sn: int, now: float) -> Optional[EgressEstimate]:
-        """Apply a status message, the DRB's highest transmitted PDCP SN;
-        refresh the estimate and probabilities only when their inputs changed
-        (a newly transmitted SN, or a downlink packet since the last refresh),
-        otherwise keep the last ones.  A message that repeats the last applied
-        SN stamps nothing, so the profile does not see it; with no downlink
-        packet since the last refresh it changes no state at all."""
+    def on_ran_feedback(self, highest_tx_sn: int, now: float) -> None:
+        """Apply a status message, the DRB's highest transmitted PDCP SN.
+
+        A newly transmitted SN is stamped on the profile at once, with the
+        message's time.  The estimate and probabilities are due for a
+        refresh when their inputs changed (a newly stamped SN, or a downlink
+        packet since the last refresh); the refresh runs at the next read,
+        the start of ``on_dl_pkt`` or ``mark_state``.  That is exact: only
+        those two events change the refresh's inputs, and a stamping message
+        that finds a refresh still due supersedes it.  A message that
+        repeats the last applied SN stamps nothing, so the profile does not
+        see it; with no downlink packet since the last refresh it changes
+        no state at all."""
         stamped = 0
         if highest_tx_sn != self._applied_tx_sn:
             stamped = self.profile.on_f1u_feedback(highest_tx_sn, now)
             self._applied_tx_sn = highest_tx_sn
-        if not stamped and not self.dl_since_refresh:
-            return self.mark_state.last_estimate
-        self.dl_since_refresh = False
-        try:
-            est = self.profile.egress_rate_smoothed()
-        except EstimateUnavailable:
-            return None
-        refresh_probabilities(self.mark_state, self.params, est)
-        return est
+        if stamped or self.dl_since_refresh:
+            self.dl_since_refresh = False
+            self._refresh_due = True
 
     # -- uplink --------------------------------------------------------------
 

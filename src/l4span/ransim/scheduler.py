@@ -85,31 +85,40 @@ def _water_fill(needs: list[float], weights: list[float], total: float) -> list[
     redistributing unused share; terminates in at most len(needs) passes.
 
     Each pass gives every index still short of its need ``remaining * weight
-    / wsum`` capped at its room, with ``wsum`` the builtin ``sum`` of their
-    weights, and adds the takes up in order from 0.0.  Plain scalar
-    arithmetic: ``min`` and whole-list ``map`` calls cost more per element
-    at the benchmark workloads' sizes (2 to 16 rows)."""
+    / wsum`` capped at its room, with ``wsum`` their weights added up in
+    order from 0.0 by the loop that picks them (the builtin ``sum`` rounds
+    differently from CPython 3.12 on), and adds the takes up in order from
+    0.0.  Plain scalar arithmetic: ``min`` and whole-list ``map`` calls cost
+    more per element at the benchmark workloads' sizes (2 to 16 rows)."""
     alloc = [0.0] * len(needs)
-    active = [i for i, need in enumerate(needs) if need > 0]
+    active = []
+    wsum = 0.0
+    for i, need in enumerate(needs):
+        if need > 0:
+            active.append(i)
+            wsum += weights[i]
     remaining = total
     while active and remaining > 1e-12:
-        wsum = sum([weights[i] for i in active])
         if wsum <= 0:
             break
         given = 0.0
         still = []
+        still_wsum = 0.0
         for i in active:
-            share = remaining * weights[i] / wsum
+            w = weights[i]
+            share = remaining * w / wsum
             room = needs[i] - alloc[i]
             take = share if share < room else room
             a = alloc[i] = alloc[i] + take
             given += take
             if a < needs[i] - 1e-12:
                 still.append(i)
+                still_wsum += w
         remaining -= given
         if given <= 1e-12:
             break
         active = still
+        wsum = still_wsum
     return alloc
 
 

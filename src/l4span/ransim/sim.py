@@ -9,12 +9,17 @@ transmitted PDCP SN, reaches the marking layer once per DRB per slot in
 which the DRB completes an SDU.  A DRB that transmits in a slot without
 completing one would repeat the SN its layer last applied, which changes
 state only when a downlink packet arrived since the layer's last refresh,
-so its message is applied only then.  A slot's zero-delay work runs as one
-post-slot event at the slot's time, after every same-time event queued
-before it: the deliveries that take no time and the status messages of the
-DRBs that completed SDUs, in transmit order, then the messages of the DRBs
-that only transmitted and have a refresh pending.  The scheduler sees only
-the UEs with queued data: an admitted packet adds its UE to the active set,
+so its message is applied only then.  A message only stamps the profile
+and marks the layer's refresh due; the refresh runs at its first read.  A
+slot's zero-delay work (the post-slot work) is the deliveries that take no
+time and the status messages of the DRBs that completed SDUs, in transmit
+order, then the messages of the DRBs that only transmitted and have a
+refresh pending.  It runs at the end of the slot's tick, unless another
+event is due at that instant; only then is it scheduled as an
+``F1U_FEEDBACK`` event at the slot's time, behind every same-time event
+queued before it.  Either way it runs in the same order relative to every
+other event.  The scheduler sees only the UEs with queued data, kept in
+``ue_ctx`` order: an admitted packet inserts its UE into the active list,
 and a UE whose queues drained in a slot leaves it.
 
 Every event carries the handler it runs, called with the event's data and
@@ -37,6 +42,7 @@ import random
 import resource
 import sys
 import time
+from bisect import bisect_left
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -391,10 +397,10 @@ class Simulator:
         self.ue_ctx: list[UeContext] = []
         self.queues: dict[tuple, _Bearer] = {}
         self.layers: dict[tuple, DrbLayer] = {}
-        # indices into ue_ctx of the UEs with standing bytes, and those UEs
-        # in ue_ctx order (None once the set has changed)
-        self._active: set[int] = set()
-        self._passed: Optional[list[UeContext]] = []
+        # the UEs with standing bytes, in ue_ctx order: their indices into
+        # ue_ctx, and their contexts (the list the scheduler is passed)
+        self._active_idx: list[int] = []
+        self._active_ctx: list[UeContext] = []
         self.flows: list[_FlowRuntime] = []
         self.flow_by_tuple: dict[FiveTuple, _FlowRuntime] = {}
 
@@ -493,23 +499,22 @@ class Simulator:
             return
         pkt.pred_sojourn = outcome.predicted_sojourn
         q.enqueue(pkt, outcome.sn, now)
-        if q.ue_index not in self._active:
-            self._active.add(q.ue_index)
-            self._passed = None
+        ue = q.ue_index
+        idx = self._active_idx
+        i = bisect_left(idx, ue)
+        if i == len(idx) or idx[i] != ue:
+            idx.insert(i, ue)
+            self._active_ctx.insert(i, self.ue_ctx[ue])
         if outcome.decision in (MarkDecision.TENTATIVE_MARK, MarkDecision.MARK_CE):
             flow.pending_marks.append(now)
             self.metrics.on_mark(now, flow.spec.name)
 
     def _slot_tick(self, n: int, now: float) -> None:
         ue_ctx = self.ue_ctx
-        active = self._active
-        passed = self._passed
-        if passed is None:
-            passed = self._passed = [ue_ctx[i] for i in sorted(active)]
-        completions, partial = scheduler_slot(passed, self._policy, self.scn.slot_secs, now)
-        # the slot's zero-delay work in transmit order, run by one post-slot
-        # event: per bearer that completed SDUs, its (flow, sdu) deliveries,
-        # then its status message
+        completions, partial = scheduler_slot(self._active_ctx, self._policy, self.scn.slot_secs,
+                                              now)
+        # the slot's zero-delay work in transmit order: per bearer that
+        # completed SDUs, its (flow, sdu) deliveries, then its status message
         post = []
         for b, completed in completions:
             drb = b.spec
@@ -529,10 +534,7 @@ class Simulator:
                 deliveries.append((flow, sdu))
             post.append((b, deliveries))
             if not b.standing_bytes and not ue_ctx[b.ue_index].standing_bytes():
-                active.discard(b.ue_index)
-                self._passed = None
-        if post or partial:
-            self.loop.schedule(now, EventKind.F1U_FEEDBACK, self._post_slot, (post, partial))
+                self._deactivate(b.ue_index)
         if n > 0 and n % self._slots_per_interval == 0:
             self._close_interval(now)
         if self._warmup_from <= now < self._warmup_to:
@@ -541,6 +543,22 @@ class Simulator:
         nxt = (n + 1) * self.scn.slot_secs
         if nxt <= self.scn.horizon_secs:
             self.loop.schedule(nxt, EventKind.SLOT_TICK, self._slot_tick, n + 1)
+        if post or partial:
+            # nothing can run between the tick and its post-slot work unless
+            # an event is due at this instant: then the work waits behind it
+            if self.loop.next_at() > now:
+                self._post_slot((post, partial), now)
+            else:
+                self.loop.schedule(now, EventKind.F1U_FEEDBACK, self._post_slot, (post, partial))
+
+    def _deactivate(self, ue: int) -> None:
+        """Drop a drained UE from the active list; a UE whose bearers all
+        drained in one slot is dropped at the first and found gone after."""
+        idx = self._active_idx
+        i = bisect_left(idx, ue)
+        if i < len(idx) and idx[i] == ue:
+            del idx[i]
+            del self._active_ctx[i]
 
     def _post_slot(self, data, now: float) -> None:
         """Deliver and report for each bearer that completed SDUs; then give
@@ -549,7 +567,8 @@ class Simulator:
         slot, so a bearer without one repeats the SN its layer last applied,
         and such a message changes state only after a downlink packet (see
         ``DrbLayer.on_ran_feedback``).  That is read now, not at the tick:
-        a same-time downlink arrival may run in between."""
+        when this runs as its own event, a same-time downlink arrival may
+        have run in between."""
         batch, partial = data
         deliver = self._deliver
         for b, deliveries in batch:

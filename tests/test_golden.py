@@ -20,16 +20,21 @@ too: the benchmark's per-kind figures count events by that label.  A
 profiled golden run guards the per-packet path against Python-level enum
 code and hashing.  The pinned values were recorded with CPython 3.11 on
 x86-64 Linux (glibc); a libm that rounds ``sin`` or ``erfc`` differently
-gives other stream bytes.
+gives other stream bytes.  So would a float ``sum`` on the stream path:
+CPython 3.12 compensates the builtin ``sum`` over floats, so the stream
+path adds floats in order instead, and the pins are checked again with
+``builtins.sum`` replaced by an emulation of the compensated sum.
 """
 
 from __future__ import annotations
 
+import builtins
 import cProfile
 import enum
 import functools
 import hashlib
 import json
+import math
 import pstats
 from collections import Counter, defaultdict
 
@@ -47,6 +52,7 @@ import pytest
 from l4span.core import Packet
 from l4span.ransim import layer as layer_mod
 from l4span.ransim import sim as sim_mod
+from l4span.ransim.events import EventKind
 from l4span.ransim.sim import Simulator, run
 
 GOLDEN_PACKETS_SUMMARY_SHA256 = "b094545b7792d90d0b3273d1b945c1c306b3e58f24afdd75bf30a2a347a4bae3"
@@ -182,6 +188,65 @@ def test_idle_return_streams_are_pinned():
     assert intervals_digest(result) == IDLE_GOLDEN_INTERVALS_SHA256
 
 
+def compensated_sum(iterable, /, start=0):
+    """``builtins.sum`` as CPython 3.12 computes it: exact ints, then exact
+    floats (and ints) with Neumaier's compensation, then plain ``+``."""
+    it = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in it:
+            result = result + item
+            if type(result) is not int:
+                break
+        else:
+            return result
+    if type(result) is float:
+        f, c = result, 0.0
+        for item in it:
+            if type(item) is float:
+                t = f + item
+                if abs(f) >= abs(item):
+                    c += (f - t) + item
+                else:
+                    c += (item - t) + f
+                f = t
+            elif type(item) is int:
+                f += float(item)
+            else:
+                if c and math.isfinite(c):
+                    f += c
+                result = f + item
+                break
+        else:
+            return f + c if c and math.isfinite(c) else f
+    for item in it:
+        result = result + item
+    return result
+
+
+def test_compensated_sum_emulates_a_correctly_rounded_float_sum():
+    xs = [0.1] * 10
+    in_order = 0.0
+    for x in xs:
+        in_order += x
+    assert compensated_sum(xs) == 1.0 != in_order
+    assert compensated_sum([1e100, 1.0, -1e100, 1.0]) == 2.0
+    assert compensated_sum([1, 2, 3]) == 6 and type(compensated_sum([1, 2])) is int
+    assert compensated_sum([[1], [2]], []) == [1, 2]
+
+
+@pytest.mark.parametrize("make", [golden_scenario, idle_return_scenario])
+def test_streams_do_not_depend_on_the_interpreters_float_sum(make, monkeypatch):
+    # the pins above, from a run whose builtin sum compensates as 3.12's does
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    result = run(make())
+    monkeypatch.undo()
+    pins = {golden_scenario: (GOLDEN_PACKETS_SUMMARY_SHA256, GOLDEN_INTERVALS_SHA256),
+            idle_return_scenario: (IDLE_GOLDEN_PACKETS_SUMMARY_SHA256,
+                                   IDLE_GOLDEN_INTERVALS_SHA256)}
+    assert (packets_summary_digest(result), intervals_digest(result)) == pins[make]
+
+
 def with_aqm_kind(make, kind: str) -> Scenario:
     scn = make()
     scn.aqm = AqmSpec(kind=kind)
@@ -271,12 +336,15 @@ def test_every_bearer_reports_its_gauges_once_per_interval(make):
 # events dispatched per kind; the benchmark's per-kind figures count these labels.
 # A flow's stop time schedules no event: its sender checks the clock, so each
 # flow that stops before the horizon has no timer of its own (one here, two in
-# the idle-return run).
+# the idle-return run).  No tick of either run ends with another event due at
+# its instant, so every slot's post-slot work runs inside its tick and no
+# f1u_feedback event is dispatched (tests/test_reference_sim.py has a run
+# that dispatches them).
 DISPATCH_COUNTS = {
     golden_scenario: {"arrive_downlink": 1424, "arrive_uplink": 1426, "deliver_to_ue": 685,
-                      "f1u_feedback": 3836, "sender_timer": 696, "slot_tick": 4001},
+                      "f1u_feedback": 0, "sender_timer": 696, "slot_tick": 4001},
     idle_return_scenario: {"arrive_downlink": 1045, "arrive_uplink": 1986, "deliver_to_ue": 910,
-                           "f1u_feedback": 3127, "sender_timer": 85, "slot_tick": 4001},
+                           "f1u_feedback": 0, "sender_timer": 85, "slot_tick": 4001},
 }
 
 
@@ -293,14 +361,14 @@ def test_dispatch_counts_and_handlers_per_kind_are_pinned(make, monkeypatch):
 
     monkeypatch.setattr(Simulator, "_dispatch", counted)
     result = run(make())
-    assert dict(counts) == DISPATCH_COUNTS[make]
+    assert {kind.value: counts[kind.value] for kind in EventKind} == DISPATCH_COUNTS[make]
     assert result.events == sum(counts.values())
     # one handler per kind, but the uplink's two legs and the senders' timers
     assert handlers.pop("arrive_uplink") == {Simulator._uplink_at_cu, Simulator._uplink_at_server}
     timers = handlers.pop("sender_timer")
     assert all(h.__qualname__.split(".")[0] in ("TcpEndpoint", "UdpEndpoint") for h in timers)
     assert {k: len(h) for k, h in handlers.items()} == {
-        "arrive_downlink": 1, "deliver_to_ue": 1, "f1u_feedback": 1, "slot_tick": 1}
+        "arrive_downlink": 1, "deliver_to_ue": 1, "slot_tick": 1}
 
 
 @pytest.mark.parametrize("make", [golden_scenario, idle_return_scenario])

@@ -784,6 +784,9 @@ def test_a_forgotten_flow_does_not_measure_its_handshake_again():
 
 
 def test_feedback_refreshes_only_on_new_input(monkeypatch):
+    # a status message with new input makes a refresh due; the refresh runs at
+    # the first read (the next downlink packet, or mark_state), and the reads
+    # here count the refreshes
     calls = []
     real_refresh = layer_mod.refresh_probabilities
 
@@ -803,26 +806,41 @@ def test_feedback_refreshes_only_on_new_input(monkeypatch):
         if i > 10:
             layer.on_ran_feedback(i - 10, now)
     sn = 70
+    # the next packet ran each message's refresh, and this read runs the last
+    assert len(calls) == 69
     state = layer.mark_state
     assert len(calls) == 70 and 0.0 < state.p_l4s < 1.0
     before = (state.p_l4s, state.last_estimate)
+    layer.mark_state
+    assert len(calls) == 70  # a read with nothing due refreshes nothing
 
     # a repeat status with no new SN and no downlink packet: no refresh
-    assert layer.on_ran_feedback(sn, now + 0.0001) is before[1]
-    assert len(calls) == 70 and (state.p_l4s, state.last_estimate) == before
+    assert layer.on_ran_feedback(sn, now + 0.0001) is None
+    assert (layer.mark_state.p_l4s, layer.mark_state.last_estimate) == before
+    assert len(calls) == 70
 
     # a tail-dropped packet still counts as new input
     layer.on_dl_pkt(_pkt(100), False, now + 0.0002)
     layer.on_ran_feedback(sn, now + 0.0003)
-    assert len(calls) == 71 and state.p_l4s == before[0]
+    assert len(calls) == 70
+    assert layer.mark_state.p_l4s == before[0]
+    assert len(calls) == 71
 
-    # an admitted packet: the next status refreshes and p_l4s follows the queue
+    # an admitted packet: the next status makes a refresh due, and p_l4s follows the queue
     layer.on_dl_pkt(_pkt(101, 100), True, now + 0.0004)
-    est = layer.on_ran_feedback(sn, now + 0.0005)
+    layer.on_ran_feedback(sn, now + 0.0005)
+    state = layer.mark_state
     assert len(calls) == 72
+    est = state.last_estimate
     assert est.n_queue == before[1].n_queue + 100 == layer.profile.queued_bytes
     assert state.p_l4s == p_l4s(est.n_queue, est.r_hat, est.e_hat, 0.005)
     assert before[0] < state.p_l4s < 1.0
+
+    # two stamping messages before a read: the second supersedes the first's refresh
+    layer.on_ran_feedback(sn + 2, now + 0.0006)
+    layer.on_ran_feedback(sn + 4, now + 0.0007)
+    assert layer.mark_state.last_estimate.n_queue == layer.profile.queued_bytes
+    assert len(calls) == 73
 
 
 def test_a_repeated_status_message_changes_no_state():

@@ -43,17 +43,23 @@ SLOT = 0.0005
 
 def oracle_water_fill(needs, weights, total):
     """Divide ``total`` proportionally to weights, capping at each need and
-    redistributing unused share, one pass over every unmet need at a time."""
+    redistributing unused share, one pass over every unmet need at a time;
+    each pass's weight sum is added in order from 0.0, never by ``sum``."""
     n = len(needs)
     alloc = [0.0] * n
-    active = [i for i in range(n) if needs[i] > 0]
+    active = []
+    wsum = 0.0
+    for i in range(n):
+        if needs[i] > 0:
+            active.append(i)
+            wsum += weights[i]
     remaining = total
     while active and remaining > 1e-12:
-        wsum = sum(weights[i] for i in active)
         if wsum <= 0:
             break
         given = 0.0
         still = []
+        still_wsum = 0.0
         for i in active:
             share = remaining * weights[i] / wsum
             room = needs[i] - alloc[i]
@@ -62,10 +68,12 @@ def oracle_water_fill(needs, weights, total):
             given += take
             if alloc[i] < needs[i] - 1e-12:
                 still.append(i)
+                still_wsum += weights[i]
         remaining -= given
         if given <= 1e-12:
             break
         active = still
+        wsum = still_wsum
     return alloc
 
 
