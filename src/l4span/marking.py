@@ -249,8 +249,9 @@ class DrbMarkState:
 def refresh_probabilities(state: DrbMarkState, params: MarkParams, estimate: EgressEstimate) -> None:
     """Recompute the bearer's marking probabilities from a fresh estimate.
 
-    Called on RAN feedback whenever the estimate's inputs changed;
-    per-packet decisions then draw against the stored values.
+    Called at the first read after a RAN status message found the
+    estimate's inputs changed; per-packet decisions then draw against the
+    stored values.
     """
     state.last_estimate = estimate
     e_hat = 0.0 if params.force_zero_error else estimate.e_hat

@@ -5,7 +5,7 @@ air loss on both), Prague/AccECN, CUBIC/classic-ECN, a finite Prague flow
 and UDP ECT(1) flows.  The second has six UEs that go idle and come back:
 finite flows separated by gaps of hundreds of slots, and one UE whose AM
 bearer stays backlogged while its UM bearer drains, so the scheduler's
-active-UE set and lazily decayed PF averages are on the path.  Two SHA-256
+active-UE list and lazily decayed PF averages are on the path.  Two SHA-256
 digests of each run are pinned: one of its packets and summary streams,
 one of its intervals stream, so any change to event order or arithmetic
 anywhere on the slot path shows here, and a change to which interval
@@ -390,7 +390,7 @@ def test_scheduler_sees_every_backlogged_ue_in_order(make, monkeypatch):
     monkeypatch.setattr(sim_mod, "scheduler_slot", checked)
     sim.run()
     assert seen["slots"] == 4001
-    # the set drops drained UEs: nobody idle is passed
+    # the list drops drained UEs: nobody idle is passed
     assert seen["idle_passed"] == 0
 
 

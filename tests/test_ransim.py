@@ -23,7 +23,7 @@ from l4span.marking import MarkParams, p_l4s
 from l4span.profile import DEFAULT_WINDOW_SECS, KEEP_HORIZON_SECS, ProfileTable
 from l4span.ransim import layer as layer_mod
 from l4span.ransim.channel import ChannelTrace
-from l4span.ransim.events import EventKind, EventLoop
+from l4span.ransim.events import EventKind, EventLoop, SimEvent
 from l4span.ransim.layer import DrbLayer
 from l4span.ransim.rlc import EnqueueResult, RlcQueue
 from l4span.ransim.scheduler import (
@@ -527,11 +527,20 @@ def test_event_ordering_and_ties():
     def record(data, now):
         seen.append((data, now))
 
+    assert loop.next_at() == math.inf
     loop.schedule(2.0, EventKind.SENDER_TIMER, record, "b")
     loop.schedule(1.0, EventKind.SENDER_TIMER, record, "a")
     loop.schedule(2.0, EventKind.SENDER_TIMER, record, "c")  # same time: insertion order
-    assert loop.run(10.0, lambda ev: ev.handler(ev.data, ev.at)) == 3
-    assert seen == [("a", 1.0), ("b", 2.0), ("c", 2.0)]
+    assert loop.next_at() == 1.0
+    types = []
+
+    def dispatch(ev):
+        types.append(type(ev))
+        ev.handler(ev.data, ev.at)
+
+    assert loop.run(10.0, dispatch) == 3
+    assert seen == [("a", 1.0), ("b", 2.0), ("c", 2.0)] and types == [SimEvent] * 3
+    assert loop.next_at() == math.inf
 
 
 def test_causality_enforced():
