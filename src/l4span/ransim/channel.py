@@ -19,9 +19,10 @@ class ChannelTrace:
     The last segment extends to infinity, so evaluation is defined for any
     t >= 0.  The breakpoints are stored as two flat ``array('d')`` columns,
     not as pairs: segment starts followed by an ``inf`` sentinel, so segment
-    i covers ``[_times[i], _times[i + 1])``, and capacities.  Lookups keep a
-    cursor on the last segment they hit, so the simulator's monotone
-    slot-by-slot queries skip the binary search.
+    i covers ``[_times[i], _times[i + 1])``, and capacities.  A trace is an
+    immutable value: each lookup is a binary search, and the simulator's
+    scheduler keeps each UE's segment until it ends, so it looks up only
+    when a slot passes a segment's end.
     """
 
     def __init__(self, times, caps):
@@ -54,7 +55,6 @@ class ChannelTrace:
         self._times = array("d", times.tobytes())
         self._times.append(math.inf)
         self._caps = array("d", caps.tobytes())
-        self._cursor = 0
 
     @property
     def breakpoints(self) -> list[tuple[float, float]]:
@@ -73,10 +73,8 @@ class ChannelTrace:
         if t < 0:
             raise ValueError("t must be >= 0")
         times = self._times
-        i = self._cursor
-        if not times[i] <= t < times[i + 1]:
-            # the sentinel is no segment start, so search the starts alone
-            i = self._cursor = bisect_right(times, t, 0, len(self._caps)) - 1
+        # the sentinel is no segment start, so search the starts alone
+        i = bisect_right(times, t, 0, len(self._caps)) - 1
         return self._caps[i], times[i + 1]
 
     def integral(self, t0: float, t1: float) -> float:

@@ -76,7 +76,8 @@ class DrbLayer:
         self._next_sn = 1
         # a downlink packet since the last refresh may have changed the
         # pending bytes, the flow mix or the handshake RTTs; while it is
-        # False, a status message that repeats the applied SN is a no-op
+        # False, a status message that repeats the applied SN is a no-op, and
+        # the simulator sends none to a DRB whose slot completed no SDU
         self.dl_since_refresh = True
         # a status message found new input, and nothing has read the state since
         self._refresh_due = False

@@ -18,13 +18,14 @@ A slot gathers one row per backlogged UE (standing bytes, capacity, need,
 PF catch-up and weight), divides the slot with ``_water_fill`` and serves
 each row.  A UE keeps the capacity of its current trace segment and the
 segment's end, so the trace is looked up only when a slot passes that end.
-A UE with one backlogged queue skips ``_queue_shares``: its share is
+A UE with one backlogged queue skips the per-queue split: its share is
 ``min(budget, standing)``.  Most such shares end inside the queue's head
 SDU, and a share that does is counter arithmetic on the queue
 (``head_left``, ``standing_bytes``, ``transmitted_bytes``) done here;
 ``RlcQueue.transmit`` runs only when a head SDU completes or the UE has
-several backlogged queues.  So the slot reports SDUs only for the DRBs that
-completed one, and names the DRBs that transmitted without completing apart.
+several backlogged queues.  The slot returns one ``(queue, completed)``
+pair per DRB that moved bytes, in transmit order; ``completed`` is empty
+for a share that ended inside the head SDU.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .channel import ChannelTrace
 from .rlc import RlcQueue, Sdu
@@ -71,13 +72,6 @@ class UeContext:
 
     def standing_bytes(self) -> int:
         return sum(q.standing_bytes for q in self.queues)
-
-
-class SlotTransmissions(NamedTuple):
-    """The SDUs one DRB completed during a slot, in order (at least one)."""
-
-    queue: RlcQueue
-    completed: Sequence[Sdu]
 
 
 def _water_fill(needs: list[float], weights: list[float], total: float) -> list[float]:
@@ -122,14 +116,6 @@ def _water_fill(needs: list[float], weights: list[float], total: float) -> list[
     return alloc
 
 
-def _queue_shares(needs: list[float], budget: float) -> list[float]:
-    """Split a UE's budget equally over its backlogged queues.  The
-    scheduler gives a UE with one backlogged queue min(budget, need)
-    without calling this: that is what ``_water_fill`` returns for one queue
-    whenever the budget is above its 1e-12 floor (budgets here are >= 1)."""
-    return _water_fill(needs, [1.0] * len(needs), budget)
-
-
 def pf_catch_up(ue: UeContext, now: float, slot_len_secs: float) -> None:
     """Apply the idle decays of the slots before ``now`` that ``ue`` missed.
 
@@ -143,18 +129,17 @@ def pf_catch_up(ue: UeContext, now: float, slot_len_secs: float) -> None:
 
 
 def _serve_queues(queues: list[RlcQueue], budget: float, now: float,
-                  completions: list[SlotTransmissions], partial: list[RlcQueue]) -> int:
-    """Serve a UE's backlogged queues their ``_queue_shares`` of ``budget``;
-    returns the bytes served."""
+                  sent: list[tuple[RlcQueue, Sequence[Sdu]]]) -> int:
+    """Serve a UE's backlogged queues equal shares of ``budget``, water-filled
+    to their standing bytes; returns the bytes served."""
     served = 0
-    for q, share in zip(queues, _queue_shares([float(q.standing_bytes) for q in queues], budget)):
+    needs = [float(q.standing_bytes) for q in queues]
+    for q, share in zip(queues, _water_fill(needs, [1.0] * len(needs), budget)):
         if share < 1:
             continue
         completed, used = q.transmit(share, now)
-        if completed:
-            completions.append(SlotTransmissions(q, completed))
-        elif used:
-            partial.append(q)
+        if used:
+            sent.append((q, completed))
         served += used
     return served
 
@@ -164,10 +149,10 @@ def scheduler_slot(
     policy: SchedulerPolicy,
     slot_len_secs: float,
     now: float,
-) -> tuple[list[SlotTransmissions], list[RlcQueue]]:
-    """Serve one slot.  Returns the DRBs that completed SDUs, with those
-    SDUs, and the DRBs that transmitted without completing one, each in
-    transmit order.  UEs not passed are idle this slot.  Of those passed,
+) -> list[tuple[RlcQueue, Sequence[Sdu]]]:
+    """Serve one slot.  Returns each DRB that moved bytes with the SDUs it
+    completed (none for a share inside the head SDU), in transmit order.
+    UEs not passed are idle this slot.  Of those passed,
     only UEs with standing bytes have their capacity read, and only those
     with capacity have their PF average brought up to date.  Under PF,
     each UE's ``ewma_at`` must start at the time of the caller's first slot."""
@@ -202,16 +187,15 @@ def scheduler_slot(
                     add_weight(cap / (_PF_RATE_FLOOR if _PF_RATE_FLOOR > rate else rate))
                 else:
                     add_weight(1.0)
-    completions: list[SlotTransmissions] = []
-    partial: list[RlcQueue] = []
+    sent: list[tuple[RlcQueue, Sequence[Sdu]]] = []
     if not rows:
-        return completions, partial
+        return sent
     # a lone UE's share is w / w = 1.0, so its need (<= 1.0) is its fraction
     fractions = needs if len(rows) == 1 and weights[0] > 0 else _water_fill(needs, weights, 1.0)
     alpha = slot_len_secs / PF_EWMA_HORIZON_SECS
     keep = 1.0 - alpha
     next_slot = now + slot_len_secs
-    add_partial = partial.append
+    add_sent = sent.append
     for (ue, only, cap, standing), fraction in zip(rows, fractions):
         budget = fraction * cap * slot_len_secs
         if budget < 1:
@@ -221,23 +205,24 @@ def scheduler_slot(
             # one backlogged queue holds all of the UE's standing bytes
             only = queues[0] if len(queues) == 1 else None
         if only is None:
-            served = _serve_queues(queues, budget, now, completions, partial)
+            served = _serve_queues(queues, budget, now, sent)
         else:
-            # _queue_shares' one-queue share, min(budget, standing); it is
-            # >= 1, so bytes move.  A share inside the head SDU moves the
-            # counters here, as transmit would, without the call
+            # the one-queue share, min(budget, standing): what _water_fill
+            # gives one queue whenever the budget is above its 1e-12 floor.
+            # It is >= 1, so bytes move.  A share inside the head SDU moves
+            # the counters here, as transmit would, without the call
             served = int(budget) if budget < standing else standing
             left = only.head_left
             if served < left:
                 only.head_left = left - served
                 only.standing_bytes -= served
                 only.transmitted_bytes += served
-                add_partial(only)
+                add_sent((only, ()))
             else:
                 completed, served = only.transmit(served, now)
-                completions.append(SlotTransmissions(only, completed))
+                add_sent((only, completed))
         if pf and served:
             # an unserved UE's update is an exact decay, applied lazily
             ue.ewma_rate = keep * ue.ewma_rate + alpha * (served / slot_len_secs)
             ue.ewma_at = next_slot
-    return completions, partial
+    return sent

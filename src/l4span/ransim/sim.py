@@ -10,17 +10,18 @@ which the DRB completes an SDU.  A DRB that transmits in a slot without
 completing one would repeat the SN its layer last applied, which changes
 state only when a downlink packet arrived since the layer's last refresh,
 so its message is applied only then.  A message only stamps the profile
-and marks the layer's refresh due; the refresh runs at its first read.  A
-slot's zero-delay work (the post-slot work) is the deliveries that take no
-time and the status messages of the DRBs that completed SDUs, in transmit
-order, then the messages of the DRBs that only transmitted and have a
-refresh pending.  It runs at the end of the slot's tick, unless another
-event is due at that instant; only then is it scheduled as an
-``F1U_FEEDBACK`` event at the slot's time, behind every same-time event
-queued before it.  Either way it runs in the same order relative to every
-other event.  The scheduler sees only the UEs with queued data, kept in
-``ue_ctx`` order: an admitted packet inserts its UE into the active list,
-and a UE whose queues drained in a slot leaves it.
+and marks the layer's refresh due; the refresh runs at its first read.
+
+A slot is one pass inside its ``SLOT_TICK``: the scheduler serves it and
+returns each DRB that transmitted, in transmit order, with the SDUs it
+completed; the tick closes the interval and snapshots the warm-up as due;
+then, DRB by DRB, it routes the completed SDUs (deliveries that take no
+time run at once), applies the status message and drops a drained UE.  So
+a slot's deliveries and status messages happen before any other event at
+its instant, and the next tick is scheduled last.  The scheduler sees only
+the UEs with queued data, kept in ``ue_ctx`` order: an admitted packet
+inserts its UE into the active list, and a UE whose queues drained in a
+slot leaves it.
 
 Every event carries the handler it runs, called with the event's data and
 time: a simulator method, or for a sender timer the endpoint method it
@@ -511,45 +512,37 @@ class Simulator:
 
     def _slot_tick(self, n: int, now: float) -> None:
         ue_ctx = self.ue_ctx
-        completions, partial = scheduler_slot(self._active_ctx, self._policy, self.scn.slot_secs,
-                                              now)
-        # the slot's zero-delay work in transmit order: per bearer that
-        # completed SDUs, its (flow, sdu) deliveries, then its status message
-        post = []
-        for b, completed in completions:
-            drb = b.spec
-            deliveries = []
-            for sdu in completed:
-                flow = self.flow_by_tuple[sdu.pkt.five_tuple]
-                if b.am:
-                    delay = drb.delivery_delay_secs
-                    if drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
-                        delay += drb.arq_delay_secs
-                    if delay > 0:
-                        self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, self._deliver,
-                                           (flow, sdu))
-                        continue
-                elif drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
-                    continue  # UM: lost in the air, transport recovers
-                deliveries.append((flow, sdu))
-            post.append((b, deliveries))
-            if not b.standing_bytes and not ue_ctx[b.ue_index].standing_bytes():
-                self._deactivate(b.ue_index)
+        sent = scheduler_slot(self._active_ctx, self._policy, self.scn.slot_secs, now)
         if n > 0 and n % self._slots_per_interval == 0:
             self._close_interval(now)
         if self._warmup_from <= now < self._warmup_to:
-            for ctx in self.ue_ctx:
+            for ctx in ue_ctx:
                 self._ue_served_at_warmup[ctx.ue_id] = sum(q.transmitted_bytes for q in ctx.queues)
+        deliver = self._deliver
+        for b, completed in sent:
+            if completed:
+                drb = b.spec
+                for sdu in completed:
+                    flow = self.flow_by_tuple[sdu.pkt.five_tuple]
+                    if b.am:
+                        delay = drb.delivery_delay_secs
+                        if drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
+                            delay += drb.arq_delay_secs
+                        if delay > 0:
+                            self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, deliver,
+                                               (flow, sdu))
+                            continue
+                    elif drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
+                        continue  # UM: lost in the air, transport recovers
+                    deliver((flow, sdu), now)
+                b.layer.on_ran_feedback(b.highest_tx_sn, now)
+                if not b.standing_bytes and not ue_ctx[b.ue_index].standing_bytes():
+                    self._deactivate(b.ue_index)
+            elif b.layer.dl_since_refresh and b.highest_tx_sn is not None:
+                b.layer.on_ran_feedback(b.highest_tx_sn, now)
         nxt = (n + 1) * self.scn.slot_secs
         if nxt <= self.scn.horizon_secs:
             self.loop.schedule(nxt, EventKind.SLOT_TICK, self._slot_tick, n + 1)
-        if post or partial:
-            # nothing can run between the tick and its post-slot work unless
-            # an event is due at this instant: then the work waits behind it
-            if self.loop.next_at() > now:
-                self._post_slot((post, partial), now)
-            else:
-                self.loop.schedule(now, EventKind.F1U_FEEDBACK, self._post_slot, (post, partial))
 
     def _deactivate(self, ue: int) -> None:
         """Drop a drained UE from the active list; a UE whose bearers all
@@ -559,26 +552,6 @@ class Simulator:
         if i < len(idx) and idx[i] == ue:
             del idx[i]
             del self._active_ctx[i]
-
-    def _post_slot(self, data, now: float) -> None:
-        """Deliver and report for each bearer that completed SDUs; then give
-        each bearer that only transmitted its status message if it would
-        refresh.  Every completion's message is applied here, in its own
-        slot, so a bearer without one repeats the SN its layer last applied,
-        and such a message changes state only after a downlink packet (see
-        ``DrbLayer.on_ran_feedback``).  That is read now, not at the tick:
-        when this runs as its own event, a same-time downlink arrival may
-        have run in between."""
-        batch, partial = data
-        deliver = self._deliver
-        for b, deliveries in batch:
-            for item in deliveries:
-                deliver(item, now)
-            b.layer.on_ran_feedback(b.highest_tx_sn, now)
-        for b in partial:
-            layer = b.layer
-            if layer.dl_since_refresh and b.highest_tx_sn is not None:
-                layer.on_ran_feedback(b.highest_tx_sn, now)
 
     def _deliver(self, item, now: float) -> None:
         flow, sdu = item

@@ -336,10 +336,8 @@ def test_every_bearer_reports_its_gauges_once_per_interval(make):
 # events dispatched per kind; the benchmark's per-kind figures count these labels.
 # A flow's stop time schedules no event: its sender checks the clock, so each
 # flow that stops before the horizon has no timer of its own (one here, two in
-# the idle-return run).  No tick of either run ends with another event due at
-# its instant, so every slot's post-slot work runs inside its tick and no
-# f1u_feedback event is dispatched (tests/test_reference_sim.py has a run
-# that dispatches them).
+# the idle-return run).  A slot's deliveries and status messages run inside
+# its tick, so no f1u_feedback event is dispatched.
 DISPATCH_COUNTS = {
     golden_scenario: {"arrive_downlink": 1424, "arrive_uplink": 1426, "deliver_to_ue": 685,
                       "f1u_feedback": 0, "sender_timer": 696, "slot_tick": 4001},

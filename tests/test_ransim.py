@@ -29,7 +29,6 @@ from l4span.ransim.rlc import EnqueueResult, RlcQueue
 from l4span.ransim.scheduler import (
     SchedulerPolicy,
     UeContext,
-    _queue_shares,
     _water_fill,
     scheduler_slot,
 )
@@ -60,7 +59,7 @@ def test_trace_static_eval():
         max_size=40,
     ),
 )
-def test_trace_cursor_matches_bisect_oracle(gaps, caps, picks):
+def test_trace_lookup_matches_bisect_oracle(gaps, caps, picks):
     times = [0.0]
     for g in gaps:
         times.append(times[-1] + g)
@@ -458,9 +457,8 @@ def _ue(ue_id, rate, queued_sdus):
 
 
 def _transmitting(slot):
-    """The DRBs a slot served: those that completed SDUs, then the rest."""
-    completions, partial = slot
-    return [rep.queue for rep in completions] + partial
+    """The DRBs a slot served, in transmit order."""
+    return [q for q, _ in slot]
 
 
 def test_slot_capacity_arithmetic():
@@ -512,9 +510,8 @@ def test_water_fill_conserves_total_and_respects_caps(data, needs, total):
 
 @given(need=st.floats(1e-3, 1e7), budget=st.floats(1.0, 1e7))
 def test_one_queue_share_equals_water_fill(need, budget):
-    # the share scheduler_slot gives a UE with one queue, without _queue_shares
-    assert [budget if budget < need else need] == _queue_shares([need], budget) \
-        == _water_fill([need], [1.0], budget)
+    # the share scheduler_slot gives a UE with one queue, without the water fill
+    assert [budget if budget < need else need] == _water_fill([need], [1.0], budget)
 
 
 # -- event loop ---------------------------------------------------------------
@@ -527,11 +524,9 @@ def test_event_ordering_and_ties():
     def record(data, now):
         seen.append((data, now))
 
-    assert loop.next_at() == math.inf
     loop.schedule(2.0, EventKind.SENDER_TIMER, record, "b")
     loop.schedule(1.0, EventKind.SENDER_TIMER, record, "a")
     loop.schedule(2.0, EventKind.SENDER_TIMER, record, "c")  # same time: insertion order
-    assert loop.next_at() == 1.0
     types = []
 
     def dispatch(ev):
@@ -540,7 +535,6 @@ def test_event_ordering_and_ties():
 
     assert loop.run(10.0, dispatch) == 3
     assert seen == [("a", 1.0), ("b", 2.0), ("c", 2.0)] and types == [SimEvent] * 3
-    assert loop.next_at() == math.inf
 
 
 def test_causality_enforced():

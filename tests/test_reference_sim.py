@@ -1,18 +1,21 @@
 """``Simulator`` against a reference that takes no shortcut on the slot path.
 
 ``ReferenceSimulator`` does the obvious thing in every slot: it passes every
-UE to the scheduler, schedules the slot's post-slot work as an
-``F1U_FEEDBACK`` event whenever the slot transmitted, and lets each bearer's
-layer refresh its estimate and probabilities at the status message itself
-(``eager_on_ran_feedback``, whose rule is: refresh on a newly stamped SN, or
-on a repeat that follows a downlink packet).  Whatever ``Simulator`` skips,
-defers or runs inline instead, its packets, intervals and summary streams
-must equal the reference's byte for byte.
+UE to the scheduler, and after the slot gives every DRB that transmitted
+and has a transmitted SN its status message, whose layer refreshes its
+estimate and probabilities at once (``eager_on_ran_feedback``, whose rule
+is: refresh on a newly stamped SN, or on a repeat that follows a downlink
+packet).  Like ``Simulator`` it does a slot's work in one pass inside the
+tick, deliveries and messages in transmit order.  Whatever ``Simulator``
+skips or defers instead (the UEs it does not pass, the messages it does not
+send, the refreshes it leaves to the first read), its packets, intervals
+and summary streams must equal the reference's byte for byte.
 
 Random short scenarios cover every channel kind but ``file``, every sender,
-AQM and RLC kind, both schedulers, air loss, zero-delay AM deliveries and
-uplink legs that put an ACK's arrival at a slot's own instant.  A fixed
-scenario forces such a tie on a UM bearer.
+AQM and RLC kind, both schedulers, air loss, zero-delay AM deliveries, and
+path delays of zero and of one slot, which put an ACK's or a downlink
+packet's arrival at a slot's own instant.  A fixed scenario forces such a
+tie on the downlink and checks the packet sees the slot's status message.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def eager_on_ran_feedback(layer, highest_tx_sn: int, now: float) -> None:
 
 
 class ReferenceSimulator(Simulator):
-    """Every UE in every slot, a post-slot event in every slot that
+    """Every UE in every slot, a status message to every DRB that
     transmitted, and eager refreshes."""
 
     def __init__(self, scenario):
@@ -70,45 +73,31 @@ class ReferenceSimulator(Simulator):
             layer.on_ran_feedback = types.MethodType(eager_on_ran_feedback, layer)
 
     def _slot_tick(self, n: int, now: float) -> None:
-        completions, partial = scheduler_slot(self.ue_ctx, self._policy, self.scn.slot_secs, now)
-        post = []
-        for b, completed in completions:
-            drb = b.spec
-            deliveries = []
-            for sdu in completed:
-                flow = self.flow_by_tuple[sdu.pkt.five_tuple]
-                if b.am:
-                    delay = drb.delivery_delay_secs
-                    if drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
-                        delay += drb.arq_delay_secs
-                    if delay > 0:
-                        self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, self._deliver,
-                                           (flow, sdu))
-                        continue
-                elif drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
-                    continue
-                deliveries.append((flow, sdu))
-            post.append((b, deliveries))
-        if post or partial:
-            self.loop.schedule(now, EventKind.F1U_FEEDBACK, self._post_slot, (post, partial))
+        sent = scheduler_slot(self.ue_ctx, self._policy, self.scn.slot_secs, now)
         if n > 0 and n % self._slots_per_interval == 0:
             self._close_interval(now)
         if self._warmup_from <= now < self._warmup_to:
             for ctx in self.ue_ctx:
                 self._ue_served_at_warmup[ctx.ue_id] = sum(q.transmitted_bytes for q in ctx.queues)
+        for b, completed in sent:
+            drb = b.spec
+            for sdu in completed:
+                flow = self.flow_by_tuple[sdu.pkt.five_tuple]
+                lost = drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p
+                if b.am:
+                    delay = drb.delivery_delay_secs + (drb.arq_delay_secs if lost else 0.0)
+                    if delay > 0:
+                        self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, self._deliver,
+                                           (flow, sdu))
+                    else:
+                        self._deliver((flow, sdu), now)
+                elif not lost:
+                    self._deliver((flow, sdu), now)
+            if b.highest_tx_sn is not None:
+                b.layer.on_ran_feedback(b.highest_tx_sn, now)
         nxt = (n + 1) * self.scn.slot_secs
         if nxt <= self.scn.horizon_secs:
             self.loop.schedule(nxt, EventKind.SLOT_TICK, self._slot_tick, n + 1)
-
-    def _post_slot(self, data, now: float) -> None:
-        batch, partial = data
-        for b, deliveries in batch:
-            for item in deliveries:
-                self._deliver(item, now)
-            b.layer.on_ran_feedback(b.highest_tx_sn, now)
-        for b in partial:
-            if b.layer.dl_since_refresh and b.highest_tx_sn is not None:
-                b.layer.on_ran_feedback(b.highest_tx_sn, now)
 
 
 def streams(result) -> tuple[list[str], list[str], str]:
@@ -117,24 +106,40 @@ def streams(result) -> tuple[list[str], list[str], str]:
             json.dumps(result.summary, indent=2, sort_keys=True))
 
 
-class CountingSimulator(Simulator):
-    """``Simulator`` that counts the events it dispatches by kind, and the
-    handlers of its ``F1U_FEEDBACK`` events."""
+class WatchingSimulator(Simulator):
+    """``Simulator`` that counts the events it dispatches by kind, and for
+    each downlink packet handled at the instant of the tick that ran last,
+    records whether that tick completed SDUs on the packet's bearer and
+    whether the bearer's layer had applied its highest transmitted SN."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.dispatched = Counter()
-        self.feedback_handlers = set()
+        self.tick_at = None
+        self.completed_in_tick = set()
+        self.ties = []  # (bearer completed SDUs in the tick, layer applied its SN)
 
     def _dispatch(self, ev) -> None:
         self.dispatched[ev.kind] += 1
-        if ev.kind is EventKind.F1U_FEEDBACK:
-            self.feedback_handlers.add(ev.handler.__func__)
         super()._dispatch(ev)
 
+    def _slot_tick(self, n: int, now: float) -> None:
+        before = {key: q.highest_tx_sn for key, q in self.queues.items()}
+        super()._slot_tick(n, now)
+        self.tick_at = now
+        self.completed_in_tick = {key for key, q in self.queues.items()
+                                  if q.highest_tx_sn != before[key]}
 
-def assert_same_streams(scn_factory) -> CountingSimulator:
-    sim = CountingSimulator(scn_factory())
+    def _arrive_downlink(self, data, now: float) -> None:
+        if now == self.tick_at:
+            q = data[0].bearer
+            self.ties.append((q.drb.key in self.completed_in_tick,
+                              q.layer._applied_tx_sn == q.highest_tx_sn))
+        super()._arrive_downlink(data, now)
+
+
+def assert_same_streams(scn_factory) -> WatchingSimulator:
+    sim = WatchingSimulator(scn_factory())
     got = streams(sim.run())
     want = streams(ReferenceSimulator(scn_factory()).run())
     assert got[2] == want[2]
@@ -197,7 +202,9 @@ def scenarios(draw) -> Scenario:
         scheduler=draw(st.sampled_from(["round_robin", "proportional_fair"])), ues=ues,
         aqm=AqmSpec(kind=draw(st.sampled_from(["l4span", "dualpi2step", "none"])),
                     short_circuit=draw(st.booleans())),
-        delays=PathDelays(ran_ul_secs=draw(st.sampled_from([0.002, SLOT_SECS, 0.0]))),
+        # each path delay at its default, one slot or none
+        delays=PathDelays(**{name: draw(st.sampled_from([default, SLOT_SECS, 0.0]))
+                             for name, default in vars(PathDelays()).items()}),
     )
 
 
@@ -207,19 +214,24 @@ def test_streams_equal_the_reference_simulators(scn):
     assert_same_streams(lambda: scn)
 
 
-def test_an_event_due_at_the_ticks_instant_keeps_its_post_slot_event():
-    # on a UM bearer a delivery runs in the post-slot work, and with a
-    # one-slot uplink leg its ACK reaches the CU at a later slot's instant,
-    # scheduled after that slot's tick: the tick ends with the ACK still due
+def test_a_packet_at_a_ticks_instant_sees_the_slots_status_message():
+    # with no server->CU delay, a UDP sender's timer due at a slot's instant
+    # runs before that slot's tick and its packet reaches the CU at the same
+    # instant, after the tick; a Prague flow keeps the bearer backlogged, so
+    # some of those ticks completed SDUs on it
     def tie() -> Scenario:
         return Scenario(
-            name="uplink-tie", horizon_secs=1.0, warmup_secs=0.25, seed=3,
+            name="downlink-tie", horizon_secs=1.0, warmup_secs=0.25, seed=3,
             ues=[UeSpec(ue_id=1, channel=ChannelSpec(kind="static", capacity_bps=10e6), drbs=[
-                DrbSpec(rlc_mode="um", flows=[FlowSpec(name="prague-1", kind="prague")]),
+                DrbSpec(rlc_mode="um", flows=[
+                    FlowSpec(name="prague-1", kind="prague"),
+                    FlowSpec(name="udp-1", kind="udp", feedback="none", udp_rate_bps=4e6),
+                ]),
             ])],
-            delays=PathDelays(ran_ul_secs=SLOT_SECS),
+            delays=PathDelays(dl_prop_secs=0.0),
         )
 
     sim = assert_same_streams(tie)
-    assert sim.dispatched[EventKind.F1U_FEEDBACK] >= 1
-    assert sim.feedback_handlers == {Simulator._post_slot}
+    assert sum(completed for completed, _ in sim.ties) >= 10
+    assert all(applied for _, applied in sim.ties)
+    assert sim.dispatched[EventKind.F1U_FEEDBACK] == 0

@@ -7,13 +7,16 @@ count their own sent bytes.  The scheduler under test sees only the UEs
 with standing bytes (plus any idle ones a caller chooses to pass), decays
 idle averages lazily, caches each UE's capacity up to its segment's end,
 gives a UE with one backlogged queue its share without the queue split and
-moves a share that ends inside a head SDU as counters.  After every slot
-each queue's counters, the SDUs each DRB completed and the DRBs that
-transmitted without completing must match the oracle; once a UE catches
-up, its average must match bit for bit.
-The water fill and the queue split are checked against the oracles bit for
-bit on their own too: the water fill is the oracle's algorithm today, and
-the check keeps any faster form of it exact.
+moves a share that ends inside a head SDU as counters.  It returns one
+list of the DRBs that transmitted, in transmit order, each with the SDUs it
+completed; split by whether it completed any, after every slot it must
+match the oracle's DRBs that completed SDUs (with those SDUs) and DRBs that
+transmitted without completing, as must each queue's counters; once a UE
+catches up, its average must match bit for bit.
+The water fill and the queue split (the water fill with unit weights) are
+checked against the oracles bit for bit on their own too: the water fill
+is the oracle's algorithm today, and the check keeps any faster form of it
+exact.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from l4span.ransim.scheduler import (
     PF_EWMA_HORIZON_SECS,
     SchedulerPolicy,
     UeContext,
-    _queue_shares,
     _water_fill,
     pf_catch_up,
     scheduler_slot,
@@ -277,9 +279,9 @@ def _compare_with_oracle(channels, policy, phases):
             now = n * SLOT
             passed = [u for i, u in enumerate(lazy) if u.standing_bytes() > 0 or mask >> i & 1]
             want = oracle_slot(oracle, policy, SLOT, now)
-            completions, partial = scheduler_slot(passed, policy, SLOT, now)
-            assert ([(r.queue.drb.key, [s.sn for s in r.completed]) for r in completions],
-                    [q.drb.key for q in partial]) == want
+            sent = scheduler_slot(passed, policy, SLOT, now)
+            assert ([(q.drb.key, [s.sn for s in done]) for q, done in sent if done],
+                    [q.drb.key for q, done in sent if not done]) == want
             for o, u in zip(oracle, lazy):
                 assert [(q.transmitted_bytes, q.standing_bytes, q.head_left) for q in u.queues] \
                     == [(q.transmitted_bytes, q.standing_bytes, q.head_left) for q in o.queues]
@@ -303,7 +305,8 @@ def test_a_lone_ue_takes_the_whole_slot():
         _compare_with_oracle([([(0.0, 3e6)], 1)], policy, [([(0, 0, 1500, 60)], 200, 0, True)])
         ue = _cell([([(0.0, 3e6)], 1)])[0]
         ue.queue.enqueue(_pkt(1, 3000), 1, 0.0)
-        assert scheduler_slot([ue], policy, SLOT, 0.0)[1] == [ue.queue]
+        assert [(q, list(done)) for q, done in scheduler_slot([ue], policy, SLOT, 0.0)] \
+            == [(ue.queue, [])]
         assert ue.queue.transmitted_bytes == int(1.0 * 3e6 * SLOT)
 
 
@@ -333,7 +336,7 @@ def test_water_fill_matches_its_oracle_bit_for_bit(needs, data, total):
 @example(needs=[700.0, 2000.0], budget=1400.0)
 @example(needs=[3000.0, 4000.0], budget=1000.0)
 def test_queue_shares_match_their_oracle_bit_for_bit(needs, budget):
-    assert [a.hex() for a in _queue_shares(needs, budget)] \
+    assert [a.hex() for a in _water_fill(needs, [1.0] * len(needs), budget)] \
         == [a.hex() for a in oracle_queue_shares(needs, budget)]
 
 
