@@ -1,15 +1,20 @@
 """``Simulator`` against a reference that takes no shortcut on the slot path.
 
-``ReferenceSimulator`` does the obvious thing in every slot: it passes every
-UE to the scheduler, and after the slot gives every DRB that transmitted
-and has a transmitted SN its status message, whose layer refreshes its
-estimate and probabilities at once (``eager_on_ran_feedback``, whose rule
-is: refresh on a newly stamped SN, or on a repeat that follows a downlink
-packet).  Like ``Simulator`` it does a slot's work in one pass inside the
-tick, deliveries and messages in transmit order.  Whatever ``Simulator``
-skips or defers instead (the UEs it does not pass, the messages it does not
-send, the refreshes it leaves to the first read), its packets, intervals
-and summary streams must equal the reference's byte for byte.
+``ReferenceSimulator`` does the obvious thing in every slot.  Its scheduler,
+``eager_slot``, serves every UE: it looks up each backlogged UE's capacity
+on the trace, divides the slot and each UE's share with the water-fill
+oracles of ``tests/test_scheduler.py``, sends every share through
+``RlcQueue.transmit`` and updates every UE's proportional-fair average.
+After the slot it gives every DRB that transmitted and has a transmitted SN
+its status message, whose layer refreshes its estimate and probabilities at
+once (``eager_on_ran_feedback``, whose rule is: refresh on a newly stamped
+SN, or on a repeat that follows a downlink packet).  Like ``Simulator`` it
+does a slot's work in one pass inside the tick, deliveries and messages in
+transmit order.  Whatever ``Simulator`` skips, caches or defers instead (the
+UEs it does not pass, the segment it keeps, the decays it applies late, the
+head counters it moves itself, the refreshes it leaves to the first read),
+its packets, intervals and summary streams must equal the reference's byte
+for byte.
 
 Random short scenarios cover every channel kind but ``file``, every sender,
 AQM and RLC kind, both schedulers, air loss, zero-delay AM deliveries, and
@@ -40,8 +45,9 @@ from l4span.harness.scenario import (
 )
 from l4span.ransim.events import EventKind
 from l4span.ransim.layer import refresh_probabilities
-from l4span.ransim.scheduler import scheduler_slot
+from l4span.ransim.scheduler import _PF_RATE_FLOOR, PF_EWMA_HORIZON_SECS, SchedulerPolicy
 from l4span.ransim.sim import Simulator
+from test_scheduler import oracle_queue_shares, oracle_water_fill
 
 SLOT_SECS = 0.0005
 
@@ -63,9 +69,49 @@ def eager_on_ran_feedback(layer, highest_tx_sn: int, now: float) -> None:
     refresh_probabilities(layer.mark_state, layer.params, est)
 
 
+def eager_slot(ues, policy, slot_len_secs, now):
+    """Serve one slot over every UE, as ``scheduler_slot`` does with no
+    shortcut: the capacity looked up every slot, the water-fill oracle for
+    the UE split (one row too), the queue oracle for each UE's backlogged
+    queues (one queue too), ``RlcQueue.transmit`` for every share of at
+    least one byte, and every UE's PF average updated every slot.  Returns
+    each DRB that moved bytes with the SDUs it completed, in transmit order."""
+    pf = policy is SchedulerPolicy.PROPORTIONAL_FAIR
+    rows = []
+    needs = []
+    weights = []
+    for i, ue in enumerate(ues):
+        standing = sum(q.standing_bytes for q in ue.queues)
+        if standing > 0:
+            cap = ue.trace.segment_at(now)[0]
+            if cap > 0:
+                rows.append((i, cap))
+                needs.append(min(1.0, standing / (cap * slot_len_secs)))
+                weights.append(cap / max(ue.ewma_rate, _PF_RATE_FLOOR) if pf else 1.0)
+    sent = []
+    served = [0] * len(ues)
+    for (i, cap), fraction in zip(rows, oracle_water_fill(needs, weights, 1.0)):
+        budget = fraction * cap * slot_len_secs
+        if budget < 1:
+            continue
+        queues = [q for q in ues[i].queues if q.standing_bytes > 0]
+        for q, share in zip(queues, oracle_queue_shares([float(q.standing_bytes) for q in queues],
+                                                        budget)):
+            if share < 1:
+                continue
+            completed, used = q.transmit(share, now)
+            if used:
+                sent.append((q, completed))
+                served[i] += used
+    alpha = slot_len_secs / PF_EWMA_HORIZON_SECS
+    for i, ue in enumerate(ues):
+        ue.ewma_rate = (1.0 - alpha) * ue.ewma_rate + alpha * (served[i] / slot_len_secs)
+    return sent
+
+
 class ReferenceSimulator(Simulator):
-    """Every UE in every slot, a status message to every DRB that
-    transmitted, and eager refreshes."""
+    """Every UE in every slot through ``eager_slot``, a status message to
+    every DRB that transmitted, and eager refreshes."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
@@ -73,7 +119,7 @@ class ReferenceSimulator(Simulator):
             layer.on_ran_feedback = types.MethodType(eager_on_ran_feedback, layer)
 
     def _slot_tick(self, n: int, now: float) -> None:
-        sent = scheduler_slot(self.ue_ctx, self._policy, self.scn.slot_secs, now)
+        sent = eager_slot(self.ue_ctx, self._policy, self.scn.slot_secs, now)
         if n > 0 and n % self._slots_per_interval == 0:
             self._close_interval(now)
         if self._warmup_from <= now < self._warmup_to:
