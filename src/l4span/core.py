@@ -115,7 +115,8 @@ class Packet:
     tcp: Optional[TcpFields] = None
     # simulation-only diagnostics, never wire fields: the timestamp up to
     # which this packet's feedback covers tentative marks (feedback-latency
-    # ledger), and the sojourn predicted for it at middlebox ingress
+    # ledger), and the sojourn predicted for it at middlebox ingress (set by
+    # the marking layer's downlink handler when the packet gets its SN)
     fb_cutoff: Optional[float] = field(default=None, repr=False)
     pred_sojourn: Optional[float] = field(default=None, repr=False)
 

@@ -370,7 +370,7 @@ class AcceptanceRunner:
         from ..ransim.layer import DrbLayer
         from ..core import ACK, EcnCodepoint, FiveTuple, Packet, Proto, TcpFields
 
-        layer = DrbLayer(MarkParams(rng_seed=1), DEFAULT_WINDOW_SECS)
+        layer = DrbLayer(MarkParams(rng_seed=1))
         ft = FiveTuple(1, 2, 10, 20, Proto.TCP)
 
         def mk_pkt(i, now):

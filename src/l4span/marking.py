@@ -150,14 +150,16 @@ class MarkParams:
     rng_seed: int = 0
     short_circuit: bool = True
     drop_fallback: bool = False
-    # estimates older than this are treated as unavailable (2x estimation window)
-    freshness_secs: float = 2 * DEFAULT_WINDOW_SECS
+    # the profile's estimation window
+    window_secs: float = DEFAULT_WINDOW_SECS
     # baseline switch: zero the error width so marking is a hard sojourn step
     force_zero_error: bool = False
     # shared-bearer strategy, one of SHARED_POLICIES
     shared_policy: str = "coupled"
     # throughput-model constant K, derived from beta at construction
     k: float = field(init=False, repr=False)
+    # estimates older than this are treated as unavailable: twice the window
+    freshness_secs: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.tau_thr <= 0:
@@ -167,6 +169,7 @@ class MarkParams:
         if self.shared_policy not in SHARED_POLICIES:
             raise ValueError(f"unknown shared_policy {self.shared_policy!r}")
         self.k = k_constant(self.beta)
+        self.freshness_secs = 2 * self.window_secs
 
 
 @dataclass

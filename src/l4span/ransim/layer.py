@@ -3,12 +3,12 @@
 Three entry points mirror the three trigger events: a downlink datagram
 arriving from the core, a RAN status message carrying the highest
 transmitted PDCP SN, and an uplink packet on its way back to the server.
+They and the ``mark_state`` read are the layer's whole interface.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core import (
@@ -41,33 +41,25 @@ from ..shortcircuit import (
 MarkRule = Callable[..., MarkDecision]
 
 
-@dataclass
-class DownlinkOutcome:
-    decision: MarkDecision
-    predicted_sojourn: Optional[float]
-    sn: Optional[int]
-
-
 class DrbLayer:
-    """Marking, profiling, and feedback state for one bearer.  Its marking
-    rule is fixed at construction: ``mark_rule``, or else this module's
+    """Marking, profiling, and feedback state for one bearer, with the
+    profile's estimation window taken from ``params``.  Its marking rule is
+    fixed at construction: ``mark_rule``, or else this module's
     ``decide_mark`` as it is bound then (a wrapper put there first sees every call).
 
-    A status message stamps the profile at once but only marks the estimate
-    and probabilities due for a refresh; the refresh runs at their first
-    read (the next downlink packet, or ``mark_state``), through this
-    module's ``refresh_probabilities`` as it is bound then.  So a message
-    whose refresh a later one supersedes before any read computes nothing."""
+    A caller may send a status message for every slot in which the bearer
+    transmitted: one that repeats the applied SN with no downlink packet
+    since the last refresh is a no-op.  A message stamps the profile at once
+    but only marks the estimate and probabilities due for a refresh; the
+    refresh runs at their first read (the next downlink packet, or
+    ``mark_state``), through this module's ``refresh_probabilities`` as it
+    is bound then.  So a message whose refresh a later one supersedes
+    before any read computes nothing."""
 
-    def __init__(
-        self,
-        params: MarkParams,
-        window_secs: float,
-        mark_rule: Optional[MarkRule] = None,
-    ):
+    def __init__(self, params: MarkParams, mark_rule: Optional[MarkRule] = None):
         self.params = params
         self.mark_rule = decide_mark if mark_rule is None else mark_rule
-        self.profile = ProfileTable(window_secs=window_secs)
+        self.profile = ProfileTable(window_secs=params.window_secs)
         self._mark_state = DrbMarkState()
         self.rng = random.Random(params.rng_seed)
         self.flow_feedback: dict[FiveTuple, FlowFeedbackState] = {}
@@ -76,8 +68,7 @@ class DrbLayer:
         self._next_sn = 1
         # a downlink packet since the last refresh may have changed the
         # pending bytes, the flow mix or the handshake RTTs; while it is
-        # False, a status message that repeats the applied SN is a no-op, and
-        # the simulator sends none to a DRB whose slot completed no SDU
+        # False, a status message that repeats the applied SN is a no-op
         self.dl_since_refresh = True
         # a status message found new input, and nothing has read the state since
         self._refresh_due = False
@@ -104,10 +95,14 @@ class DrbLayer:
 
     # -- downlink ----------------------------------------------------------
 
-    def on_dl_pkt(self, pkt: Packet, has_room: bool, now: float) -> DownlinkOutcome:
-        """Mark an admitted packet by the rule fixed at construction and give it an SN.
-        ``predicted_sojourn`` covers only the bytes queued ahead of the packet; the
-        ``queuing + scheduling`` C9 compares it with includes the packet's own service.
+    def on_dl_pkt(self, pkt: Packet, has_room: bool,
+                  now: float) -> tuple[MarkDecision, Optional[int]]:
+        """Mark an admitted packet by the rule fixed at construction and give it
+        an SN; returns the decision and the SN (None for a packet that does not
+        enter the RLC: dropped by the rule, or with no room).  A packet given an
+        SN gets ``pred_sojourn`` set while a fresh estimate exists; it covers
+        only the bytes queued ahead of the packet, while the ``queuing +
+        scheduling`` C9 compares it with includes the packet's own service.
         A refresh that a status message made due runs first, before the packet
         touches the flow records or the pending bytes."""
         if self._refresh_due:
@@ -126,18 +121,16 @@ class DrbLayer:
                 rec.rtt_star = now - rec.syn_at
 
         if not has_room:
-            return DownlinkOutcome(decision=MarkDecision.PASS, predicted_sojourn=None, sn=None)
-
-        est = state.last_estimate
-        predicted = None
-        if est is not None and est.r_hat > 0 and now - est.at <= self.params.freshness_secs:
-            predicted = self.profile.queued_bytes / est.r_hat
+            return MarkDecision.PASS, None
 
         decision = self.mark_rule(state, self.params, pkt, flow_class, self.rng, now)
         if decision is MarkDecision.DROP:
             # never entered the RLC, so it never enters the profile either
-            return DownlinkOutcome(decision=decision, predicted_sojourn=predicted, sn=None)
+            return decision, None
 
+        est = state.last_estimate
+        if est is not None and est.r_hat > 0 and now - est.at <= self.params.freshness_secs:
+            pkt.pred_sojourn = self.profile.queued_bytes / est.r_hat
         sn = self._next_sn
         self._next_sn += 1
         self.profile.record_ingress(sn, pkt.size_bytes)
@@ -151,19 +144,20 @@ class DrbLayer:
         )
         if short_circuitable:
             record_tentative_mark(fb, pkt, decision)
-            return DownlinkOutcome(decision=decision, predicted_sojourn=predicted, sn=sn)
+            return decision, sn
         if decision is MarkDecision.TENTATIVE_MARK:
             # no rewritable feedback channel yet (handshake in flight): cannot signal
             decision = MarkDecision.PASS
         if decision is MarkDecision.MARK_CE:
             pkt.fb_cutoff = now  # mark-time annotation for the feedback-latency ledger
             fallback_mark_downlink(pkt, decision)
-        return DownlinkOutcome(decision=decision, predicted_sojourn=predicted, sn=sn)
+        return decision, sn
 
     # -- RAN feedback --------------------------------------------------------
 
-    def on_ran_feedback(self, highest_tx_sn: int, now: float) -> None:
-        """Apply a status message, the DRB's highest transmitted PDCP SN.
+    def on_ran_feedback(self, highest_tx_sn: Optional[int], now: float) -> None:
+        """Apply a status message, the DRB's highest transmitted PDCP SN (None
+        before its first SDU completes, when the profile has nothing to stamp).
 
         A newly transmitted SN is stamped on the profile at once, with the
         message's time.  The estimate and probabilities are due for a

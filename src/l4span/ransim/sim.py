@@ -4,13 +4,8 @@ Wiring per downlink packet: sender emits -> (server->CU propagation) ->
 marking layer ingress -> RLC queue -> slot scheduler transmits -> delivery
 to the UE (AM adds the configured delivery delay) -> receiver ACK ->
 (UE->CU uplink leg) -> marking layer rewrites feedback -> (CU->server
-propagation) -> sender reacts.  The RAN status message, the DRB's highest
-transmitted PDCP SN, reaches the marking layer once per DRB per slot in
-which the DRB completes an SDU.  A DRB that transmits in a slot without
-completing one would repeat the SN its layer last applied, which changes
-state only when a downlink packet arrived since the layer's last refresh,
-so its message is applied only then.  A message only stamps the profile
-and marks the layer's refresh due; the refresh runs at its first read.
+propagation) -> sender reacts.  Each DRB that transmits in a slot sends
+its marking layer one RAN status message, its highest transmitted PDCP SN.
 
 A slot is one pass inside its ``SLOT_TICK``: the scheduler serves it and
 returns each DRB that transmitted, in transmit order, with the SDUs it
@@ -421,7 +416,7 @@ class Simulator:
                     rng_seed=seed,
                     short_circuit=aqm.short_circuit and aqm.kind != "none",
                     drop_fallback=aqm.drop_fallback,
-                    freshness_secs=2 * scenario.window_secs,
+                    window_secs=scenario.window_secs,
                     force_zero_error=aqm.force_zero_error or aqm.kind == "dualpi2step",
                     shared_policy=aqm.shared_policy,
                 )
@@ -430,7 +425,7 @@ class Simulator:
                 bearer = _Bearer(cfg, drb, loss_rng, len(self.ue_ctx))
                 rule = (mark_rule if aqm.kind == "l4span" else
                         bearer.step_mark if aqm.kind == "dualpi2step" else _pass_every_packet)
-                bearer.layer = DrbLayer(params, scenario.window_secs, rule)
+                bearer.layer = DrbLayer(params, rule)
                 bearers.append(bearer)
                 self.queues[key] = bearer
                 self.layers[key] = bearer.layer
@@ -490,23 +485,22 @@ class Simulator:
     def _arrive_downlink(self, data, now: float) -> None:
         flow, pkt = data
         q = flow.bearer
-        outcome = q.layer.on_dl_pkt(pkt, q.has_room(), now)
-        if outcome.decision is MarkDecision.DROP:
+        decision, sn = q.layer.on_dl_pkt(pkt, q.has_room(), now)
+        if decision is MarkDecision.DROP:
             self.metrics.on_aqm_drop(now, flow.spec.name)
             return
-        if outcome.sn is None:
+        if sn is None:
             q.enqueue(pkt, -1, now)  # counts the tail drop
             self.metrics.on_tail_drop(now, q.drb.key, flow.spec.name)
             return
-        pkt.pred_sojourn = outcome.predicted_sojourn
-        q.enqueue(pkt, outcome.sn, now)
+        q.enqueue(pkt, sn, now)
         ue = q.ue_index
         idx = self._active_idx
         i = bisect_left(idx, ue)
         if i == len(idx) or idx[i] != ue:
             idx.insert(i, ue)
             self._active_ctx.insert(i, self.ue_ctx[ue])
-        if outcome.decision in (MarkDecision.TENTATIVE_MARK, MarkDecision.MARK_CE):
+        if decision in (MarkDecision.TENTATIVE_MARK, MarkDecision.MARK_CE):
             flow.pending_marks.append(now)
             self.metrics.on_mark(now, flow.spec.name)
 
@@ -520,26 +514,23 @@ class Simulator:
                 self._ue_served_at_warmup[ctx.ue_id] = sum(q.transmitted_bytes for q in ctx.queues)
         deliver = self._deliver
         for b, completed in sent:
-            if completed:
-                drb = b.spec
-                for sdu in completed:
-                    flow = self.flow_by_tuple[sdu.pkt.five_tuple]
-                    if b.am:
-                        delay = drb.delivery_delay_secs
-                        if drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
-                            delay += drb.arq_delay_secs
-                        if delay > 0:
-                            self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, deliver,
-                                               (flow, sdu))
-                            continue
-                    elif drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
-                        continue  # UM: lost in the air, transport recovers
-                    deliver((flow, sdu), now)
-                b.layer.on_ran_feedback(b.highest_tx_sn, now)
-                if not b.standing_bytes and not ue_ctx[b.ue_index].standing_bytes():
-                    self._deactivate(b.ue_index)
-            elif b.layer.dl_since_refresh and b.highest_tx_sn is not None:
-                b.layer.on_ran_feedback(b.highest_tx_sn, now)
+            drb = b.spec
+            for sdu in completed:
+                flow = self.flow_by_tuple[sdu.pkt.five_tuple]
+                if b.am:
+                    delay = drb.delivery_delay_secs
+                    if drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
+                        delay += drb.arq_delay_secs
+                    if delay > 0:
+                        self.loop.schedule(now + delay, EventKind.DELIVER_TO_UE, deliver,
+                                           (flow, sdu))
+                        continue
+                elif drb.loss_p > 0 and b.loss_rng.random() < drb.loss_p:
+                    continue  # UM: lost in the air, transport recovers
+                deliver((flow, sdu), now)
+            b.layer.on_ran_feedback(b.highest_tx_sn, now)
+            if not b.standing_bytes and not ue_ctx[b.ue_index].standing_bytes():
+                self._deactivate(b.ue_index)
         nxt = (n + 1) * self.scn.slot_secs
         if nxt <= self.scn.horizon_secs:
             self.loop.schedule(nxt, EventKind.SLOT_TICK, self._slot_tick, n + 1)

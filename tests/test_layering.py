@@ -56,3 +56,15 @@ def test_resolver_sees_relative_imports():
     names = _imported_modules("ransim/sim.py")
     assert "l4span.harness.metrics" in names
     assert "l4span.ransim.layer" in names
+
+
+# what the simulator may use of a bearer's marking layer: its three handlers
+# and the state the interval gauges read
+LAYER_INTERFACE = {"on_dl_pkt", "on_ran_feedback", "on_ul_packet", "mark_state"}
+
+
+def test_the_simulator_uses_only_the_layers_interface():
+    used = {node.attr for node in ast.walk(ast.parse((PKG / "ransim/sim.py").read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "layer"}
+    assert used and used <= LAYER_INTERFACE, used - LAYER_INTERFACE

@@ -20,7 +20,7 @@ from l4span.core import (
 )
 from l4span.harness.scenario import BUILTIN_SCENARIOS, ChannelSpec, DrbSpec, FlowSpec
 from l4span.marking import MarkParams, p_l4s
-from l4span.profile import DEFAULT_WINDOW_SECS, KEEP_HORIZON_SECS, ProfileTable
+from l4span.profile import KEEP_HORIZON_SECS, ProfileTable
 from l4span.ransim import layer as layer_mod
 from l4span.ransim.channel import ChannelTrace
 from l4span.ransim.events import EventKind, EventLoop, SimEvent
@@ -765,7 +765,7 @@ def test_a_forgotten_flow_does_not_measure_its_handshake_again():
     # flow a idles past IDLE_FLOW_FORGET_SECS while b keeps the bearer busy,
     # so the layer forgets a; when a resumes it has no handshake RTT, rather
     # than one measured from its old SYN (12 s here)
-    layer = DrbLayer(MarkParams(), DEFAULT_WINDOW_SECS)
+    layer = DrbLayer(MarkParams())
     a, b = FiveTuple(1, 2, 10, 20, Proto.TCP), FiveTuple(1, 2, 11, 20, Proto.TCP)
 
     def send(ft, now, flags=0):
@@ -798,7 +798,7 @@ def test_feedback_refreshes_only_on_new_input(monkeypatch):
         real_refresh(state, params, est)
 
     monkeypatch.setattr(layer_mod, "refresh_probabilities", counting_refresh)
-    layer = DrbLayer(MarkParams(tau_thr=0.005, rng_seed=1), DEFAULT_WINDOW_SECS)
+    layer = DrbLayer(MarkParams(tau_thr=0.005, rng_seed=1))
     now = 0.0
     # one packet in and one out per 0.5 ms, ten behind, with uneven sizes: the
     # estimate has a finite error width and the standing queue sits near the
@@ -850,7 +850,7 @@ def test_a_repeated_status_message_changes_no_state():
     # a bearer whose packets were all transmitted before t = 1 s; with no
     # downlink packet since, 1,024 repeats of the applied SN at t = 2 s
     # leave the layer and its profile as they were
-    layer = DrbLayer(MarkParams(rng_seed=1), DEFAULT_WINDOW_SECS)
+    layer = DrbLayer(MarkParams(rng_seed=1))
     now = 0.0
     for i in range(1, 41):
         now += 0.0005
@@ -862,3 +862,23 @@ def test_a_repeated_status_message_changes_no_state():
         layer.on_ran_feedback(40, 2.0)
     assert pickle.dumps(layer) == before
     assert len(layer.profile.entries) == 40
+
+
+def test_a_status_message_with_no_transmitted_sn_changes_nothing():
+    # a bearer that transmitted but has completed no SDU yet reports no SN;
+    # of two twin layers fed the same downlink packets, one also gets such a
+    # message after each packet.  Each message makes a refresh due, which
+    # finds an empty window, so once the first SDUs complete and the state
+    # is read the twins are the same
+    quiet, told = DrbLayer(MarkParams(rng_seed=1)), DrbLayer(MarkParams(rng_seed=1))
+    now = 0.0
+    for i in range(1, 41):
+        now += 0.0005
+        for layer in (quiet, told):
+            layer.on_dl_pkt(_pkt(i, 600 + 300 * (i % 4)), True, now)
+        told.on_ran_feedback(None, now)
+    assert pickle.dumps(told) != pickle.dumps(quiet)  # told's refresh is due
+    for layer in (quiet, told):
+        layer.on_ran_feedback(10, now + 0.0005)
+        assert layer.mark_state.last_estimate is not None
+    assert pickle.dumps(told) == pickle.dumps(quiet)
