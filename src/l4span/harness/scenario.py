@@ -178,10 +178,11 @@ class Scenario:
     def validate(self) -> None:
         """Check every field; each channel is checked as its trace would be
         over a zero horizon (``ChannelSpec.check``), so no full trace is built
-        (``Simulator`` builds them)."""
-        if self.horizon_secs <= 0:
+        (``Simulator`` builds them).  Each bound is written ``not x >= 0`` or
+        ``not x > 0``, so that a NaN fails it too."""
+        if not self.horizon_secs > 0:
             raise ConfigError("horizon_secs must be positive")
-        if self.slot_secs <= 0:
+        if not self.slot_secs > 0:
             raise ConfigError("slot_secs must be positive")
         if self.slot_secs > INTERVAL_SECS:
             # slots close the metric intervals, so one slot may not span two
@@ -201,10 +202,10 @@ class Scenario:
             raise ConfigError(f"unknown aqm.shared_policy {self.aqm.shared_policy!r}")
         if not 0 < self.aqm.beta < 1:
             raise ConfigError("aqm.beta must be in (0, 1)")
-        if self.aqm.tau_thr <= 0:
+        if not self.aqm.tau_thr > 0:
             raise ConfigError("aqm.tau_thr must be positive")
         for leg, secs in vars(self.delays).items():
-            if secs < 0:
+            if not secs >= 0:
                 raise ConfigError(f"delays.{leg} must be >= 0")
         if not self.ues:
             raise ConfigError("scenario needs at least one UE")
@@ -249,15 +250,15 @@ class Scenario:
                 seen_drb.add(drb.drb_id)
                 if drb.rlc_mode not in {m.value for m in RlcMode}:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: unknown rlc_mode {drb.rlc_mode!r}")
-                if drb.max_queue_sdus <= 0:
+                if not drb.max_queue_sdus > 0:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: max_queue_sdus must be positive")
-                if drb.mss_bytes <= TCP_HEADER_BYTES:
+                if not drb.mss_bytes > TCP_HEADER_BYTES:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: mss_bytes must exceed "
                                       f"the {TCP_HEADER_BYTES}-byte header")
                 if not 0 <= drb.loss_p < 1:
                     raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: loss_p must be in [0, 1)")
                 for delay in ("delivery_delay_secs", "arq_delay_secs"):
-                    if getattr(drb, delay) < 0:
+                    if not getattr(drb, delay) >= 0:
                         raise ConfigError(f"ue {ue.ue_id} drb {drb.drb_id}: delays must be >= 0 "
                                           f"({delay})")
                 for flow in drb.flows:
@@ -274,13 +275,13 @@ class Scenario:
                     stop = flow.stop if flow.stop is not None else self.horizon_secs
                     if not 0 <= flow.start < stop <= self.horizon_secs:
                         raise ConfigError(f"{loc}: need 0 <= start < stop <= horizon")
-                    if flow.size_bytes is not None and flow.size_bytes <= 0:
+                    if flow.size_bytes is not None and not flow.size_bytes > 0:
                         raise ConfigError(f"{loc}: size_bytes must be positive")
-                    if flow.udp_rate_bps <= 0:
+                    if not flow.udp_rate_bps > 0:
                         raise ConfigError(f"{loc}: udp_rate_bps must be positive")
-                    if flow.think_secs < 0:
+                    if not flow.think_secs >= 0:
                         raise ConfigError(f"{loc}: think_secs must be >= 0")
-                    if flow.rwnd_bytes < drb.mss_bytes - TCP_HEADER_BYTES:
+                    if not flow.rwnd_bytes >= drb.mss_bytes - TCP_HEADER_BYTES:
                         raise ConfigError(f"{loc}: rwnd_bytes must hold one payload "
                                           f"(mss_bytes - {TCP_HEADER_BYTES})")
 

@@ -172,7 +172,7 @@ class MarkParams:
         self.freshness_secs = 2 * self.window_secs
 
 
-@dataclass
+@dataclass(slots=True)
 class _FlowRecord:
     flow_class: FlowClass
     last_seen: float

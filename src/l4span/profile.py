@@ -37,14 +37,14 @@ KEEP_HORIZON_SECS = 1.0  # how long entries outlive their transmit time
 _SUM_REFRESH_PERIOD = 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class ProfileEntry:
     pdcp_sn: int
     size_bytes: int
     t_transmit: Optional[float] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class EgressEstimate:
     r_hat: float            # smoothed egress rate, bytes/s
     e_hat: float            # std of instantaneous rates over the window, bytes/s
@@ -84,7 +84,7 @@ class ProfileTable:
             raise ValueError("size_bytes must be positive")
         if self._last_sn is not None and sn <= self._last_sn:
             raise ProtocolError(f"non-monotone pdcp_sn {sn} (last {self._last_sn})")
-        entry = ProfileEntry(pdcp_sn=sn, size_bytes=size_bytes)
+        entry = ProfileEntry(sn, size_bytes)
         self.entries.append(entry)
         self._pending.append(entry)
         self._last_sn = sn
@@ -164,14 +164,7 @@ class ProfileTable:
             sojourn = n_queue / r_hat
         else:
             sojourn = math.inf
-        return EgressEstimate(
-            r_hat=r_hat,
-            e_hat=e_hat,
-            n_queue=n_queue,
-            sojourn_hat=sojourn,
-            at=t_k,
-            sample_count=n,
-        )
+        return EgressEstimate(r_hat, e_hat, n_queue, sojourn, t_k, n)
 
     @property
     def queued_bytes(self) -> int:

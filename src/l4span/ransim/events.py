@@ -49,20 +49,22 @@ class EventLoop:
 
     def schedule(self, at: float, kind: EventKind, handler: Callable[[Any, float], None],
                  data: Any = None) -> None:
-        if at < self.now - 1e-12:
+        # written so that a NaN time fails too
+        if not at >= self.now - 1e-12:
             raise ValueError(f"cannot schedule event at {at} before now={self.now}")
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         # a NamedTuple's generated __new__ is a Python function; the tuple's is not
-        _heappush(self._heap, _new_tuple(SimEvent, (at, self._seq, kind, handler, data)))
+        _heappush(self._heap, _new_tuple(SimEvent, (at, seq, kind, handler, data)))
 
     def run(self, until: float, dispatch: Callable[[SimEvent], None]) -> int:
         """Execute events up to and including time ``until``; returns the count."""
         heap = self._heap
         heappop = heapq.heappop
         count = 0
-        while heap and heap[0].at <= until:
+        # by index: a field name is a descriptor call on every event
+        while heap and heap[0][0] <= until:
             ev = heappop(heap)
-            self.now = ev.at
+            self.now = ev[0]
             dispatch(ev)
             count += 1
         self.now = until

@@ -15,7 +15,7 @@ class EnqueueResult(enum.Enum):
     DROPPED_TAIL = "dropped_tail"
 
 
-@dataclass
+@dataclass(slots=True)
 class Sdu:
     """One queued SDU; ``head_at`` is set when it reaches the head of the
     queue and ``done_at`` when its last byte is transmitted."""
@@ -51,17 +51,19 @@ class RlcQueue:
         return len(self.sdus) < self.drb.max_queue_sdus
 
     def enqueue(self, pkt: Packet, sn: int, now: float) -> EnqueueResult:
-        if not self.has_room():
-            self.dropped_bytes += pkt.size_bytes
+        sdus = self.sdus
+        size = pkt.size_bytes
+        if not len(sdus) < self.drb.max_queue_sdus:  # not has_room()
+            self.dropped_bytes += size
             self.dropped_sdus += 1
             return EnqueueResult.DROPPED_TAIL
-        sdu = Sdu(pkt=pkt, sn=sn, enq_at=now)
-        if not self.sdus:
-            sdu.head_at = now
-            self.head_left = pkt.size_bytes
-        self.sdus.append(sdu)
-        self.admitted_bytes += pkt.size_bytes
-        self.standing_bytes += pkt.size_bytes
+        if sdus:
+            sdus.append(Sdu(pkt, sn, now))
+        else:
+            sdus.append(Sdu(pkt, sn, now, now))  # at the head on arrival
+            self.head_left = size
+        self.admitted_bytes += size
+        self.standing_bytes += size
         return EnqueueResult.QUEUED
 
     def transmit(self, budget_bytes: float, now: float) -> tuple[list[Sdu], int]:

@@ -119,14 +119,8 @@ class TcpEndpoint:
             flags |= ECE | CWR  # ECN-setup SYN
         elif self.flow.feedback_mode is FeedbackMode.ACC_ECN:
             accecn = AccEcnFields()
-        syn = Packet(
-            pkt_id=self.sim.next_pkt_id(),
-            five_tuple=self.flow.ft,
-            size_bytes=40,
-            ecn=EcnCodepoint.NOT_ECT,
-            created_at=now,
-            tcp=TcpFields(seq=0, ack_no=0, flags=flags, accecn=accecn),
-        )
+        syn = Packet(self.sim.next_pkt_id(), self.flow.ft, 40, EcnCodepoint.NOT_ECT, now,
+                     TcpFields(0, 0, flags, accecn))
         self.sim.emit_downlink(self.flow, syn, now)
         self._schedule_rto(now + self.rto)
 
@@ -147,18 +141,28 @@ class TcpEndpoint:
                 else:
                     self.send_data(now)
             return
-        delta = t.ack_no - self.snd_una
+        ack_no = t.ack_no
+        delta = ack_no - self.snd_una
         newly_sampled = None
         if delta > 0:
-            self.snd_una = t.ack_no
-            while self.outstanding:
-                seq, rec = next(iter(self.outstanding.items()))
-                if seq + rec[0] > t.ack_no:
-                    break
-                del self.outstanding[seq]
-                self.inflight -= rec[0]
-                if rec[2] == 0:
-                    newly_sampled = now - rec[1]
+            self.snd_una = ack_no
+            outstanding = self.outstanding
+            if outstanding:
+                # segments are contiguous in seq order: each one's end is the
+                # next one's key
+                seq = next(iter(outstanding))
+                while True:
+                    rec = outstanding[seq]
+                    end = seq + rec[0]
+                    if end > ack_no:
+                        break
+                    del outstanding[seq]
+                    self.inflight -= rec[0]
+                    if rec[2] == 0:
+                        newly_sampled = now - rec[1]
+                    if not outstanding:
+                        break
+                    seq = end
             if newly_sampled is not None:
                 self._rtt_sample(newly_sampled, now)
 
@@ -195,8 +199,10 @@ class TcpEndpoint:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
-            self.min_rtt = min(self.min_rtt, sample)
-        self.rto = max(MIN_RTO_SECS, self.srtt + 4 * self.rttvar)
+            if sample < self.min_rtt:
+                self.min_rtt = sample
+        rto = self.srtt + 4 * self.rttvar
+        self.rto = rto if rto > MIN_RTO_SECS else MIN_RTO_SECS
         self.cc.srtt = self.srtt
         # classic senders leave slow start on sustained RTT inflation
         # (Hystart-style); the scalable sender's own marking ends its slow
@@ -247,14 +253,8 @@ class TcpEndpoint:
         if self.pending_cwr:
             flags |= CWR
             self.pending_cwr = False
-        pkt = Packet(
-            pkt_id=self.sim.next_pkt_id(),
-            five_tuple=self.flow.ft,
-            size_bytes=payload + 40,
-            ecn=self.flow.data_ecn,
-            created_at=emit_at,
-            tcp=TcpFields(seq=seq, ack_no=0, flags=flags),
-        )
+        pkt = Packet(self.sim.next_pkt_id(), self.flow.ft, payload + 40, self.flow.data_ecn,
+                     emit_at, TcpFields(seq, 0, flags))
         rec = self.outstanding.get(seq)
         if rec is None:
             self.outstanding[seq] = [payload, emit_at, 0]
@@ -319,13 +319,7 @@ class UdpEndpoint:
     def _tick(self, now: float) -> None:
         if now >= self.flow.stop_at:
             return
-        pkt = Packet(
-            pkt_id=self.sim.next_pkt_id(),
-            five_tuple=self.flow.ft,
-            size_bytes=self.pkt_size,
-            ecn=self.flow.data_ecn,
-            created_at=now,
-        )
+        pkt = Packet(self.sim.next_pkt_id(), self.flow.ft, self.pkt_size, self.flow.data_ecn, now)
         self.sim.emit_downlink(self.flow, pkt, now)
         self.sim.loop.schedule(now + self.pkt_size / self.rate, EventKind.SENDER_TIMER,
                                UdpEndpoint._tick, self)
@@ -388,6 +382,16 @@ class Simulator:
         self.scn = scenario
         self.loop = EventLoop()
         self._pkt_id = 0
+        # bound once for the per-packet path: the path's delay legs, the
+        # loop's schedule and the handlers it schedules on every packet
+        delays = scenario.delays
+        self._dl_prop_secs = delays.dl_prop_secs
+        self._ran_ul_secs = delays.ran_ul_secs
+        self._ul_prop_secs = delays.ul_prop_secs
+        self._schedule = self.loop.schedule
+        self._on_arrive_downlink = self._arrive_downlink
+        self._on_uplink_at_cu = self._uplink_at_cu
+        self._on_uplink_at_server = self._uplink_at_server
         aqm = scenario.aqm
 
         self.ue_ctx: list[UeContext] = []
@@ -477,8 +481,8 @@ class Simulator:
         return self._pkt_id
 
     def emit_downlink(self, flow: _FlowRuntime, pkt: Packet, at: float) -> None:
-        self.loop.schedule(at + self.scn.delays.dl_prop_secs, EventKind.ARRIVE_DOWNLINK,
-                           self._arrive_downlink, (flow, pkt))
+        self._schedule(at + self._dl_prop_secs, EventKind.ARRIVE_DOWNLINK,
+                       self._on_arrive_downlink, (flow, pkt))
 
     # -- handlers: each takes its event's data and time ---------------------
 
@@ -548,26 +552,29 @@ class Simulator:
         flow, sdu = item
         pkt = sdu.pkt
         # the PacketRecord fields in order, then the payload
+        head_at = sdu.head_at
+        done_at = sdu.done_at
         self.metrics.on_delivery(now, flow.spec.name, now - pkt.created_at,
-                                 self.scn.delays.dl_prop_secs, sdu.head_at - sdu.enq_at,
-                                 sdu.done_at - sdu.head_at, now - sdu.done_at,
+                                 self._dl_prop_secs, head_at - sdu.enq_at,
+                                 done_at - head_at, now - done_at,
                                  pkt.pred_sojourn, pkt.size_bytes, pkt.payload_bytes)
         ack = receiver_on_data(flow.receiver, pkt, now, self.next_pkt_id())
         if ack is not None:
-            self.loop.schedule(now + self.scn.delays.ran_ul_secs, EventKind.ARRIVE_UPLINK,
-                               self._uplink_at_cu, (flow, ack))
+            self._schedule(now + self._ran_ul_secs, EventKind.ARRIVE_UPLINK,
+                           self._on_uplink_at_cu, (flow, ack))
 
     def _uplink_at_cu(self, data, now: float) -> None:
         flow, ack = data
         out = flow.bearer.layer.on_ul_packet(ack, now)
-        self.loop.schedule(now + self.scn.delays.ul_prop_secs, EventKind.ARRIVE_UPLINK,
-                           self._uplink_at_server, (flow, out))
+        self._schedule(now + self._ul_prop_secs, EventKind.ARRIVE_UPLINK,
+                       self._on_uplink_at_server, (flow, out))
 
     def _uplink_at_server(self, data, now: float) -> None:
         flow, pkt = data
-        if pkt.fb_cutoff is not None:
+        cutoff = pkt.fb_cutoff
+        if cutoff is not None:
             pend = flow.pending_marks
-            while pend and pend[0] <= pkt.fb_cutoff:
+            while pend and pend[0] <= cutoff:
                 t_mark = pend.popleft()
                 self.metrics.on_feedback_latency(now, flow.spec.name, now - t_mark)
         flow.endpoint.on_ack(pkt, now)
@@ -634,7 +641,7 @@ class Simulator:
         return SimResult(meta=meta, collector=self.metrics, summary=summary, events=events)
 
     def _dispatch(self, ev) -> None:
-        ev.handler(ev.data, ev.at)
+        ev[3](ev[4], ev[0])  # ev.handler(ev.data, ev.at)
 
 
 def _peak_rss_mb() -> float:

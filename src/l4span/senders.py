@@ -208,7 +208,7 @@ SENDERS: dict[str, SenderKind] = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiverState:
     """UE-side receiver: reassembles the byte stream and produces feedback."""
 
@@ -228,12 +228,7 @@ class ReceiverState:
         self.ack_tuple = reverse_tuple(self.flow)
 
     def received_counters(self) -> AccEcnFields:
-        return AccEcnFields(
-            ace_counter=self.ce_pkts % 8,
-            ce_bytes=self.ce_bytes,
-            ect0_bytes=self.ect0_bytes,
-            ect1_bytes=self.ect1_bytes,
-        )
+        return AccEcnFields(self.ce_pkts % 8, self.ce_bytes, self.ect0_bytes, self.ect1_bytes)
 
 
 def receiver_on_data(
@@ -280,13 +275,7 @@ def receiver_on_data(
     if state.mode is FeedbackMode.CLASSIC_ECN and (is_syn or state.ece_latched):
         flags |= ECE
     accecn = state.received_counters() if state.mode is FeedbackMode.ACC_ECN else None
-    ack = Packet(
-        pkt_id=ack_pkt_id,
-        five_tuple=state.ack_tuple,
-        size_bytes=40,
-        ecn=EcnCodepoint.NOT_ECT,
-        created_at=now,
-        tcp=TcpFields(seq=0, ack_no=state.recv_next, flags=flags, accecn=accecn),
-    )
-    ack.fb_cutoff = state.latest_ce_mark_time
-    return ack
+    # positional, in field order (see ``core``): the ACK's feedback cutoff is
+    # the latest CE mark time it covers
+    return Packet(ack_pkt_id, state.ack_tuple, 40, EcnCodepoint.NOT_ECT, now,
+                  TcpFields(0, state.recv_next, flags, accecn), state.latest_ce_mark_time)

@@ -40,7 +40,7 @@ def classify_feedback_mode(first_ack: Packet) -> FeedbackMode:
     return FeedbackMode.DOWNLINK_FALLBACK
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowFeedbackState:
     """Per-flow short-circuit bookkeeping.
 

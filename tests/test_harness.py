@@ -164,6 +164,29 @@ def test_negative_delivery_delay_rejected():
         })
 
 
+# every float field validate() bounds below, by where it sits in a built scenario
+NAN_FIELDS = {
+    "delays.dl_prop_secs": lambda s: s.delays, "delays.ul_prop_secs": lambda s: s.delays,
+    "delays.ran_ul_secs": lambda s: s.delays, "aqm.tau_thr": lambda s: s.aqm,
+    "horizon_secs": lambda s: s, "slot_secs": lambda s: s,
+    "delivery_delay_secs": lambda s: s.ues[0].drbs[0], "arq_delay_secs": lambda s: s.ues[0].drbs[0],
+    "think_secs": lambda s: s.ues[0].drbs[0].flows[0],
+    "udp_rate_bps": lambda s: s.ues[0].drbs[0].flows[0],
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_FIELDS))
+def test_a_nan_field_built_in_code_is_one_config_error_naming_it(name):
+    # files and --param values never carry a NaN; a Scenario built in code can
+    scn = BUILTIN_SCENARIOS["static-1ue"]()
+    scn.horizon_secs = 2.0
+    scn.warmup_secs = 0.5
+    scn.validate()
+    setattr(NAN_FIELDS[name](scn), name.rsplit(".", 1)[-1], math.nan)
+    with pytest.raises(ConfigError, match=re.escape(name.rsplit(".", 1)[-1])):
+        scn.validate()
+
+
 def test_duplicate_ue_rejected():
     with pytest.raises(ConfigError, match="duplicate ue_id"):
         scenario_from_dict({

@@ -548,6 +548,14 @@ def test_causality_enforced():
         loop.schedule(0.5, EventKind.SENDER_TIMER, noop)
 
 
+def test_an_event_at_nan_is_refused():
+    # at the heap's root it would end run() silently: nan <= until is False
+    loop = EventLoop()
+    with pytest.raises(ValueError):
+        loop.schedule(math.nan, EventKind.SENDER_TIMER, lambda data, now: None)
+    assert loop.run(1.0, lambda ev: ev.handler(ev.data, ev.at)) == 0
+
+
 # -- end-to-end sim properties --------------------------------------------------
 
 
