@@ -218,17 +218,17 @@ class Scenario:
             ch, where = ue.channel, f"ues[{i}].channel"
             # a trace holds a breakpoint per hold: a hold shorter than a slot
             # changes nothing a slot reads, and grows the build without bound
-            if ch.kind == "step" and ch.period_secs / 2 < self.slot_secs:
+            if ch.kind == "step" and not ch.period_secs / 2 >= self.slot_secs:
                 raise ConfigError(f"{where}.period_secs: the half-period must be at least slot_secs")
-            if ch.kind == "fading" and ch.fast_secs < self.slot_secs:
+            if ch.kind == "fading" and not ch.fast_secs >= self.slot_secs:
                 raise ConfigError(f"{where}.fast_secs must be at least slot_secs")
-            if ch.kind == "fading" and ch.period_secs <= 0:
+            if ch.kind == "fading" and not ch.period_secs > 0:
                 raise ConfigError(f"{where}.period_secs must be positive")
             # the shadowing hold is a whole number of jitter holds; any other
             # fade_secs would be rounded to one and run as a different hold
             if ch.kind == "fading":
                 holds = ch.fade_secs / ch.fast_secs
-                if holds < 1 or abs(holds - round(holds)) > 1e-9 * holds:
+                if not holds >= 1 or abs(holds - round(holds)) > 1e-9 * holds:
                     raise ConfigError(f"{where}.fade_secs must be a whole multiple of fast_secs")
             # the generator's own count, one breakpoint per hold over the horizon
             hold = {"step": ch.period_secs / 2, "sinusoid": SINUSOID_SAMPLE_SECS,

@@ -187,6 +187,19 @@ def test_a_nan_field_built_in_code_is_one_config_error_naming_it(name):
         scn.validate()
 
 
+@pytest.mark.parametrize("kind, name", [("step", "period_secs"), ("fading", "period_secs"),
+                                        ("fading", "fast_secs"), ("fading", "fade_secs")])
+def test_a_nan_channel_hold_built_in_code_is_one_config_error_naming_it(kind, name):
+    scn = BUILTIN_SCENARIOS["static-1ue"]()
+    scn.horizon_secs = 2.0
+    scn.warmup_secs = 0.5
+    scn.ues[0].channel.kind = kind
+    scn.validate()
+    setattr(scn.ues[0].channel, name, math.nan)
+    with pytest.raises(ConfigError, match=re.escape(f"ues[0].channel.{name}")):
+        scn.validate()
+
+
 def test_duplicate_ue_rejected():
     with pytest.raises(ConfigError, match="duplicate ue_id"):
         scenario_from_dict({
