@@ -104,9 +104,9 @@ class ChannelTrace:
     @classmethod
     def step(cls, c1: float, c2: float, period: float, horizon: float) -> "ChannelTrace":
         """Alternate between c1 and c2 every half period."""
-        if period <= 0:
+        if not period > 0:
             raise ValueError("period must be positive")
-        if min(c1, c2) < 0:
+        if not (c1 >= 0 and c2 >= 0):  # a NaN fails too; min() would skip it
             raise ValueError("capacities must be >= 0")
         times, caps = [], []
         t = 0.0

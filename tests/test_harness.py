@@ -200,6 +200,15 @@ def test_a_nan_channel_hold_built_in_code_is_one_config_error_naming_it(kind, na
         scn.validate()
 
 
+def test_a_nan_step_capacity_is_refused_before_the_run():
+    # the zero-horizon check builds only the first hold, at high_bps
+    scn = BUILTIN_SCENARIOS["static-1ue"]()
+    scn.ues[0].channel.kind = "step"
+    scn.ues[0].channel.low_bps = math.nan
+    with pytest.raises(ConfigError, match=re.escape("ues[0].channel: capacities must be >= 0")):
+        scn.validate()
+
+
 def test_duplicate_ue_rejected():
     with pytest.raises(ConfigError, match="duplicate ue_id"):
         scenario_from_dict({
