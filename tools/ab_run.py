@@ -2,7 +2,7 @@
 
     python3 tools/ab_run.py --a ../parent-checkout --b . --workload bulk-1ue --seed 1 --rounds 8
 
-Each side's ``src/l4span`` is copied into a scratch directory as a package
+Each side's ``src/l4span`` is copied into a temporary directory as a package
 of its own (``l4span_a``, ``l4span_b``).  The package imports itself only
 relatively, so both load side by side.  The workload's first scenario for
 ``--seed`` is built once, by this checkout's ``perfbench/workloads.py``
