@@ -6,10 +6,12 @@ import json
 import math
 import re
 import tracemalloc
+import typing
 from collections import defaultdict
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from l4span.harness.scenario import (
     ConfigError,
     DrbSpec,
     FlowSpec,
+    PathDelays,
     Scenario,
     UeSpec,
     load_scenario,
@@ -44,9 +47,13 @@ from l4span.harness.scenario import (
     scenario_to_dict,
 )
 from l4span.harness.acceptance import VARIANTS, AcceptanceRunner, variant_scenario
+from l4span.core import RlcMode
+from l4span.marking import SHARED_POLICIES
 from l4span.ransim import channel as channel_mod
 from l4span.ransim.channel import ChannelTrace
+from l4span.ransim.scheduler import SchedulerPolicy
 from l4span.ransim.sim import Simulator, run
+from l4span.senders import SENDERS
 from test_golden import cached_run, golden_scenario, idle_return_scenario
 
 MINIMAL_YAML = """
@@ -106,7 +113,7 @@ def test_non_numeric_float_field_is_named(tmp_path, capsys):
     rc, err = _validate_yaml(tmp_path, capsys, text)
     assert rc == 1
     assert err.startswith("configuration error:") and err.count("\n") == 1
-    assert "ues[0].channel.capacity_bps" in err
+    assert "ues.0.channel.capacity_bps" in err
 
 
 # the next two use integer rates, which every version parses, so each test
@@ -120,7 +127,7 @@ def test_channel_builder_error_is_named(tmp_path, capsys):
     rc, err = _validate_yaml(tmp_path, capsys, text)
     assert rc == 1
     assert err.startswith("configuration error:") and err.count("\n") == 1
-    assert "ues[0].channel" in err and "amplitude" in err
+    assert "ues.0.channel" in err and "amplitude" in err
 
 
 def test_warmup_not_shorter_than_horizon_rejected(tmp_path, capsys):
@@ -140,7 +147,7 @@ def test_unknown_key_is_named():
 
 
 def test_bad_flow_is_named():
-    with pytest.raises(ConfigError, match="f1"):
+    with pytest.raises(ConfigError, match=re.escape("ues.0.drbs.0.flows.0.kind")):
         scenario_from_dict({
             "name": "x",
             "ues": [{"ue_id": 1, "drbs": [{"flows": [{"name": "f1", "kind": "bbr9"}]}]}],
@@ -156,7 +163,7 @@ def test_flow_window_validated():
 
 
 def test_negative_delivery_delay_rejected():
-    with pytest.raises(ConfigError, match="drb 1: delays must be >= 0"):
+    with pytest.raises(ConfigError, match=re.escape("ues.0.drbs.0.delivery_delay_secs must be")):
         scenario_from_dict({
             "name": "x",
             "ues": [{"ue_id": 1, "drbs": [{"delivery_delay_secs": -0.001,
@@ -164,49 +171,152 @@ def test_negative_delivery_delay_rejected():
         })
 
 
-# every float field validate() bounds below, by where it sits in a built scenario
-NAN_FIELDS = {
-    "delays.dl_prop_secs": lambda s: s.delays, "delays.ul_prop_secs": lambda s: s.delays,
-    "delays.ran_ul_secs": lambda s: s.delays, "aqm.tau_thr": lambda s: s.aqm,
-    "horizon_secs": lambda s: s, "slot_secs": lambda s: s,
-    "delivery_delay_secs": lambda s: s.ues[0].drbs[0], "arq_delay_secs": lambda s: s.ues[0].drbs[0],
-    "think_secs": lambda s: s.ues[0].drbs[0].flows[0],
-    "udp_rate_bps": lambda s: s.ues[0].drbs[0].flows[0],
-}
+def _set_path(scn: Scenario, path: str, value) -> None:
+    """Set the field a ``--param`` path names on a scenario built in code."""
+    *parts, last = path.split(".")
+    node = scn
+    for part in parts:
+        node = node[int(part)] if part.isdigit() else getattr(node, part)
+    setattr(node, last, value)
 
 
-@pytest.mark.parametrize("name", list(NAN_FIELDS))
-def test_a_nan_field_built_in_code_is_one_config_error_naming_it(name):
-    # files and --param values never carry a NaN; a Scenario built in code can
-    scn = BUILTIN_SCENARIOS["static-1ue"]()
-    scn.horizon_secs = 2.0
-    scn.warmup_secs = 0.5
+# each one validated while only the loader refused non-finite values
+CODE_BUILT_HOLES = [
+    ("static-1ue", "horizon_secs", math.inf),  # the run never returned
+    ("static-1ue", "seed", math.nan),
+    ("static-1ue", "ues.0.ue_id", 1.5),
+    ("static-1ue", "ues.0.drbs.0.flows.0.size_bytes", 1.5),
+    ("static-1ue", "ues.0.drbs.0.flows.0.think_secs", math.inf),
+    ("static-1ue", "aqm.tau_thr", math.inf),
+    ("static-1ue", "ues.0.drbs.0.max_queue_sdus", math.inf),
+    ("static-1ue", "delays.dl_prop_secs", math.inf),
+    ("static-1ue", "coherence_secs", math.inf),
+    ("mobile-1ue", "ues.0.channel.fade_secs", math.inf),  # a bare OverflowError from round()
+]
+
+
+@pytest.mark.parametrize("builtin, path, value", CODE_BUILT_HOLES)
+def test_a_malformed_field_built_in_code_is_one_config_error_naming_it(builtin, path, value):
+    scn = BUILTIN_SCENARIOS[builtin]()
     scn.validate()
-    setattr(NAN_FIELDS[name](scn), name.rsplit(".", 1)[-1], math.nan)
-    with pytest.raises(ConfigError, match=re.escape(name.rsplit(".", 1)[-1])):
+    _set_path(scn, path, value)
+    # validate() only: a scenario with an infinite horizon must never run
+    with pytest.raises(ConfigError) as err:
         scn.validate()
+    assert str(err.value).startswith(f"{path} must be ")
 
 
-@pytest.mark.parametrize("kind, name", [("step", "period_secs"), ("fading", "period_secs"),
-                                        ("fading", "fast_secs"), ("fading", "fade_secs")])
-def test_a_nan_channel_hold_built_in_code_is_one_config_error_naming_it(kind, name):
-    scn = BUILTIN_SCENARIOS["static-1ue"]()
-    scn.horizon_secs = 2.0
-    scn.warmup_secs = 0.5
-    scn.ues[0].channel.kind = kind
-    scn.validate()
+# where one spec of each class sits in a built scenario, by its --param path
+SPEC_PATHS = {Scenario: "", AqmSpec: "aqm.", PathDelays: "delays.", UeSpec: "ues.0.",
+              ChannelSpec: "ues.0.channel.", DrbSpec: "ues.0.drbs.0.",
+              FlowSpec: "ues.0.drbs.0.flows.0."}
+# the value a field just inside an open bound takes, that far inside it
+STEP_INSIDE = 1e-9
+
+
+def _roomy_scenario(kind: str) -> Scenario:
+    """A scenario with a channel of ``kind`` on which each cross-field rule
+    holds with room to spare for a value just inside any declared bound: no
+    warm-up, a 100 us horizon, a 0.1 ns slot and a 1 s coherence window."""
+    flow = FlowSpec(name="f", size_bytes=1000)
+    return Scenario(name="roomy", horizon_secs=1e-4, warmup_secs=0.0, slot_secs=1e-10,
+                    coherence_secs=1.0, ues=[UeSpec(ue_id=1, channel=ChannelSpec(kind=kind),
+                                                    drbs=[DrbSpec(flows=[flow])])])
+
+
+def _declared_fields() -> list:
+    """``(path, domain, channel kind)`` for each declared field, once per
+    channel kind that reads it."""
+    out = []
+    for cls, prefix in SPEC_PATHS.items():
+        for f in fields(cls):
+            domain = f.metadata.get("domain")
+            if domain is not None:
+                out += [(prefix + f.name, domain, kind)
+                        for kind in sorted(domain.kinds or {"static"})]
+    return out
+
+
+DECLARED = _declared_fields()
+DECLARED_IDS = [f"{path}-{kind}" if domain.kinds else path for path, domain, kind in DECLARED]
+
+
+def _inside(domain) -> list:
+    """A value just inside each of ``domain``'s bounds."""
+    step = 1 if domain.integer else STEP_INSIDE
+    return [bound + step if op == ">" else bound - step if op == "<" else bound
+            for op, bound in domain.bounds()]
+
+
+def _outside(domain) -> list:
+    """Values outside ``domain``: non-finite ones, each bound's nearest
+    outside value, and a whole float where only an int may go."""
+    if domain.choices:
+        return ["no-such-choice", math.nan, None]
+    values = [math.nan, math.inf, -math.inf]
+    for op, bound in domain.bounds():
+        away = -1 if op.startswith(">") else 1
+        if op in (">", "<"):  # a strict bound is itself outside
+            values.append(bound)
+        elif domain.integer:
+            values.append(bound + away)
+        else:
+            values.append(math.nextafter(bound, away * math.inf))
+    if domain.integer:
+        values.append(float((_inside(domain) or [7])[0]))
+    return values
+
+
+@pytest.mark.parametrize("path, domain, kind", DECLARED, ids=DECLARED_IDS)
+def test_each_value_outside_a_declared_domain_is_one_config_error_naming_its_path(path, domain,
+                                                                               kind):
+    for value in _outside(domain):
+        scn = _roomy_scenario(kind)
+        scn.validate()
+        _set_path(scn, path, value)
+        with pytest.raises(ConfigError) as err:
+            scn.validate()
+        message = str(err.value)
+        assert message.startswith(f"{path} must be "), (value, message)
+        assert "\n" not in message and err.value.__cause__ is None
+
+
+@pytest.mark.parametrize("path, domain, kind", DECLARED, ids=DECLARED_IDS)
+def test_a_value_just_inside_each_declared_bound_validates(path, domain, kind):
+    for value in _inside(domain):
+        scn = _roomy_scenario(kind)
+        _set_path(scn, path, value)
+        if path.endswith(".fade_secs"):
+            scn.ues[0].channel.fast_secs = value  # the shadowing hold spans whole jitter holds
+        assert scn.validate() is None, value
+
+
+UNREAD = sorted({(path.rsplit(".", 1)[1], kind) for path, domain, _ in DECLARED if domain.kinds
+                 for kind in ("static", "step", "sinusoid", "fading") if kind not in domain.kinds})
+
+
+@pytest.mark.parametrize("name, kind", UNREAD)
+def test_a_channel_field_goes_unchecked_under_a_kind_that_does_not_read_it(name, kind):
+    scn = _roomy_scenario(kind)
     setattr(scn.ues[0].channel, name, math.nan)
-    with pytest.raises(ConfigError, match=re.escape(f"ues[0].channel.{name}")):
-        scn.validate()
+    assert scn.validate() is None
 
 
-def test_a_nan_step_capacity_is_refused_before_the_run():
-    # the zero-horizon check builds only the first hold, at high_bps
-    scn = BUILTIN_SCENARIOS["static-1ue"]()
-    scn.ues[0].channel.kind = "step"
-    scn.ues[0].channel.low_bps = math.nan
-    with pytest.raises(ConfigError, match=re.escape("ues[0].channel: capacities must be >= 0")):
-        scn.validate()
+def test_every_numeric_and_fixed_choice_field_declares_its_domain():
+    # a field added without a domain would skip validate() altogether
+    numeric = {int, float, Optional[int], Optional[float]}
+    undeclared = [f"{cls.__name__}.{f.name}" for cls in SPEC_PATHS for f in fields(cls)
+                  if typing.get_type_hints(cls)[f.name] in numeric and "domain" not in f.metadata]
+    assert undeclared == []
+    choices = {path: set(domain.choices) for path, domain, _ in DECLARED if domain.choices}
+    assert choices == {
+        "scheduler": {p.value for p in SchedulerPolicy},
+        "aqm.kind": {"l4span", "dualpi2step", "none"},
+        "aqm.shared_policy": set(SHARED_POLICIES),
+        "ues.0.channel.kind": {"static", "step", "sinusoid", "fading", "file"},
+        "ues.0.drbs.0.rlc_mode": {m.value for m in RlcMode},
+        "ues.0.drbs.0.flows.0.kind": set(SENDERS),
+    }
 
 
 def test_duplicate_ue_rejected():
@@ -382,29 +492,33 @@ PROBES = [
     # an estimation window (coherence_secs / 2) shorter than the 0.5 ms slot
     (("coherence_secs",), 0.0005, "coherence_secs"),
     (("coherence_secs",), 0.0, "coherence_secs"),
-    (DRB + ("max_queue_sdus",), "x", "scenario.ues[0].drbs[0].max_queue_sdus"),
-    (("seed",), "abc", "scenario.seed"),
-    (("ues", 0, "ue_id"), "1", "scenario.ues[0].ue_id"),
-    (("aqm", "short_circuit"), "no", "scenario.aqm.short_circuit"),
-    (("name",), 5, "scenario.name"),
-    (FLOW + ("size_bytes",), 1.5, "scenario.ues[0].drbs[0].flows[0].size_bytes"),
-    (FLOW + ("name",), None, "scenario.ues[0].drbs[0].flows[0].name"),
+    (DRB + ("max_queue_sdus",), "x", "error: ues.0.drbs.0.max_queue_sdus:"),
+    (("seed",), "abc", "error: seed:"),
+    (("ues", 0, "ue_id"), "1", "error: ues.0.ue_id:"),
+    (("aqm", "short_circuit"), "no", "error: aqm.short_circuit:"),
+    (("name",), 5, "error: name:"),
+    (FLOW + ("size_bytes",), 1.5, "error: ues.0.drbs.0.flows.0.size_bytes:"),
+    (FLOW + ("name",), None, "error: ues.0.drbs.0.flows.0.name:"),
+    # json.dumps writes NaN and Infinity, and the loader reads them back
+    (("horizon_secs",), math.inf, "error: horizon_secs must be"),
+    (FLOW + ("think_secs",), math.nan, "error: ues.0.drbs.0.flows.0.think_secs must be"),
+    (("seed",), math.nan, "error: seed:"),
     # a zero period divided by zero; a half-period or hold below the 0.5 ms
     # slot adds breakpoints no slot reads, without bound as it shrinks
-    (("ues", 0, "channel"), {"kind": "fading", "period_secs": 0}, "ues[0].channel.period_secs"),
-    (("ues", 0, "channel"), {"kind": "step", "period_secs": 0.0004}, "ues[0].channel.period_secs"),
-    (("ues", 0, "channel"), {"kind": "fading", "fast_secs": 0.0004}, "ues[0].channel.fast_secs"),
+    (("ues", 0, "channel"), {"kind": "fading", "period_secs": 0}, "ues.0.channel.period_secs"),
+    (("ues", 0, "channel"), {"kind": "step", "period_secs": 0.0004}, "ues.0.channel.period_secs"),
+    (("ues", 0, "channel"), {"kind": "fading", "fast_secs": 0.0004}, "ues.0.channel.fast_secs"),
     # the shadowing hold runs as a whole number of jitter holds, at least one
-    (("ues", 0, "channel"), {"kind": "fading", "fade_secs": 0.005}, "ues[0].channel.fade_secs"),
-    (("ues", 0, "channel"), {"kind": "fading", "fade_secs": 0.014}, "ues[0].channel.fade_secs"),
+    (("ues", 0, "channel"), {"kind": "fading", "fade_secs": 0.005}, "ues.0.channel.fade_secs"),
+    (("ues", 0, "channel"), {"kind": "fading", "fade_secs": 0.014}, "ues.0.channel.fade_secs"),
     # a full build rejected these two; the zero-horizon check must still see
     # a negative capacity that the trace reaches only after t = 0
-    (("ues", 0, "channel"), {"kind": "step", "low_bps": -1}, "capacities must be >= 0"),
+    (("ues", 0, "channel"), {"kind": "step", "low_bps": -1}, "ues.0.channel.low_bps must be"),
     (("ues", 0, "channel"), {"kind": "sinusoid", "mean_bps": 10_000_000, "amplitude_bps": -20_000_000},
      "amplitude may not exceed mean"),
     # a horizon whose trace cannot be built (Simulator raised MemoryError)
     *[({("horizon_secs",): 1e12, ("ues", 0, "channel"): {"kind": kind}}, None,
-       "ues[0].channel: horizon_secs") for kind in ("step", "sinusoid", "fading")],
+       "ues.0.channel: horizon_secs") for kind in ("step", "sinusoid", "fading")],
 ]
 
 
@@ -612,7 +726,7 @@ def test_cli_non_finite_file_channel_is_one_config_error(tmp_path, capsys, trace
     p = tmp_path / "scn.json"
     p.write_text(json.dumps(data))
     assert cli_main(["validate", str(p)]) == 1
-    _one_config_error_line(capsys, "ues[0].channel")
+    _one_config_error_line(capsys, "ues.0.channel")
 
 
 @pytest.mark.parametrize("cwd, ref", [(".", "rel/scn.json"), ("rel", "scn.json"),
